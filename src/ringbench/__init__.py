@@ -5,13 +5,13 @@ __version__ = "0.1.0"
 
 from .device import DeviceConfig, PollConfig, SimDevice, VirtualClock, \
     desk_nvme, steady_state_iops
-from .metrics import MetricsReport, merge
+from .metrics import MetricsReport
 from .ring import (ApiInstance, Completion, CompletionStatus, IoRequest,
                    OpKind, PushResult, RingQueue)
 
 __all__ = [
     "ApiInstance", "Completion", "CompletionStatus", "DeviceConfig",
     "IoRequest", "MetricsReport", "OpKind", "PollConfig", "PushResult",
-    "RingQueue", "SimDevice", "VirtualClock", "desk_nvme", "merge",
+    "RingQueue", "SimDevice", "VirtualClock", "desk_nvme",
     "steady_state_iops", "__version__",
 ]

@@ -5,18 +5,19 @@ from .common import (ArrivalWorkload, ExecCosts, PoolShutdown, RequestHandle,
                      TimeoutExceeded, WorkloadNotPartitionable,
                      handle_await_spin, handle_poll)
 from .direct_access import run_direct_access
-from .pool import (ControllerConfig, EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS,
-                   IoPool, POLICY_LEAST_LOADED, POLICY_ROUND_ROBIN,
-                   THREADING_PAIR, THREADING_SINGLE, open_pool,
-                   run_dynamic_pool, run_static_pool)
+from .driver import (EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS,
+                     POLICY_LEAST_LOADED, POLICY_ROUND_ROBIN, THREADING_PAIR,
+                     THREADING_SINGLE, RunOptions)
+from .pool import (ControllerConfig, IoPool, open_pool, run_dynamic_pool,
+                   run_static_pool)
 from .shared_nothing import run_shared_nothing
 
 __all__ = [
     "ArrivalWorkload", "ControllerConfig", "EXEC_INLINE_CALLBACKS",
     "EXEC_IO_THREADS", "ExecCosts", "IoPool", "POLICY_LEAST_LOADED",
     "POLICY_ROUND_ROBIN", "PoolShutdown", "RequestHandle", "RequestWorkload",
-    "RingConfig", "THREADING_PAIR", "THREADING_SINGLE", "TaskWorkload",
-    "TimeoutExceeded", "WorkloadNotPartitionable", "handle_await_spin",
+    "RingConfig", "RunOptions", "THREADING_PAIR", "THREADING_SINGLE",
+    "TaskWorkload", "TimeoutExceeded", "WorkloadNotPartitionable", "handle_await_spin",
     "handle_poll", "open_pool", "run_direct_access", "run_dynamic_pool",
     "run_shared_nothing", "run_static_pool",
 ]

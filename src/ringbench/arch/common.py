@@ -167,9 +167,6 @@ class RequestHandle:
         self.completion = comp
         self.status = HANDLE_DONE
 
-    def poll(self) -> int:
-        return self.status
-
 
 def handle_poll(handle: RequestHandle) -> int:
     """Non-blocking status read."""
@@ -236,7 +233,7 @@ class ExecContext:
                  "results", "worker", "dep_broadcast", "trace_exec")
 
     def __init__(self, rt, costs, collector, submit, geometry, results,
-                 worker=None, dep_broadcast=()):
+                 worker=None):
         self.rt = rt
         self.costs = costs
         self.collector = collector
@@ -244,7 +241,7 @@ class ExecContext:
         self.geometry = geometry
         self.results = results        # shared task_id -> final_state
         self.worker = worker          # None on I/O-instance executors
-        self.dep_broadcast = dep_broadcast  # signals to poke on task finish
+        self.dep_broadcast = ()       # signals to poke on task finish
         self.trace_exec = None
 
 

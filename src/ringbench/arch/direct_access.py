@@ -3,20 +3,17 @@
 The deliberate exception to the SPSC contract: every ring side is guarded
 by a mutex, contention is counted, and a full SQ bounces the request back
 to the caller because this architecture provides no buffering of its own.
+
+This module supplies the lock-shared instances, the hooks that submit and
+reap under those locks, and the contention count in the report; the run
+assembly is ``driver.RunContext``.
 """
 
 from __future__ import annotations
 
-from ..device import SimDevice, WallDeviceThread, effective_config
-from ..metrics import MetricsCollector
 from ..ring import PushResult
-from ..runtime import Runtime
-from ..tasks import Geometry
-from .common import (ExecContext, ExecCosts, HandleFactory, RingConfig,
-                     TaskWorkload, Worker, deliver_completion, deps_map,
-                     request_stream, request_worker_loop, shard_specs,
-                     task_worker_loop)
-from .driver import drive, finalize_report
+from .common import deliver_completion
+from .driver import RunContext, RunOptions
 
 
 class _SharedInstance:
@@ -30,11 +27,10 @@ class _SharedInstance:
 
 
 class _DaHooks:
-    def __init__(self, worker, shared, rt, costs, ectx, handle_factory):
-        self.worker = worker
+    def __init__(self, worker, shared, ectx, handle_factory):
         self.shared = shared
-        self.rt = rt
-        self.costs = costs
+        self.rt = ectx.rt
+        self.costs = ectx.costs
         self.ectx = ectx
         self.new_handle = handle_factory
         self.inline_cb_cost = 0  # inline by construction, charged worker-side
@@ -87,71 +83,27 @@ class _DaHooks:
 
 
 def run_direct_access(workload, n_workers: int, m_instances: int,
-                      scheme: str = "full", *, device_cfg=None,
-                      ring: RingConfig = None, costs: ExecCosts = None,
-                      mode: str = "virtual", seed: int = 0,
-                      run_id: str = None, sched_jitter_ns: int = 0,
-                      results_out: dict = None, trace_exec=None):
-    """N workers submitting directly to M mutex-guarded instances."""
-    from ..device import DeviceConfig
-    device_cfg = device_cfg or DeviceConfig()
-    ring = ring or RingConfig()
-    costs = costs or ExecCosts()
-    run_id = run_id or f"direct_access-{seed}"
-    is_tasks = isinstance(workload, TaskWorkload)
-    dcfg = device_cfg if is_tasks else effective_config(device_cfg,
-                                                        workload.op_kind)
-    geometry = Geometry(dcfg.block_size, dcfg.capacity_bytes)
+                      scheme: str = "full", **kw):
+    """N workers submitting directly to M mutex-guarded instances.
 
-    rt = Runtime(mode, seed, sched_jitter_ns)
-    device = SimDevice(dcfg, rt.clock, seed=seed)
-    dev_collector = MetricsCollector(run_id)
-    device.completion_listener = dev_collector.on_completion
-    handle_factory = HandleFactory()
-    results = results_out if results_out is not None else {}
-
+    Takes the ``RunOptions`` keywords.
+    """
+    ctx = RunContext("direct_access", workload, RunOptions(**kw))
+    rt = ctx.rt
     wake_all = rt.signal()  # completions may matter to any worker
     shared = []
     for _ in range(m_instances):
-        inst = ring.build()
-        device.attach(inst, reaper_signal=wake_all, space_signal=wake_all)
+        inst = ctx.ring.build()
+        ctx.device.attach(inst, reaper_signal=wake_all, space_signal=wake_all)
         shared.append(_SharedInstance(inst, rt))
 
-    workers = []
-    for i in range(n_workers):
-        collector = MetricsCollector(run_id)
-        worker = Worker(i, rt, collector)
+    def wire(worker, ectx):
         worker.signal = wake_all
-        ectx = ExecContext(rt, costs, collector, None, geometry, results,
-                           worker)
-        ectx.trace_exec = trace_exec
-        hooks = _DaHooks(worker, shared, rt, costs, ectx, handle_factory)
-        ectx.submit = hooks.submit
-        if is_tasks:
-            shards = shard_specs(workload, n_workers)
-            gen = task_worker_loop(worker, hooks, shards[i], scheme, workload,
-                                   ectx, deps_map(workload))
-        else:
-            shard_ops = workload.op_count // n_workers + (
-                1 if i < workload.op_count % n_workers else 0)
-            gen = request_worker_loop(
-                worker, hooks, shard_ops,
-                max(1, workload.queue_depth // n_workers),
-                request_stream(workload, geometry, seed, i),
-                workload.callback_cost_ns, costs)
-        workers.append((worker, collector))
-        rt.spawn(gen, worker.name)
+        return _DaHooks(worker, shared, ectx, ctx.new_handle)
 
-    dev_thread = None
-    if mode == "wall":
-        dev_thread = WallDeviceThread(device).start()
-    drive(rt, lambda: all(a.done for a in rt.actors))
-    if dev_thread is not None:
-        dev_thread.stop()
-
-    for _, c in workers:
-        dev_collector.absorb(c)
+    ctx.spawn_workers(n_workers, scheme, wire)
+    ctx.run(lambda: all(a.done for a in rt.actors))
     for sh in shared:
-        dev_collector.contention_events += (sh.sq_lock.contention
+        ctx.collector.contention_events += (sh.sq_lock.contention
                                             + sh.cq_lock.contention)
-    return finalize_report(dev_collector, rt, device)
+    return ctx.report()

@@ -1,10 +1,171 @@
-"""Run-loop helpers shared by the architecture entry points."""
+"""The run assembly the four architectures share, and the run loop.
+
+Every run builds the same things once: a runtime, the device, the device
+collector, a handle factory and the results table (``RunContext``); it
+shards the workload over worker actors (``RunContext.spawn_workers``),
+drives the calendar to quiescence and finalizes one report. An
+architecture supplies only how it wires instances and hooks, its done
+predicate and its report extras.
+"""
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
+from typing import Callable
 
-from .common import per_instance_stats
+from ..device import DeviceConfig, SimDevice, WallDeviceThread, \
+    effective_config
+from ..metrics import MetricsCollector
+from ..runtime import Runtime
+from ..tasks import Geometry
+from .common import (ExecContext, ExecCosts, HandleFactory, RingConfig,
+                     TaskWorkload, Worker, deps_map, per_instance_stats,
+                     request_stream, request_worker_loop, shard_specs,
+                     task_worker_loop)
+
+EXEC_IO_THREADS = "io_threads"
+EXEC_INLINE_CALLBACKS = "inline_callbacks"
+
+POLICY_ROUND_ROBIN = "round_robin"
+POLICY_LEAST_LOADED = "least_loaded"
+
+THREADING_SINGLE = "single_thread"
+THREADING_PAIR = "submit_reap_pair"
+
+
+@dataclass
+class RunOptions:
+    """The keywords every runner accepts. The pool knobs (``exec_mode``,
+    ``policy``, ``inbox_capacity``, ``threading_mode``) have no effect on
+    shared-nothing and direct access."""
+
+    device_cfg: DeviceConfig = None
+    ring: RingConfig = None
+    costs: ExecCosts = None
+    mode: str = "virtual"
+    seed: int = 0
+    run_id: str = None
+    sched_jitter_ns: int = 0
+    results_out: dict = None
+    trace_exec: Callable = None
+    keep_completion_times: bool = False
+    exec_mode: str = EXEC_IO_THREADS
+    policy: str = POLICY_ROUND_ROBIN
+    inbox_capacity: int = 1024
+    threading_mode: str = THREADING_SINGLE
+
+
+class RunContext:
+    """One run's runtime, device, collectors and inputs.
+
+    Per-executor collectors made through ``new_collector`` are absorbed into
+    the device collector by ``report``; execution contexts made through
+    ``exec_context`` carry the run's ``trace_exec``.
+    """
+
+    def __init__(self, arch: str, workload, opts: RunOptions):
+        self.workload = workload
+        self.opts = opts
+        self.ring = opts.ring or RingConfig()
+        self.costs = opts.costs or ExecCosts()
+        self.seed = opts.seed
+        self.run_id = opts.run_id or f"{arch}-{opts.seed}"
+        # task workloads and a bare pool have no op kind to adjust for
+        dcfg = effective_config(opts.device_cfg or DeviceConfig(),
+                                getattr(workload, "op_kind", None))
+        self.geometry = Geometry(dcfg.block_size, dcfg.capacity_bytes)
+        self.rt = Runtime(opts.mode, opts.seed, opts.sched_jitter_ns)
+        self.device = SimDevice(dcfg, self.rt.clock, seed=opts.seed)
+        self.collector = MetricsCollector(
+            self.run_id, keep_completion_times=opts.keep_completion_times)
+        self.device.completion_listener = self.collector.on_completion
+        self.new_handle = HandleFactory()
+        self.results = opts.results_out if opts.results_out is not None \
+            else {}
+        self.collectors = []
+        self.ectxs = []
+        self._dev_thread = None
+
+    def new_collector(self) -> MetricsCollector:
+        collector = MetricsCollector(self.run_id)
+        self.collectors.append(collector)
+        return collector
+
+    def exec_context(self, collector, submit=None, worker=None):
+        ectx = ExecContext(self.rt, self.costs, collector, submit,
+                           self.geometry, self.results, worker)
+        ectx.trace_exec = self.opts.trace_exec
+        self.ectxs.append(ectx)
+        return ectx
+
+    def spawn_workers(self, n: int, scheme: str, wire,
+                      qd_per_worker: bool = False) -> list:
+        """Spawn one worker actor per shard and return the actors.
+
+        ``wire(worker, ectx)`` connects a new worker to the architecture
+        and returns its hooks. A request workload's queue depth is split
+        over the workers unless ``qd_per_worker``. Its callback cost runs
+        on the worker after replenishment, unless the hooks charge it
+        inline on the reaping executor.
+        """
+        workload = self.workload
+        is_tasks = isinstance(workload, TaskWorkload)
+        if is_tasks:
+            shards = shard_specs(workload, n)
+            deps = deps_map(workload)
+        actors = []
+        signals = []
+        for i in range(n):
+            worker = Worker(i, self.rt, self.new_collector())
+            ectx = self.exec_context(worker.collector, worker=worker)
+            hooks = wire(worker, ectx)
+            ectx.submit = hooks.submit
+            if is_tasks:
+                gen = task_worker_loop(worker, hooks, shards[i], scheme,
+                                       workload, ectx, deps)
+            else:
+                ops = workload.op_count // n + (
+                    1 if i < workload.op_count % n else 0)
+                qd = workload.queue_depth if qd_per_worker \
+                    else max(1, workload.queue_depth // n)
+                worker_cb = 0 if hooks.inline_cb_cost \
+                    else workload.callback_cost_ns
+                gen = request_worker_loop(
+                    worker, hooks, ops, qd,
+                    request_stream(workload, self.geometry, self.seed, i),
+                    worker_cb, self.costs)
+            if worker.signal not in signals:
+                signals.append(worker.signal)
+            actors.append(self.rt.spawn(gen, worker.name))
+        if is_tasks and workload.dependencies:
+            # a deferred task may wait on another worker's task: every
+            # finish, wherever it runs, wakes the workers to rescan
+            for ectx in self.ectxs:
+                ectx.dep_broadcast = tuple(signals)
+        return actors
+
+    def start_device(self) -> None:
+        if self.rt.mode == "wall":
+            self._dev_thread = WallDeviceThread(self.device).start()
+
+    def stop_device(self) -> None:
+        if self._dev_thread is not None:
+            self._dev_thread.stop()
+            self._dev_thread = None
+
+    def run(self, done_pred, on_done=None) -> None:
+        self.start_device()
+        drive(self.rt, done_pred, on_done)
+        self.stop_device()
+
+    def report(self, inbox_peaks=None, timeline=()):
+        collectors, self.collectors = self.collectors, []
+        for c in collectors:
+            self.collector.absorb(c)
+        return finalize_report(self.collector, self.rt, self.device,
+                               inbox_peaks, timeline,
+                               self.opts.keep_completion_times)
 
 
 def drive(rt, done_pred, on_done=None, max_events: int = 500_000_000,

@@ -6,6 +6,11 @@ owning one ring instance. The dynamic variant adds a scaling controller
 that widens or narrows the active prefix of instances by at most one per
 window; starved instances drain, their poll threads time out, and the
 actors park.
+
+This module supplies the pool units and their actors, the dispatch layer,
+the worker hooks that submit through it, the controller, and the report
+extras (inbox peaks, the active-instance timeline, the skip-rule check);
+the run assembly is ``driver.RunContext``.
 """
 
 from __future__ import annotations
@@ -15,30 +20,18 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-from ..device import SimDevice, WallDeviceThread, effective_config
 from ..metrics import MetricsCollector
 from ..ring import PushResult
-from ..runtime import Runtime
-from ..tasks import Geometry
-from .common import (ArrivalWorkload, ExecContext, ExecCosts, HandleFactory,
-                     PoolShutdown, RequestWorkload, RingConfig, TaskWorkload,
-                     TimeoutExceeded, Worker, deliver_completion, deps_map,
-                     request_stream, request_worker_loop, shard_specs,
-                     task_worker_loop)
-from .driver import drive, finalize_report
+from .common import (ArrivalWorkload, ExecContext, PoolShutdown,
+                     TimeoutExceeded, Worker, deliver_completion,
+                     request_stream)
+from .driver import (EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS,
+                     POLICY_LEAST_LOADED, POLICY_ROUND_ROBIN, THREADING_PAIR,
+                     RunContext, RunOptions)
 
 UNIT_RUNNING = "running"
 UNIT_DRAINING = "draining"
 UNIT_ASLEEP = "asleep"
-
-EXEC_IO_THREADS = "io_threads"
-EXEC_INLINE_CALLBACKS = "inline_callbacks"
-
-POLICY_ROUND_ROBIN = "round_robin"
-POLICY_LEAST_LOADED = "least_loaded"
-
-THREADING_SINGLE = "single_thread"
-THREADING_PAIR = "submit_reap_pair"
 
 
 @dataclass
@@ -99,7 +92,7 @@ class IoInstanceUnit:
     def __init__(self, index, inst, inbox_capacity, rt):
         self.index = index
         self.inst = inst
-        self.inbox = None  # deque, set by the pool
+        self.inbox = deque()
         self.inbox_capacity = inbox_capacity
         self.inbox_peak = 0
         self.signal = rt.signal()
@@ -109,53 +102,48 @@ class IoInstanceUnit:
 
 
 class IoPool:
-    """Dispatch layer plus k I/O instances over one device."""
+    """Dispatch layer plus k I/O-instance actors over one run's device.
 
-    def __init__(self, rt, device: SimDevice, k_instances: int,
-                 ring: RingConfig, costs: ExecCosts,
-                 exec_mode: str = EXEC_IO_THREADS,
-                 policy: str = POLICY_ROUND_ROBIN,
-                 inbox_capacity: int = 1024,
-                 controller: ControllerConfig = None,
-                 threading_mode: str = THREADING_SINGLE,
-                 cooperative: bool = False,
-                 run_id: str = "pool"):
-        if exec_mode not in (EXEC_IO_THREADS, EXEC_INLINE_CALLBACKS):
-            raise ValueError(f"unknown exec mode {exec_mode!r}")
-        if policy not in (POLICY_ROUND_ROBIN, POLICY_LEAST_LOADED):
-            raise ValueError(f"unknown dispatch policy {policy!r}")
-        self.rt = rt
-        self.device = device
+    ``exec_mode``, ``policy``, ``inbox_capacity`` and ``threading_mode``
+    come from the run's options.
+    """
+
+    def __init__(self, ctx: RunContext, k_instances: int,
+                 controller: ControllerConfig = None):
+        opts = ctx.opts
+        if opts.exec_mode not in (EXEC_IO_THREADS, EXEC_INLINE_CALLBACKS):
+            raise ValueError(f"unknown exec mode {opts.exec_mode!r}")
+        if opts.policy not in (POLICY_ROUND_ROBIN, POLICY_LEAST_LOADED):
+            raise ValueError(f"unknown dispatch policy {opts.policy!r}")
+        rt = self.rt = ctx.rt
+        self.ctx = ctx
+        self.device = ctx.device
         self.k = k_instances
-        self.ring_cfg = ring
-        self.costs = costs
-        self.exec_mode = exec_mode
-        self.policy = policy
+        self.ring_cfg = ctx.ring
+        self.costs = ctx.costs
+        self.policy = opts.policy
         self.controller_cfg = controller
-        self.threading_mode = threading_mode
-        self.cooperative = cooperative
-        self.run_id = run_id
+        self.threading_mode = opts.threading_mode
         self.stopping = False
         self.active_count = k_instances
         self.timeline = [(rt.now(), k_instances)]
         self.overflow = deque()
         self.handle_table = {}
-        self.handle_factory = HandleFactory()
+        self.handle_factory = ctx.new_handle
         self.pending = LoadMeter(locked=(rt.mode == "wall"))
         self.skip_violations = 0
         self._rr = itertools.count()
         self.instances = []
-        self.io_collectors = []
-        self._io_ectx = {}
         for i in range(k_instances):
-            unit = IoInstanceUnit(i, ring.build(), inbox_capacity, rt)
-            unit.inbox = deque()
-            if threading_mode == THREADING_PAIR:
+            unit = IoInstanceUnit(i, ctx.ring.build(), opts.inbox_capacity,
+                                  rt)
+            if self.threading_mode == THREADING_PAIR:
                 unit.reap_signal = rt.signal()
-            device.attach(unit.inst,
-                          reaper_signal=unit.reap_signal or unit.signal,
-                          space_signal=unit.signal)
+            ctx.device.attach(unit.inst,
+                              reaper_signal=unit.reap_signal or unit.signal,
+                              space_signal=unit.signal)
             self.instances.append(unit)
+        self._spawn_instance_actors()
 
     # -- dispatch layer --------------------------------------------------------
 
@@ -219,21 +207,10 @@ class IoPool:
             handle = self.handle_factory(None)
         handle.inline_cost_ns = inline_cost_ns
         self._dispatch(req, handle)
-        collector = getattr(self, "dev_collector", None)
-        if collector is not None:
-            collector.on_submit()
+        self.ctx.collector.on_submit()
         return handle
 
     # -- instance execution ------------------------------------------------------
-
-    def _make_io_ectx(self, geometry, results):
-        collector = MetricsCollector(self.run_id)
-        self.io_collectors.append(collector)
-        ectx = ExecContext(self.rt, self.costs, collector,
-                           self.submitter_for(collector), geometry, results,
-                           worker=None)
-        ectx.trace_exec = getattr(self, "trace_exec", None)
-        return ectx
 
     def _submit_pass(self, unit: IoInstanceUnit):
         """Move inbox entries into the SQ; generator returning progress."""
@@ -331,11 +308,11 @@ class IoPool:
                 if unit.reap_signal.version == sig_version:
                     yield unit.reap_signal
 
-    def spawn_instance_actors(self, geometry, results) -> None:
-        assert not self.cooperative
+    def _spawn_instance_actors(self) -> None:
+        ctx = self.ctx
         for unit in self.instances:
-            ectx = self._make_io_ectx(geometry, results)
-            self._io_ectx[unit.index] = ectx
+            collector = ctx.new_collector()
+            ectx = ctx.exec_context(collector, self.submitter_for(collector))
             if self.threading_mode == THREADING_PAIR:
                 self.rt.spawn(self._io_actor_submit(unit),
                               f"io-{unit.index}-submit")
@@ -344,19 +321,6 @@ class IoPool:
             else:
                 self.rt.spawn(self._io_actor_single(unit, ectx),
                               f"io-{unit.index}")
-
-    def tick(self, index: int, geometry=None, results=None):
-        """Cooperative mode: one submit+reap cycle on the caller. Generator."""
-        unit = self.instances[index]
-        ectx = self._io_ectx.get(index)
-        if ectx is None:
-            ectx = self._make_io_ectx(geometry or Geometry(4096, 1 << 30),
-                                      results if results is not None else {})
-            self._io_ectx[index] = ectx
-        yield from self._submit_pass(unit)
-        yield from self._reap_pass(unit, ectx)
-        if self.overflow and unit.index < self.active_count:
-            self._drain_overflow()
 
     # -- scaling controller ---------------------------------------------------------
 
@@ -406,10 +370,10 @@ class IoPool:
     def drain_and_shutdown(self, deadline_ns=None):
         """Outside-the-engine API: refuse new work, finish what is in flight.
 
-        Returns the final MetricsReport when the pool was opened standalone
-        (``open_pool``); raises TimeoutExceeded with the abandoned count when
-        the deadline passes first. Virtual mode drives the calendar directly,
-        so this must not be called from inside an actor.
+        Returns the final MetricsReport; raises TimeoutExceeded with the
+        abandoned count when the deadline passes first. Virtual mode drives
+        the calendar directly, so this must not be called from inside an
+        actor.
         """
         self.request_stop()
         rt = self.rt
@@ -432,56 +396,28 @@ class IoPool:
                     raise TimeoutExceeded(self.abandoned_count())
                 time.sleep(0.0002)
             rt.workload_done_ns = rt.now()
-        return self._standalone_report()
+        self.ctx.stop_device()
+        return self.report()
 
-    def _standalone_report(self):
-        if getattr(self, "dev_collector", None) is None:
-            return None
-        if getattr(self, "_dev_thread", None) is not None:
-            self._dev_thread.stop()
-            self._dev_thread = None
-        for c in self.io_collectors:
-            self.dev_collector.absorb(c)
-        self.io_collectors = []
-        return finalize_report(
-            self.dev_collector, self.rt, self.device,
+    def report(self):
+        return self.ctx.report(
             inbox_peaks=[u.inbox_peak for u in self.instances],
             timeline=self.timeline)
 
 
-def open_pool(k_instances: int, *, device_cfg=None, ring: RingConfig = None,
-              costs: ExecCosts = None, exec_mode: str = EXEC_IO_THREADS,
-              policy: str = POLICY_ROUND_ROBIN, inbox_capacity: int = 1024,
-              controller: ControllerConfig = None,
-              threading_mode: str = THREADING_SINGLE, mode: str = "virtual",
-              seed: int = 0, run_id: str = None,
-              cooperative: bool = False) -> IoPool:
+def open_pool(k_instances: int, *, controller: ControllerConfig = None,
+              **kw) -> IoPool:
     """Stand up a live pool for direct pool_submit/handle use.
 
-    Callers submit with ``pool.pool_submit`` and finish with
-    ``pool.drain_and_shutdown()``, which returns the final report.
+    Takes the ``RunOptions`` keywords. Callers submit with
+    ``pool.pool_submit`` and finish with ``pool.drain_and_shutdown()``,
+    which returns the final report.
     """
-    from ..device import DeviceConfig
-    device_cfg = device_cfg or DeviceConfig()
-    ring = ring or RingConfig()
-    costs = costs or ExecCosts()
-    run_id = run_id or f"pool-{seed}"
-    rt = Runtime(mode, seed)
-    device = SimDevice(device_cfg, rt.clock, seed=seed)
-    collector = MetricsCollector(run_id)
-    device.completion_listener = collector.on_completion
-    pool = IoPool(rt, device, k_instances, ring, costs, exec_mode, policy,
-                  inbox_capacity, controller, threading_mode,
-                  cooperative=cooperative, run_id=run_id)
-    pool.dev_collector = collector
-    geometry = Geometry(device_cfg.block_size, device_cfg.capacity_bytes)
-    pool._dev_thread = None
-    if not cooperative:
-        pool.spawn_instance_actors(geometry, {})
-        if controller is not None:
-            rt.spawn(pool.controller_actor(), "controller")
-    if mode == "wall":
-        pool._dev_thread = WallDeviceThread(device).start()
+    pool = IoPool(RunContext("pool", None, RunOptions(**kw)), k_instances,
+                  controller)
+    if controller is not None:
+        pool.rt.spawn(pool.controller_actor(), "controller")
+    pool.ctx.start_device()
     return pool
 
 
@@ -489,119 +425,47 @@ class _PoolHooks:
     has_reap = False  # I/O-instance actors reap; workers only poll handles
 
     def __init__(self, pool: IoPool, worker: Worker, inline_cb: int):
-        self.pool = pool
-        self.worker = worker
         self.new_handle = pool.handle_factory
         self.inline_cb_cost = inline_cb
         self.submit = pool.submitter_for(worker.collector)
 
-    def reap_phase(self):
-        return False
-        yield  # pragma: no cover - uniform generator protocol
 
-
-def _run_pool(workload, n_workers, k_instances, scheme, exec_mode, *,
-              controller, device_cfg, ring, costs, policy, inbox_capacity,
-              threading_mode, mode, seed, run_id, sched_jitter_ns,
-              results_out, keep_completion_times, trace_exec=None):
-    from ..device import DeviceConfig
-    device_cfg = device_cfg or DeviceConfig()
-    ring = ring or RingConfig()
-    costs = costs or ExecCosts()
-    is_tasks = isinstance(workload, TaskWorkload)
+def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
+              opts: RunOptions):
+    ctx = RunContext(arch, workload, opts)
+    rt = ctx.rt
     is_arrival = isinstance(workload, ArrivalWorkload)
-    dcfg = device_cfg if is_tasks else effective_config(device_cfg,
-                                                        workload.op_kind)
-    geometry = Geometry(dcfg.block_size, dcfg.capacity_bytes)
-
-    rt = Runtime(mode, seed, sched_jitter_ns)
-    device = SimDevice(dcfg, rt.clock, seed=seed)
-    dev_collector = MetricsCollector(run_id,
-                                     keep_completion_times=keep_completion_times)
-    device.completion_listener = dev_collector.on_completion
-    results = results_out if results_out is not None else {}
-
-    pool = IoPool(rt, device, k_instances, ring, costs, exec_mode, policy,
-                  inbox_capacity, controller, threading_mode, run_id=run_id)
-    pool.trace_exec = trace_exec
-    pool.spawn_instance_actors(geometry, results)
+    pool = IoPool(ctx, k_instances, controller)
     if controller is not None:
         pool.active_count = controller.min_active if is_arrival else k_instances
         pool.timeline[0] = (rt.now(), pool.active_count)
         rt.spawn(pool.controller_actor(), "controller")
 
-    worker_collectors = []
-    worker_actors = []
+    # inline callbacks run on the reaping I/O-instance actor
+    inline = getattr(workload, "callback_cost_ns", 0) \
+        if opts.exec_mode == EXEC_INLINE_CALLBACKS else 0
     if is_arrival:
-        collector = MetricsCollector(run_id)
-        worker_collectors.append(collector)
-        inline = workload_inline_cost(workload, exec_mode)
-        gen = _arrival_actor(pool, workload, collector, geometry, seed,
-                             inline, costs)
-        worker_actors.append(rt.spawn(gen, "arrivals"))
+        gen = _arrival_actor(pool, workload, ctx.new_collector(), inline)
+        worker_actors = [rt.spawn(gen, "arrivals")]
     else:
-        inline = workload_inline_cost(workload, exec_mode)
-        worker_cb = 0
-        if isinstance(workload, RequestWorkload) \
-                and exec_mode == EXEC_IO_THREADS:
-            worker_cb = workload.callback_cost_ns
-        for i in range(n_workers):
-            collector = MetricsCollector(run_id)
-            worker = Worker(i, rt, collector)
-            hooks = _PoolHooks(pool, worker, inline)
-            worker_collectors.append(collector)
-            if is_tasks:
-                ectx = ExecContext(rt, costs, collector, hooks.submit,
-                                   geometry, results, worker)
-                ectx.trace_exec = trace_exec
-                shards = shard_specs(workload, n_workers)
-                gen = task_worker_loop(worker, hooks, shards[i], scheme,
-                                       workload, ectx, deps_map(workload))
-            else:
-                shard_ops = workload.op_count // n_workers + (
-                    1 if i < workload.op_count % n_workers else 0)
-                qd = max(1, workload.queue_depth // n_workers)
-                gen = request_worker_loop(
-                    worker, hooks, shard_ops, qd,
-                    request_stream(workload, geometry, seed, i),
-                    worker_cb, costs)
-            worker_actors.append(rt.spawn(gen, worker.name))
-
-    dev_thread = None
-    if mode == "wall":
-        dev_thread = WallDeviceThread(device).start()
+        worker_actors = ctx.spawn_workers(
+            n_workers, scheme,
+            lambda worker, ectx: _PoolHooks(pool, worker, inline))
 
     def workers_done():
         if pool.pending.level != 0:  # cheap guard on the per-event hot path
             return False
         return all(a.done for a in worker_actors) and pool.drained()
 
-    drive(rt, workers_done, on_done=pool.request_stop)
-    if dev_thread is not None:
-        dev_thread.stop()
-
+    ctx.run(workers_done, pool.request_stop)
     assert pool.skip_violations == 0, \
         "dispatch delivered to an inactive instance"
-    for c in worker_collectors + pool.io_collectors:
-        dev_collector.absorb(c)
-    return finalize_report(
-        dev_collector, rt, device,
-        inbox_peaks=[u.inbox_peak for u in pool.instances],
-        timeline=pool.timeline,
-        keep_completion_times=keep_completion_times)
-
-
-def workload_inline_cost(workload, exec_mode: str) -> int:
-    if exec_mode != EXEC_INLINE_CALLBACKS:
-        return 0
-    if isinstance(workload, (RequestWorkload, ArrivalWorkload)):
-        return getattr(workload, "callback_cost_ns", 0)
-    return 0
+    return pool.report()
 
 
 def _arrival_actor(pool: IoPool, workload: ArrivalWorkload, collector,
-                   geometry, seed, inline_cost, costs: ExecCosts):
-    next_req = request_stream(workload, geometry, seed, 0)
+                   inline_cost: int):
+    next_req = request_stream(workload, pool.ctx.geometry, pool.ctx.seed, 0)
     submit = pool.submitter_for(collector)
     rt = pool.rt
     next_t = rt.now()
@@ -627,42 +491,24 @@ def _arrival_actor(pool: IoPool, workload: ArrivalWorkload, collector,
 
 
 def run_static_pool(workload, n_workers: int, k_instances: int,
-                    scheme: str = "full", exec_mode: str = EXEC_IO_THREADS, *,
-                    device_cfg=None, ring: RingConfig = None,
-                    costs: ExecCosts = None, policy: str = POLICY_ROUND_ROBIN,
-                    inbox_capacity: int = 1024,
-                    threading_mode: str = THREADING_SINGLE,
-                    mode: str = "virtual", seed: int = 0, run_id: str = None,
-                    sched_jitter_ns: int = 0, results_out: dict = None,
-                    keep_completion_times: bool = False, trace_exec=None):
-    return _run_pool(workload, n_workers, k_instances, scheme, exec_mode,
-                     controller=None, device_cfg=device_cfg, ring=ring,
-                     costs=costs, policy=policy,
-                     inbox_capacity=inbox_capacity,
-                     threading_mode=threading_mode, mode=mode, seed=seed,
-                     run_id=run_id or f"static_pool-{seed}",
-                     sched_jitter_ns=sched_jitter_ns, results_out=results_out,
-                     keep_completion_times=keep_completion_times,
-                     trace_exec=trace_exec)
+                    scheme: str = "full", exec_mode: str = EXEC_IO_THREADS,
+                    **kw):
+    """N workers submitting through the dispatch layer to k I/O instances.
+
+    Takes the ``RunOptions`` keywords.
+    """
+    return _run_pool("static_pool", workload, n_workers, k_instances, scheme,
+                     None, RunOptions(exec_mode=exec_mode, **kw))
 
 
 def run_dynamic_pool(workload, n_workers: int, k_instances: int,
                      controller: ControllerConfig = None,
                      scheme: str = "full",
-                     exec_mode: str = EXEC_IO_THREADS, *,
-                     device_cfg=None, ring: RingConfig = None,
-                     costs: ExecCosts = None,
-                     policy: str = POLICY_ROUND_ROBIN,
-                     inbox_capacity: int = 1024,
-                     threading_mode: str = THREADING_SINGLE,
-                     mode: str = "virtual", seed: int = 0, run_id: str = None,
-                     sched_jitter_ns: int = 0, results_out: dict = None,
-                     keep_completion_times: bool = False):
-    return _run_pool(workload, n_workers, k_instances, scheme, exec_mode,
-                     controller=controller or ControllerConfig(),
-                     device_cfg=device_cfg, ring=ring, costs=costs,
-                     policy=policy, inbox_capacity=inbox_capacity,
-                     threading_mode=threading_mode, mode=mode, seed=seed,
-                     run_id=run_id or f"dynamic_pool-{seed}",
-                     sched_jitter_ns=sched_jitter_ns, results_out=results_out,
-                     keep_completion_times=keep_completion_times)
+                     exec_mode: str = EXEC_IO_THREADS, **kw):
+    """The static pool plus a controller scaling the active instances.
+
+    Takes the ``RunOptions`` keywords.
+    """
+    return _run_pool("dynamic_pool", workload, n_workers, k_instances,
+                     scheme, controller or ControllerConfig(),
+                     RunOptions(exec_mode=exec_mode, **kw))

@@ -1,29 +1,26 @@
 """Shared-nothing: every worker owns a private instance, zero cross-thread
 communication. Parallelism is fully independent copies of the single-thread
-loop, which is why the workload must be statically partitionable."""
+loop, which is why the workload must be statically partitionable.
+
+This module supplies the private-instance wiring, the hooks that submit to
+and reap from that instance, and the optional SPSC audit; the run assembly
+is ``driver.RunContext``.
+"""
 
 from __future__ import annotations
 
-from ..device import SimDevice, WallDeviceThread, effective_config
-from ..metrics import MetricsCollector
 from ..ring import PushResult, SpscAudit
-from ..runtime import Runtime
-from ..tasks import Geometry
-from .common import (ExecContext, ExecCosts, HandleFactory, RingConfig,
-                     TaskWorkload, Worker, check_partitionable,
-                     deliver_completion, deps_map, request_stream,
-                     request_worker_loop, shard_specs, task_worker_loop)
-from .driver import drive, finalize_report
+from .common import TaskWorkload, check_partitionable, deliver_completion
+from .driver import RunContext, RunOptions
 
 
 class _SnHooks:
     """Submission and reaping against the worker's private instance."""
 
-    def __init__(self, worker, inst, rt, costs, ectx, handle_factory):
-        self.worker = worker
+    def __init__(self, inst, ectx, handle_factory):
         self.inst = inst
-        self.rt = rt
-        self.costs = costs
+        self.rt = ectx.rt
+        self.costs = ectx.costs
         self.ectx = ectx
         self.new_handle = handle_factory
         self.table = {}
@@ -56,75 +53,31 @@ class _SnHooks:
 
 
 def run_shared_nothing(workload, n_threads: int, scheme: str = "full", *,
-                       device_cfg=None, ring: RingConfig = None,
-                       costs: ExecCosts = None, mode: str = "virtual",
-                       seed: int = 0, run_id: str = None, audit: bool = False,
-                       sched_jitter_ns: int = 0, results_out: dict = None,
-                       trace_exec=None):
-    """Run the workload over n private (instance, worker) pairs."""
-    from ..device import DeviceConfig
-    device_cfg = device_cfg or DeviceConfig()
-    ring = ring or RingConfig()
-    costs = costs or ExecCosts()
-    run_id = run_id or f"shared_nothing-{seed}"
-    is_tasks = isinstance(workload, TaskWorkload)
-    if is_tasks:
+                       audit: bool = False, **kw):
+    """Run the workload over n private (instance, worker) pairs.
+
+    Takes the ``RunOptions`` keywords; ``audit`` asserts each ring side saw
+    a single executor.
+    """
+    if isinstance(workload, TaskWorkload):
         check_partitionable(workload, n_threads)
-        dcfg = device_cfg
-    else:
-        dcfg = effective_config(device_cfg, workload.op_kind)
-    geometry = Geometry(dcfg.block_size, dcfg.capacity_bytes)
-
-    rt = Runtime(mode, seed, sched_jitter_ns)
-    device = SimDevice(dcfg, rt.clock, seed=seed)
-    dev_collector = MetricsCollector(run_id)
-    device.completion_listener = dev_collector.on_completion
-    handle_factory = HandleFactory()
-    results = results_out if results_out is not None else {}
-
-    workers = []
+    ctx = RunContext("shared_nothing", workload, RunOptions(**kw))
+    rt = ctx.rt
     audits = []
-    for i in range(n_threads):
-        collector = MetricsCollector(run_id)
-        worker = Worker(i, rt, collector)
-        inst = ring.build()
+
+    def wire(worker, ectx):
+        inst = ctx.ring.build()
         if audit:
-            a = SpscAudit(rt.executor_id)
-            inst.audit = a
-            audits.append(a)
-        device.attach(inst, reaper_signal=worker.signal,
-                      space_signal=worker.signal)
-        ectx = ExecContext(rt, costs, collector, None, geometry, results,
-                           worker)
-        ectx.trace_exec = trace_exec
-        hooks = _SnHooks(worker, inst, rt, costs, ectx, handle_factory)
-        ectx.submit = hooks.submit
-        if is_tasks:
-            shards = shard_specs(workload, n_threads)
-            gen = task_worker_loop(worker, hooks, shards[i], scheme,
-                                   workload, ectx, deps_map(workload))
-        else:
-            shard_ops = workload.op_count // n_threads + (
-                1 if i < workload.op_count % n_threads else 0)
-            gen = request_worker_loop(
-                worker, hooks, shard_ops, workload.queue_depth,
-                request_stream(workload, geometry, seed, i),
-                workload.callback_cost_ns, costs)
-        workers.append((worker, collector))
-        rt.spawn(gen, worker.name)
+            inst.audit = SpscAudit(rt.executor_id)
+            audits.append(inst.audit)
+        ctx.device.attach(inst, reaper_signal=worker.signal,
+                          space_signal=worker.signal)
+        return _SnHooks(inst, ectx, ctx.new_handle)
 
-    dev_thread = None
-    if mode == "wall":
-        dev_thread = WallDeviceThread(device).start()
-    drive(rt, lambda: all(a.done for a in rt.actors))
-    if dev_thread is not None:
-        dev_thread.stop()
-
-    if audit:
-        for a in audits:
-            assert len(a.push_executors) <= 1, "SQ had multiple producers"
-            assert len(a.reap_executors) <= 1, "CQ had multiple reapers"
-
-    for _, c in workers:
-        dev_collector.absorb(c)
-    return finalize_report(dev_collector, rt, device)
+    # each worker is a whole single-thread loop: it keeps the full qd
+    ctx.spawn_workers(n_threads, scheme, wire, qd_per_worker=True)
+    ctx.run(lambda: all(a.done for a in rt.actors))
+    for a in audits:
+        assert len(a.push_executors) <= 1, "SQ had multiple producers"
+        assert len(a.reap_executors) <= 1, "CQ had multiple reapers"
+    return ctx.report()

@@ -52,30 +52,23 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int = None,
     seed = cfg.seed if seed is None else seed
     workload = workload if workload is not None else build_workload(cfg, seed)
     a = cfg.architecture
-    common = dict(device_cfg=cfg.device, ring=a.ring, costs=a.costs,
-                  mode=cfg.mode, seed=seed, run_id=run_id)
-    if a.kind == "shared_nothing":
-        return run_shared_nothing(workload, a.n_workers, cfg.scheme, **common)
-    if a.kind == "direct_access":
-        return run_direct_access(workload, a.n_workers, a.m_instances,
-                                 cfg.scheme, **common)
-    if a.kind == "static_pool":
-        return run_static_pool(workload, a.n_workers, a.k_instances,
-                               cfg.scheme, a.exec_mode,
-                               policy=a.dispatch_policy,
-                               inbox_capacity=a.inbox_capacity,
-                               threading_mode=a.instance_threading,
-                               keep_completion_times=keep_completion_times,
-                               **common)
-    if a.kind == "dynamic_pool":
-        return run_dynamic_pool(workload, a.n_workers, a.k_instances,
-                                a.controller, cfg.scheme, a.exec_mode,
-                                policy=a.dispatch_policy,
-                                inbox_capacity=a.inbox_capacity,
-                                threading_mode=a.instance_threading,
-                                keep_completion_times=keep_completion_times,
-                                **common)
-    raise ConfigInvalid("architecture.kind", f"unknown kind {a.kind!r}")
+    kw = dict(device_cfg=cfg.device, ring=a.ring, costs=a.costs,
+              mode=cfg.mode, seed=seed, run_id=run_id,
+              keep_completion_times=keep_completion_times,
+              exec_mode=a.exec_mode, policy=a.dispatch_policy,
+              inbox_capacity=a.inbox_capacity,
+              threading_mode=a.instance_threading)
+    runners = {
+        "shared_nothing": (run_shared_nothing, (a.n_workers,)),
+        "direct_access": (run_direct_access, (a.n_workers, a.m_instances)),
+        "static_pool": (run_static_pool, (a.n_workers, a.k_instances)),
+        "dynamic_pool": (run_dynamic_pool,
+                         (a.n_workers, a.k_instances, a.controller)),
+    }
+    if a.kind not in runners:
+        raise ConfigInvalid("architecture.kind", f"unknown kind {a.kind!r}")
+    runner, sizes = runners[a.kind]
+    return runner(workload, *sizes, scheme=cfg.scheme, **kw)
 
 
 def _point_seed(base: int, a: int, b: int) -> int:

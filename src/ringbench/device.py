@@ -184,12 +184,6 @@ def steady_state_iops(cfg: DeviceConfig, queue_depth: int) -> float:
     return min(queue_depth, cfg.parallelism) * 1e9 / cfg.service_time_ns
 
 
-def device_step(device: "SimDevice", clock: VirtualClock) -> int:
-    """Advance the calendar by one event; 0 when nothing is pending."""
-    assert device.clock is clock
-    return 1 if clock.step() else 0
-
-
 class PollThread:
     """Activity model of one instance's submission-polling kernel thread.
 
@@ -201,7 +195,7 @@ class PollThread:
 
     __slots__ = ("state", "last_submission_seen", "idle_timeout",
                  "wakeup_cost", "busy_ns", "active_since", "wakeups",
-                 "sleeps", "_wake_pending", "_check_pending", "_wake_at")
+                 "sleeps", "_wake_pending", "_check_pending")
 
     def __init__(self, cfg: PollConfig, now: int = 0):
         self.state = POLL_ACTIVE
@@ -214,23 +208,6 @@ class PollThread:
         self.sleeps = 0
         self._wake_pending = False
         self._check_pending = False
-        self._wake_at = None
-
-    def tick(self, now: int, submissions_seen: int) -> int:
-        """Advance the model outside the event calendar (direct use/tests)."""
-        if self._wake_at is not None and now >= self._wake_at:
-            self.wake(self._wake_at)
-            self._wake_at = None
-        if submissions_seen > 0:
-            if self.state == POLL_ASLEEP:
-                if self._wake_at is None:
-                    self._wake_at = now + self.wakeup_cost
-            else:
-                self.last_submission_seen = now
-        elif (self.state == POLL_ACTIVE
-              and now - self.last_submission_seen >= self.idle_timeout):
-            self.sleep(self.last_submission_seen + self.idle_timeout)
-        return self.state
 
     def wake(self, now: int) -> None:
         assert self.state == POLL_ASLEEP

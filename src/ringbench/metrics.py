@@ -16,7 +16,7 @@ from .ring import CompletionStatus
 
 
 class IncompatibleWindows(Exception):
-    """Reports from different runs/windows cannot be merged."""
+    """Collectors from different runs/windows cannot be combined."""
 
 
 _BUCKET_RATIO = 1.05
@@ -136,53 +136,6 @@ class MetricsReport:
                 self.tasklet_respawns, self.coroutine_resumes,
                 self.frame_bytes_peak, self.poll_busy_ns_total(),
                 repr(util_mean), inbox_peak, len(per)]
-
-
-def merge(reports) -> MetricsReport:
-    """Combine shard reports from one run; counts sum, histograms merge."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("nothing to merge")
-    first = reports[0]
-    if len(reports) == 1:
-        return first
-    run_id = first.run_id
-    for r in reports[1:]:
-        if r.run_id != run_id:
-            raise IncompatibleWindows(
-                f"run id {r.run_id!r} does not match {run_id!r}")
-    hist = LatencyHistogram()
-    timeline = []
-    per_instance = []
-    submitted = ok = err = canc = cont = xmsg = retries = resp = resumes = 0
-    frame_peak = 0
-    elapsed = 0
-    for r in reports:
-        hist.merge(r.histogram)
-        submitted += r.submitted
-        ok += r.completed_ok
-        err += r.errored
-        canc += r.canceled
-        cont += r.contention_events
-        xmsg += r.cross_thread_msgs
-        retries += r.sq_full_retries
-        resp += r.tasklet_respawns
-        resumes += r.coroutine_resumes
-        frame_peak = max(frame_peak, r.frame_bytes_peak)
-        elapsed = max(elapsed, r.elapsed_ns)
-        per_instance.extend(r.per_instance)
-        timeline.extend(r.active_instance_timeline)
-    timeline.sort(key=lambda e: e[0])
-    iops = ok * 1e9 / elapsed if elapsed else 0.0
-    return MetricsReport(
-        run_id=run_id, elapsed_ns=elapsed, submitted=submitted,
-        completed_ok=ok, errored=err, canceled=canc, iops=iops,
-        lat_p50_ns=hist.quantile(0.50), lat_p99_ns=hist.quantile(0.99),
-        lat_max_ns=hist.max_ns, contention_events=cont,
-        cross_thread_msgs=xmsg, sq_full_retries=retries,
-        tasklet_respawns=resp, coroutine_resumes=resumes,
-        frame_bytes_peak=frame_peak, per_instance=per_instance,
-        active_instance_timeline=timeline, histogram=hist)
 
 
 class MetricsCollector:

@@ -4,7 +4,8 @@ import pytest
 
 from ringbench.arch import (RequestWorkload, RingConfig, TaskWorkload,
                             WorkloadNotPartitionable, run_direct_access,
-                            run_shared_nothing, run_static_pool)
+                            run_dynamic_pool, run_shared_nothing,
+                            run_static_pool)
 from ringbench.device import DeviceConfig
 from ringbench.tasks import Geometry, generate_corpus, interpret_task
 
@@ -13,6 +14,16 @@ MS = 1_000_000
 
 FAST_DEV = DeviceConfig(service_time_ns=2 * US, jitter_frac=0.0,
                         parallelism=64)
+
+
+# each runner with the sizes the cross-architecture tests give it
+RUNNERS = {
+    "shared_nothing": (run_shared_nothing, (2,)),
+    "static_pool": (run_static_pool, (2, 2)),
+    "direct_access": (run_direct_access, (2, 2)),
+    "dynamic_pool": (run_dynamic_pool, (2, 2)),
+}
+SCHEMES = ("full", "callback", "coroutine")
 
 
 def oracle_states(specs, dcfg):
@@ -153,9 +164,14 @@ class TestPlacementInstrumentation:
            **(extra or {}))
         return events
 
-    @pytest.mark.parametrize("scheme", ("full", "callback", "coroutine"))
-    def test_tasklet_starts_and_ends_on_one_executor(self, scheme):
-        events = self._run_traced(run_static_pool, (3, 2), scheme)
+    # the static pool cases keep the bare scheme as their id
+    @pytest.mark.parametrize("arch,scheme", [
+        pytest.param(arch, scheme, id=scheme if arch == "static_pool"
+                     else f"{arch}-{scheme}")
+        for arch in RUNNERS for scheme in SCHEMES])
+    def test_tasklet_starts_and_ends_on_one_executor(self, arch, scheme):
+        fn, args = RUNNERS[arch]
+        events = self._run_traced(fn, args, scheme)
         stack = {}
         for phase, executor, item in events:
             key = id(item)
@@ -185,13 +201,13 @@ class TestPlacementInstrumentation:
 
 class TestSchemeEquivalence:
     @pytest.mark.parametrize("arch,extra", [
-        ("shared_nothing", (2,)), ("static_pool", (2, 2))])
+        (arch, args) for arch, (_, args) in RUNNERS.items()])
     def test_final_states_bit_identical_across_schemes(self, arch, extra):
         specs = generate_corpus(31, 40)
         expect = oracle_states(specs, FAST_DEV)
-        fn = run_shared_nothing if arch == "shared_nothing" else run_static_pool
+        fn = RUNNERS[arch][0]
         outcomes = []
-        for scheme in ("full", "callback", "coroutine"):
+        for scheme in SCHEMES:
             results = {}
             fn(TaskWorkload(specs=list(specs)), *extra, scheme=scheme,
                device_cfg=FAST_DEV, seed=11, results_out=results)

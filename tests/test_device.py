@@ -4,9 +4,8 @@ import io
 
 import pytest
 
-from ringbench.device import (DeviceConfig, POLL_ACTIVE, POLL_ASLEEP,
-                              PollConfig, PollThread, SimDevice, TraceWriter,
-                              VirtualClock, desk_nvme, device_step,
+from ringbench.device import (DeviceConfig, POLL_ASLEEP, PollConfig,
+                              SimDevice, TraceWriter, VirtualClock, desk_nvme,
                               effective_config, steady_state_iops)
 from ringbench.ring import ApiInstance, IoRequest, OpKind, PushResult
 
@@ -63,7 +62,7 @@ class TestServiceModel:
         clock, dev, inst = make()
         inst.sq_push(IoRequest(OpKind.NOP), clock.now)
         steps = 0
-        while device_step(dev, clock):
+        while clock.step():
             steps += 1
         assert steps >= 2  # at least a consume sweep and a completion
         assert len(inst.cq) == 1
@@ -216,15 +215,6 @@ class TestPollThreadModel:
         dev.finalize(clock.now)
         assert poll.busy_ns <= count * (MS + 5 * US)
         assert poll.sleeps == count
-
-    def test_tick_op_semantics(self):
-        poll = PollThread(PollConfig(idle_timeout_ns=MS, wakeup_cost_ns=5 * US))
-        assert poll.tick(0, 1) == POLL_ACTIVE
-        assert poll.tick(MS - 1, 0) == POLL_ACTIVE
-        assert poll.tick(MS, 0) == POLL_ASLEEP          # exactly at timeout
-        assert poll.tick(3 * MS, 1) == POLL_ASLEEP       # wake pending
-        assert poll.tick(3 * MS + 5 * US, 0) == POLL_ACTIVE
-        assert poll.wakeups == 1
 
     def test_disabled_poll_has_no_model(self):
         clock, dev, inst = make(poll=False)

@@ -1,4 +1,4 @@
-"""Histogram accuracy, merge semantics, CSV stability."""
+"""Histogram accuracy, collector absorb semantics, CSV stability."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 
 from ringbench.metrics import (IncompatibleWindows, InstanceStats,
                                LatencyHistogram, MetricsCollector,
-                               MetricsReport, merge, write_summary_csv)
+                               MetricsReport, write_summary_csv)
 from ringbench.ring import Completion, CompletionStatus
 
 
@@ -42,40 +42,33 @@ class TestHistogram:
         assert LatencyHistogram().quantile(0.5) == 0
 
 
-def report_from(run_id, completions, elapsed=1_000_000):
+def collector_from(run_id, completions):
     c = MetricsCollector(run_id)
     for comp_ in completions:
         c.on_submit()
         c.on_completion(0, comp_, 0)
-    return c.finalize(elapsed)
+    return c
+
+
+def report_from(run_id, completions, elapsed=1_000_000):
+    return collector_from(run_id, completions).finalize(elapsed)
 
 
 class TestMerge:
-    def test_identity(self):
-        r = report_from("run", [comp(t) for t in range(1000, 5000, 100)])
-        merged = merge([r])
-        assert merged is r
-
     def test_two_shards_equal_concatenated_trace(self):
         # oracle: recompute the report over the concatenation
         rng = random.Random(4)
         times = [int(10 ** rng.uniform(3.2, 7.0)) for _ in range(4000)]
         whole = report_from("run", [comp(t) for t in times])
-        a = report_from("run", [comp(t) for t in times[:1500]])
-        b = report_from("run", [comp(t) for t in times[1500:]])
-        merged = merge([a, b])
+        merged = collector_from("run", [comp(t) for t in times[:1500]])
+        merged.absorb(collector_from("run", [comp(t) for t in times[1500:]]))
+        merged = merged.finalize(1_000_000)
         assert merged.submitted == whole.submitted
         assert merged.completed_ok == whole.completed_ok
         assert merged.lat_p50_ns == whole.lat_p50_ns
         assert merged.lat_p99_ns == whole.lat_p99_ns
         assert merged.lat_max_ns == whole.lat_max_ns
         assert merged.iops == whole.iops
-
-    def test_mismatched_run_ids_rejected(self):
-        a = report_from("run-a", [comp()])
-        b = report_from("run-b", [comp()])
-        with pytest.raises(IncompatibleWindows):
-            merge([a, b])
 
     def test_collector_absorb_guard(self):
         a = MetricsCollector("x")

@@ -187,25 +187,25 @@ class TestDrainAndShutdown:
         assert report.conservation_holds()
 
 
-class TestCooperativeMode:
-    def test_pool_tick_performs_submit_reap_cycle(self):
-        # the caller's thread provides the instance CPU via tick()
-        pool = open_pool(1, device_cfg=FAST, cooperative=True)
-        rt = pool.rt
-        handles = []
-        done = []
-
-        def user_actor():
-            for _ in range(100):
-                handles.append(pool.pool_submit(IoRequest(OpKind.NOP)))
-            while sum(h.status == HANDLE_DONE for h in handles) < 100:
-                yield from pool.tick(0)
-                yield 1 * US
-            done.append(True)
-
-        rt.spawn(user_actor(), "user")
-        rt.clock.run_until_idle()
-        assert done and all(h.status == HANDLE_DONE for h in handles)
+class TestCrossWorkerDependencies:
+    # static first: a hang there fails fast, while a dynamic pool's
+    # controller keeps the calendar busy and the deadlock check never fires
+    @pytest.mark.parametrize("runner,scheme", [
+        pytest.param(fn, scheme, id=f"{fn.__name__[4:]}-{scheme}")
+        for fn in (run_static_pool, run_dynamic_pool)
+        for scheme in ("full", "callback", "coroutine")])
+    def test_states_equal_oracle(self, runner, scheme):
+        # 0 -> 3 and 2 -> 1 each cross the two workers' shards: a deferred
+        # task must wake when the other worker finishes its prerequisite
+        specs = generate_corpus(5, 8)
+        geo = Geometry(FAST.block_size, FAST.capacity_bytes)
+        expect = {s.task_id: interpret_task(s, geo) for s in specs}
+        results = {}
+        r = runner(TaskWorkload(specs=specs, dependencies=[(0, 3), (2, 1)]),
+                   2, 2, scheme=scheme, device_cfg=FAST, seed=1,
+                   results_out=results)
+        assert results == expect
+        assert r.conservation_holds()
 
 
 class TestWallMode:
