@@ -2,8 +2,7 @@
 
 from .common import (ArrivalWorkload, ExecCosts, PoolShutdown, RequestHandle,
                      RequestWorkload, RingConfig, TaskWorkload,
-                     TimeoutExceeded, WorkloadNotPartitionable,
-                     handle_await_spin, handle_poll)
+                     TimeoutExceeded, WorkloadNotPartitionable, handle_poll)
 from .direct_access import run_direct_access
 from .driver import (EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS,
                      POLICY_LEAST_LOADED, POLICY_ROUND_ROBIN, THREADING_PAIR,
@@ -17,7 +16,7 @@ __all__ = [
     "EXEC_IO_THREADS", "ExecCosts", "IoPool", "POLICY_LEAST_LOADED",
     "POLICY_ROUND_ROBIN", "PoolShutdown", "RequestHandle", "RequestWorkload",
     "RingConfig", "RunOptions", "THREADING_PAIR", "THREADING_SINGLE",
-    "TaskWorkload", "TimeoutExceeded", "WorkloadNotPartitionable", "handle_await_spin",
+    "TaskWorkload", "TimeoutExceeded", "WorkloadNotPartitionable",
     "handle_poll", "open_pool", "run_direct_access", "run_dynamic_pool",
     "run_shared_nothing", "run_static_pool",
 ]

@@ -173,16 +173,6 @@ def handle_poll(handle: RequestHandle) -> int:
     return handle.status
 
 
-def handle_await_spin(handle: RequestHandle) -> Completion:
-    """Spin with bounded backoff until Done; wall-clock contexts only."""
-    import time
-    backoff = 0.0
-    while handle.status != HANDLE_DONE:
-        time.sleep(backoff)
-        backoff = min(0.001, backoff + 0.00005)
-    return handle.completion
-
-
 # -- per-worker state --------------------------------------------------------------
 
 
@@ -316,8 +306,9 @@ def _submit_unit_io(task: LiveTask, unit, ectx: ExecContext, make_handle):
 def execute_item(item, ectx: ExecContext, make_handle):
     """Run one schedulable item; generator yielding CPU costs.
 
-    Returns True on progress, False for a poll miss (the caller re-enqueues
-    at the back, which is the respawn rule).
+    A poll item reaches here only once its handle is done: the owner's
+    ready loop charges a miss and respawns it without a call. Returns False
+    only when a bounced submission bounces again, True otherwise.
     """
     trace = ectx.trace_exec
     if trace is not None:
@@ -333,53 +324,32 @@ def _execute_item(item, ectx: ExecContext, make_handle):
     kind = item[0]
     costs = ectx.costs
 
-    if kind == "unit":
-        _, task, idx = item
-        unit = task.units[idx]
-        if unit.kind == KIND_COMPUTE:
+    if kind == "unit" or kind == "fused":
+        task = item[1]
+        unit = task.units[item[2]]
+        if kind == "fused":
+            # runs on the reaping executor; completion already in hand
+            comp = item[3]
+        elif unit.kind == KIND_POLL:
+            if costs.poll_cost_ns:
+                yield costs.poll_cost_ns
+            comp = task.pending_handle.completion
+        else:
+            assert unit.kind == KIND_COMPUTE, f"owner cannot run {unit.kind}"
+            comp = None
+        if comp is not None:
+            task.pending_handle = None
+            task.state = apply_io_result(task.state, unit.awaits_index,
+                                         int(comp.status), comp.value)
+        if unit.kind != KIND_POLL:
             cost = unit.compute_cost()
             if cost:
                 yield cost
             task.state = run_compute(task.state, unit.compute)
             if unit.submit_io is not None:
                 yield from _submit_unit_io(task, unit, ectx, make_handle)
-            elif unit.next_index is not None:
-                _hand_to_owner(task.owner, ("unit", task, unit.next_index),
-                               ectx)
-            else:
-                _finish_task(task, ectx)
-            return True
-        assert unit.kind == KIND_POLL, f"owner cannot run {unit.kind}"
-        if costs.poll_cost_ns:
-            yield costs.poll_cost_ns
-        handle = task.pending_handle
-        if handle.status != HANDLE_DONE:
-            ectx.collector.tasklet_respawns += 1
-            return False
-        comp = handle.completion
-        task.pending_handle = None
-        task.state = apply_io_result(task.state, unit.awaits_index,
-                                     int(comp.status), comp.value)
+                return True
         if unit.next_index is not None:
-            _hand_to_owner(task.owner, ("unit", task, unit.next_index), ectx)
-        else:
-            _finish_task(task, ectx)
-        return True
-
-    if kind == "fused":
-        # runs on the reaping executor; completion already in hand
-        _, task, idx, comp = item
-        unit = task.units[idx]
-        task.pending_handle = None
-        task.state = apply_io_result(task.state, unit.awaits_index,
-                                     int(comp.status), comp.value)
-        cost = unit.compute_cost()
-        if cost:
-            yield cost
-        task.state = run_compute(task.state, unit.compute)
-        if unit.submit_io is not None:
-            yield from _submit_unit_io(task, unit, ectx, make_handle)
-        elif unit.next_index is not None:
             _hand_to_owner(task.owner, ("unit", task, unit.next_index), ectx)
         else:
             _finish_task(task, ectx)
@@ -391,14 +361,6 @@ def _execute_item(item, ectx: ExecContext, make_handle):
         handle = task.pending_handle
         comp = None
         if handle is not None:
-            if handle.status != HANDLE_DONE:
-                cost = costs.resume_cost_ns + costs.poll_cost_ns
-                if cost:
-                    yield cost
-                resume(frame)  # unsuccessful poll: re-suspends unchanged
-                ectx.collector.coroutine_resumes += 1
-                ectx.collector.tasklet_respawns += 1
-                return False
             comp = handle.completion
             task.pending_handle = None
         cost = costs.resume_cost_ns + frame.upcoming_compute_cost()
@@ -464,7 +426,7 @@ def deliver_completion(handle: RequestHandle, comp: Completion,
 
 
 def request_worker_loop(worker: Worker, hooks, shard_ops: int, qd: int,
-                        next_request, worker_cb_cost: int, costs: ExecCosts):
+                        next_request, worker_cb_cost: int):
     """Closed-loop request driver: keep qd in flight until shard_ops done."""
     inflight = 0
     submitted = 0
@@ -571,9 +533,9 @@ def task_worker_loop(worker: Worker, hooks, shard_specs, scheme: str,
             worker.live[spec.task_id] = task
             worker.ready.append(entry)
             progressed = True
-        # run up to one full rotation of the ready queue per pass; polls
-        # whose handle is still pending take a fast miss path that charges
-        # the same costs and counters without the generator machinery
+        # run up to one full rotation of the ready queue per pass; a poll
+        # whose handle is still pending misses: it is charged here and goes
+        # to the back of the queue, which is the respawn rule
         costs = ectx.costs
         collector = ectx.collector
         ready = worker.ready
@@ -605,13 +567,9 @@ def task_worker_loop(worker: Worker, hooks, shard_specs, scheme: str,
                     ready.append(item)
                     miss_streak += 1
                     continue
-            ok = yield from execute_item(item, ectx, hooks.new_handle)
-            if ok:
-                progressed = True
-                miss_streak = 0
-            else:
-                ready.append(item)
-                miss_streak += 1
+            yield from execute_item(item, ectx, hooks.new_handle)
+            progressed = True
+            miss_streak = 0
         if (exhausted and not deferred and not worker.live
                 and not worker.ready and not worker.blocked
                 and not worker.handoff):

@@ -134,7 +134,7 @@ class RunContext:
                 gen = request_worker_loop(
                     worker, hooks, ops, qd,
                     request_stream(workload, self.geometry, self.seed, i),
-                    worker_cb, self.costs)
+                    worker_cb)
             if worker.signal not in signals:
                 signals.append(worker.signal)
             actors.append(self.rt.spawn(gen, worker.name))
@@ -172,47 +172,36 @@ def drive(rt, done_pred, on_done=None, max_events: int = 500_000_000,
           wall_timeout: float = 300.0) -> None:
     """Drive a run to quiescence.
 
-    Virtual: steps the calendar, firing ``on_done`` once when ``done_pred``
-    first holds (typically a stop broadcast that lets service actors exit),
-    then drains the remaining events. An idle calendar with the predicate
-    still false is a deadlock and raises with that diagnosis.
-
-    Wall: polls the predicate, fires ``on_done``, then joins every actor.
+    Runs until ``done_pred`` holds, then fires ``on_done`` once (typically
+    a stop broadcast that lets service actors exit) and lets the actors
+    finish. Virtual: steps the calendar, then drains the remaining events;
+    an idle calendar with the predicate still false is a deadlock and
+    raises with that diagnosis. Wall: polls the predicate, then joins every
+    actor and re-raises the first actor error.
     """
-    fired = False
-    if rt.mode == "virtual":
-        clock = rt.clock
-        step = clock.step
-        n = 0
-        while True:
-            if not fired and done_pred():
-                fired = True
-                rt.workload_done_ns = rt.now()
-                if on_done is not None:
-                    on_done()
+    virtual = rt.mode == "virtual"
+    n = 0
+    if virtual:
+        step = rt.clock.step
+        while not done_pred():
             if not step():
-                if fired or done_pred():
-                    if not fired:
-                        fired = True
-                        rt.workload_done_ns = rt.now()
-                        if on_done is not None:
-                            on_done()
-                            continue
-                    break
                 raise RuntimeError(
                     "virtual run deadlocked: calendar idle before completion")
             n += 1
             if n >= max_events:
                 raise RuntimeError(f"event budget exhausted after {n} events")
-        return
-    deadline = time.monotonic() + wall_timeout
-    while not done_pred():
-        if time.monotonic() > deadline:
-            raise RuntimeError("wall run timed out before completion")
-        time.sleep(0.0005)
+    else:
+        deadline = time.monotonic() + wall_timeout
+        while not done_pred():
+            if time.monotonic() > deadline:
+                raise RuntimeError("wall run timed out before completion")
+            time.sleep(0.0005)
     rt.workload_done_ns = rt.now()
     if on_done is not None:
         on_done()
+    if virtual:
+        rt.clock.run_until_idle(max_events - n)
+        return
     for actor in rt.actors:
         actor.thread.join(max(0.0, deadline - time.monotonic()))
         if actor.thread.is_alive():

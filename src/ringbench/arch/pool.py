@@ -27,11 +27,7 @@ from .common import (ArrivalWorkload, ExecContext, PoolShutdown,
                      request_stream)
 from .driver import (EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS,
                      POLICY_LEAST_LOADED, POLICY_ROUND_ROBIN, THREADING_PAIR,
-                     RunContext, RunOptions)
-
-UNIT_RUNNING = "running"
-UNIT_DRAINING = "draining"
-UNIT_ASLEEP = "asleep"
+                     RunContext, RunOptions, drive)
 
 
 @dataclass
@@ -87,7 +83,7 @@ class LoadMeter:
 
 class IoInstanceUnit:
     __slots__ = ("index", "inst", "inbox", "inbox_capacity", "inbox_peak",
-                 "signal", "reap_signal", "state", "pending_sub")
+                 "signal", "reap_signal", "pending_sub")
 
     def __init__(self, index, inst, inbox_capacity, rt):
         self.index = index
@@ -97,7 +93,6 @@ class IoInstanceUnit:
         self.inbox_peak = 0
         self.signal = rt.signal()
         self.reap_signal = None  # separate signal in pair threading
-        self.state = UNIT_RUNNING
         self.pending_sub = None  # request popped from inbox, SQ was full
 
 
@@ -249,8 +244,12 @@ class IoPool:
                                           self.handle_factory)
             if handle.inline_cost_ns and (unit.inbox or unit.pending_sub):
                 # a long inline callback must not starve the SQ: refill
-                # between callbacks like any sane event loop
-                yield from self._submit_pass(unit)
+                # between callbacks like any sane event loop; in pair
+                # threading the submit actor is the SQ's only producer
+                if unit.reap_signal is not None:
+                    unit.signal.notify()
+                else:
+                    yield from self._submit_pass(unit)
         return True
 
     def _unit_drained(self, unit: IoInstanceUnit) -> bool:
@@ -266,12 +265,7 @@ class IoPool:
             reaped = yield from self._reap_pass(unit, ectx)
             if active and self.overflow and not unit.inbox:
                 self._drain_overflow()
-            progressed = submitted or reaped
-            if not self._unit_drained(unit):
-                unit.state = UNIT_RUNNING if active else UNIT_DRAINING
-            else:
-                unit.state = UNIT_RUNNING if active else UNIT_ASLEEP
-            if not progressed:
+            if not (submitted or reaped):
                 if self.stopping and self._unit_drained(unit) and (
                         not self.overflow or unit.index >= self.active_count):
                     return
@@ -299,14 +293,15 @@ class IoPool:
         while True:
             sig_version = unit.reap_signal.version
             reaped = yield from self._reap_pass(unit, ectx)
-            if not reaped:
-                if self.stopping \
-                        and unit.inst.pending_completion_count() == 0 \
-                        and not len(unit.inst.cq) and not unit.inbox \
-                        and unit.pending_sub is None:
-                    return
-                if unit.reap_signal.version == sig_version:
-                    yield unit.reap_signal
+            if reaped:
+                if unit.pending_sub is not None:
+                    # the reap freed CQ headroom a stalled push waits for
+                    unit.signal.notify()
+                continue
+            if self.stopping and self._unit_drained(unit):
+                return
+            if unit.reap_signal.version == sig_version:
+                yield unit.reap_signal
 
     def _spawn_instance_actors(self) -> None:
         ctx = self.ctx
@@ -377,25 +372,16 @@ class IoPool:
         """
         self.request_stop()
         rt = self.rt
-        if rt.mode == "virtual":
-            start = rt.now()
-            clock = rt.clock
-            while not self.drained():
-                if deadline_ns is not None and rt.now() - start >= deadline_ns:
-                    raise TimeoutExceeded(self.abandoned_count())
-                if not clock.step():
-                    raise TimeoutExceeded(self.abandoned_count())
-            rt.workload_done_ns = rt.now()
-            clock.run_until_idle()
-        else:
-            import time
-            t0 = time.monotonic()
-            while not self.drained():
-                if deadline_ns is not None \
-                        and (time.monotonic() - t0) * 1e9 >= deadline_ns:
-                    raise TimeoutExceeded(self.abandoned_count())
-                time.sleep(0.0002)
-            rt.workload_done_ns = rt.now()
+        start = rt.now()
+
+        def drained():
+            if self.drained():
+                return True
+            if deadline_ns is not None and rt.now() - start >= deadline_ns:
+                raise TimeoutExceeded(self.abandoned_count())
+            return False
+
+        drive(rt, drained)
         self.ctx.stop_device()
         return self.report()
 

@@ -74,9 +74,6 @@ class VirtualClock:
         if self.now < t:
             self.now = t
 
-    def pending(self) -> int:
-        return len(self._heap)
-
 
 class WallClock:
     """Same calendar interface against the OS monotonic clock.
@@ -304,15 +301,9 @@ class SimDevice:
         if self.trace is not None:
             self.trace(now, "submit", inst.instance_id, -1)
         poll = st.poll
-        if poll is not None:
-            if poll.state == POLL_ASLEEP:
-                if not poll._wake_pending:
-                    poll._wake_pending = True
-                    self.clock.at(now + poll.wakeup_cost,
-                                  lambda: self._wake_poll(st))
-                return  # the wake event performs the first sweep
+        if poll is not None and poll.state == POLL_ACTIVE:
             poll.last_submission_seen = now
-        self._schedule_sweep(st, now)
+        self._ensure_awake_and_sweep(st, now)
 
     # -- poll thread events ------------------------------------------------------
 
@@ -331,17 +322,19 @@ class SimDevice:
         if poll._check_pending or poll.state != POLL_ACTIVE:
             return
         poll._check_pending = True
-        self.clock.at(poll.last_submission_seen + poll.idle_timeout,
-                      lambda: self._poll_check(st))
+        t = poll.last_submission_seen + poll.idle_timeout
+        self.clock.at(t, lambda: self._poll_check(st, t))
 
-    def _poll_check(self, st: _InstState) -> None:
+    def _poll_check(self, st: _InstState, t: int) -> None:
+        # judged at the check's own time t, not when it runs: a wall-clock
+        # device thread running it late must not time out the poll thread
+        # over a submission seen after t
         poll = st.poll
         poll._check_pending = False
         if poll.state != POLL_ACTIVE:
             return
-        now = self.clock.now
         idle_deadline = poll.last_submission_seen + poll.idle_timeout
-        if now >= idle_deadline:
+        if t >= idle_deadline:
             poll.sleep(idle_deadline)
             if self.trace is not None:
                 self.trace(idle_deadline, "poll_sleep",

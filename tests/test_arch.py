@@ -153,6 +153,31 @@ class TestDirectAccess:
         assert r.completed_ok == 1000
 
 
+class TestBouncedTaskSubmissions:
+    """A task submission refused by a full SQ goes back to its owner as a
+    retry item; the retried tasks must still end in the oracle states."""
+
+    @pytest.mark.parametrize("capacity", (1, 2))
+    @pytest.mark.parametrize("fn,args", [
+        pytest.param(run_shared_nothing, (3,), id="shared_nothing"),
+        pytest.param(run_direct_access, (4, 2), id="direct_access")])
+    def test_retries_reach_oracle_states(self, fn, args, capacity):
+        specs = generate_corpus(5, 120)
+        expect = oracle_states(specs, FAST_DEV)
+        ring = RingConfig(sq_capacity=capacity, cq_capacity=capacity)
+        for scheme in SCHEMES:
+            results = {}
+            r = fn(TaskWorkload(specs=list(specs)), *args, scheme=scheme,
+                   device_cfg=FAST_DEV, ring=ring, seed=1,
+                   sched_jitter_ns=300, results_out=results)
+            assert results == expect, scheme
+            assert r.sq_full_retries > 0, scheme
+            if fn is run_direct_access:
+                # a reaping worker hands others' bounced tasks back
+                assert r.cross_thread_msgs > 0, scheme
+            assert r.conservation_holds()
+
+
 class TestPlacementInstrumentation:
     """Tasklet atomicity and the callback-placement rule, via exec tracing."""
 

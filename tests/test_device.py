@@ -1,12 +1,14 @@
 """Simulated device: event calendar, throughput model, poll-thread upkeep."""
 
 import io
+import time
 
 import pytest
 
 from ringbench.device import (DeviceConfig, POLL_ASLEEP, PollConfig,
-                              SimDevice, TraceWriter, VirtualClock, desk_nvme,
-                              effective_config, steady_state_iops)
+                              SimDevice, TraceWriter, VirtualClock, WallClock,
+                              WallDeviceThread, desk_nvme, effective_config,
+                              steady_state_iops)
 from ringbench.ring import ApiInstance, IoRequest, OpKind, PushResult
 
 US = 1_000
@@ -215,6 +217,28 @@ class TestPollThreadModel:
         dev.finalize(clock.now)
         assert poll.busy_ns <= count * (MS + 5 * US)
         assert poll.sleeps == count
+
+    def test_late_wall_idle_check_does_not_strand_a_submission(self):
+        # the device thread starts after the first idle check was due and
+        # more than a timeout after a submission: run late, that check must
+        # not put the poll thread to sleep over the entry in the SQ
+        clock = WallClock()
+        dev = SimDevice(DeviceConfig(service_time_ns=10 * US,
+                                     jitter_frac=0.0), clock)
+        inst = ApiInstance(sq_capacity=8, cq_capacity=8, sq_poll_enabled=True,
+                           sq_poll_idle_timeout=MS)
+        dev.attach(inst)  # idle check due at 1 ms
+        time.sleep(0.002)
+        inst.sq_push(IoRequest(OpKind.NOP), clock.now)
+        time.sleep(0.002)
+        thread = WallDeviceThread(dev).start()
+        try:
+            deadline = time.monotonic() + 1.0
+            while not len(inst.cq) and time.monotonic() < deadline:
+                time.sleep(0.001)
+        finally:
+            thread.stop()
+        assert len(inst.cq) == 1
 
     def test_disabled_poll_has_no_model(self):
         clock, dev, inst = make(poll=False)

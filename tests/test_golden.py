@@ -1,5 +1,6 @@
 """Byte-level pins of small seeded runs: every architecture on requests and
-on tasks under each scheme, plus arrivals on the dynamic pool.
+on tasks under each scheme, arrivals on the dynamic pool, and the static
+pool's submit/reap actor pairs.
 
 Device jitter and scheduling jitter are both on, so a change in the order
 in which a run spawns actors or draws random numbers shows up as a
@@ -11,7 +12,8 @@ import hashlib
 import pytest
 
 from ringbench.arch import (ArrivalWorkload, ControllerConfig,
-                            RequestWorkload, RingConfig, TaskWorkload,
+                            EXEC_INLINE_CALLBACKS, RequestWorkload,
+                            RingConfig, TaskWorkload, THREADING_PAIR,
                             run_direct_access, run_dynamic_pool,
                             run_shared_nothing, run_static_pool)
 from ringbench.device import DeviceConfig
@@ -31,6 +33,8 @@ RUNS = {
     "direct_access": lambda wl, **kw: run_direct_access(wl, 3, 2, **kw),
     "static_pool": lambda wl, **kw: run_static_pool(wl, 3, 2, **kw),
     "dynamic_pool": lambda wl, **kw: run_dynamic_pool(wl, 3, 2, **kw),
+    "static_pool_pair": lambda wl, **kw: run_static_pool(
+        wl, 3, 2, threading_mode=THREADING_PAIR, **kw),
 }
 
 
@@ -84,6 +88,12 @@ GOLDEN = {
         "f151e431cb4d9e3d01c701af89bd359531a03c64ad91f3b612d0e139c56f1dca",
     "dynamic_pool-arrivals":
         "d7e62f82f1d19605123fdd8c706363a544e31078d91ccbb14e3018fd8339c4cc",
+    "static_pool_pair-requests":
+        "5a89fd2817aa059957200c6bc182ad1b2af99c6683a6bd06fc9f1c59bd2a0712",
+    "static_pool_pair-inline_requests":
+        "5fe9b003fac335ff02bed26a0e083f3b00c6d300115aa41348fdf51aa0b6d31f",
+    "static_pool_pair-tasks-callback":
+        "740380a96fbb92f42c73ae4a46cdf5219d10f4acf9c3aa26744122c6910cc465",
 }
 
 
@@ -98,7 +108,14 @@ def run_case(case: str):
             ring=RingConfig(sq_capacity=16, cq_capacity=32),
             **dict(JITTER, device_cfg=ARRIVALS_DEV))
     if kind == "requests":
+        if arch == "static_pool_pair":
+            # a 2/2 ring makes pushes wait for CQ headroom that only a
+            # reap frees
+            return RUNS[arch](requests(), ring=RingConfig(2, 2), **JITTER)
         return RUNS[arch](requests(), **JITTER)
+    if kind == "inline_requests":
+        return RUNS[arch](requests(), exec_mode=EXEC_INLINE_CALLBACKS,
+                          **JITTER)
     return RUNS[arch](tasks(), scheme=scheme[0], **JITTER)
 
 

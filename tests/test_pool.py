@@ -123,6 +123,35 @@ class TestDispatchLayer:
         assert results == expect
 
 
+class TestPairThreading:
+    """Submit/reap actor pairs: the submit actor is the SQ's only producer
+    and is woken whenever the reaper frees what a stalled push waits for."""
+
+    DEV = DeviceConfig(service_time_ns=20 * US, jitter_frac=0.1,
+                       parallelism=16)
+
+    def run_pair(self, callback_cost_ns=0, **kw):
+        wl = RequestWorkload(op_count=3000, op_kind="rand_read",
+                             queue_depth=64, callback_cost_ns=callback_cost_ns)
+        return run_static_pool(wl, 4, 2, threading_mode=THREADING_PAIR,
+                               device_cfg=self.DEV, seed=1, **kw)
+
+    def assert_exactly_once(self, r):
+        assert r.submitted == 3000
+        assert r.completed_ok == 3000
+        assert r.conservation_holds()
+
+    def test_reap_wakes_push_stalled_on_cq_headroom(self):
+        # a 4/8 ring under qd 64 keeps the push waiting for CQ headroom,
+        # which only a reap frees
+        self.assert_exactly_once(self.run_pair(ring=RingConfig(4, 8)))
+
+    def test_inline_callbacks_leave_sq_to_submit_actor(self):
+        # refilling between inline callbacks must not push from the reaper
+        self.assert_exactly_once(self.run_pair(
+            callback_cost_ns=500, exec_mode=EXEC_INLINE_CALLBACKS))
+
+
 class TestLittleLawThroughPool:
     def test_static_pool_matches_prediction(self):
         dcfg = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
@@ -229,13 +258,13 @@ class TestWallMode:
         r = run_dynamic_pool(wl, 2, 2, device_cfg=FAST, mode="wall", seed=23)
         assert r.conservation_holds() and r.completed_ok == 1000
 
-    def test_handle_await_spin_wall(self):
-        from ringbench.arch import handle_await_spin
+    def test_drain_and_shutdown_wall(self):
         pool = open_pool(1, device_cfg=FAST, mode="wall")
         h = pool.pool_submit(IoRequest(OpKind.NOP))
-        comp = handle_await_spin(h)
-        assert comp.status == CompletionStatus.OK
-        pool.drain_and_shutdown()
+        report = pool.drain_and_shutdown()
+        assert handle_poll(h) == HANDLE_DONE
+        assert h.completion.status == CompletionStatus.OK
+        assert report.completed_ok == 1
 
 
 class TestDynamicPool:
