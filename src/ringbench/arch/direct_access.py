@@ -102,7 +102,7 @@ def run_direct_access(workload, n_workers: int, m_instances: int,
         return _DaHooks(worker, shared, ectx, ctx.new_handle)
 
     ctx.spawn_workers(n_workers, scheme, wire)
-    ctx.run(lambda: all(a.done for a in rt.actors))
+    ctx.run(rt.all_exited())
     for sh in shared:
         ctx.collector.contention_events += (sh.sq_lock.contention
                                             + sh.cq_lock.contention)

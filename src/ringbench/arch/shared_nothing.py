@@ -76,7 +76,7 @@ def run_shared_nothing(workload, n_threads: int, scheme: str = "full", *,
 
     # each worker is a whole single-thread loop: it keeps the full qd
     ctx.spawn_workers(n_threads, scheme, wire, qd_per_worker=True)
-    ctx.run(lambda: all(a.done for a in rt.actors))
+    ctx.run(rt.all_exited())
     for a in audits:
         assert len(a.push_executors) <= 1, "SQ had multiple producers"
         assert len(a.reap_executors) <= 1, "CQ had multiple reapers"

@@ -25,6 +25,7 @@ import heapq
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .ring import ApiInstance, Completion, CompletionStatus
@@ -34,24 +35,39 @@ POLL_ASLEEP = 1
 
 
 class VirtualClock:
-    """Time-ordered event calendar; ties fire in insertion order."""
+    """Time-ordered event calendar; ties fire in insertion order.
 
-    __slots__ = ("now", "_heap", "_seq")
+    Events due later wait in a heap keyed by ``(t, seq)``. An event
+    scheduled for ``now`` while no heap entry is due at ``now`` goes to a
+    FIFO lane instead, which ``step`` drains before it pops the heap: every
+    heap entry due at ``now`` was scheduled earlier, so it fires first, and
+    the lane keeps the exact ``(t, seq)`` order without a push and a pop.
+    """
+
+    __slots__ = ("now", "_heap", "_seq", "_lane")
 
     def __init__(self):
         self.now = 0
         self._heap = []
         self._seq = 0
+        self._lane = deque()
 
     def at(self, t: int, fn) -> None:
-        assert t >= self.now, "cannot schedule into the past"
+        now = self.now
+        if t == now:
+            heap = self._heap
+            if not heap or heap[0][0] != now:
+                self._lane.append(fn)
+                return
+        assert t >= now, "cannot schedule into the past"
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, fn))
 
-    def after(self, delay: int, fn) -> None:
-        self.at(self.now + delay, fn)
-
     def step(self) -> bool:
+        lane = self._lane
+        if lane:
+            lane.popleft()()
+            return True
         if not self._heap:
             return False
         t, _, fn = heapq.heappop(self._heap)
@@ -69,7 +85,8 @@ class VirtualClock:
 
     def run_until(self, t: int) -> None:
         heap = self._heap
-        while heap and heap[0][0] <= t:
+        lane = self._lane
+        while (lane and self.now <= t) or (heap and heap[0][0] <= t):
             self.step()
         if self.now < t:
             self.now = t
@@ -99,9 +116,6 @@ class WallClock:
             self._seq += 1
             heapq.heappush(self._heap, (t, self._seq, fn))
             self._cond.notify()
-
-    def after(self, delay: int, fn) -> None:
-        self.at(self.now + delay, fn)
 
     def request_stop(self) -> None:
         with self._cond:
@@ -348,11 +362,14 @@ class SimDevice:
         if st.sweep_pending:
             return
         st.sweep_pending = True
-        self.clock.at(at, lambda: self._run_sweep(st))
+        self.clock.at(at, lambda: self._run_sweeps((st,)))
 
-    def _run_sweep(self, st: _InstState) -> None:
-        st.sweep_pending = False
-        self._sweep(st)
+    def _run_sweeps(self, batch) -> None:
+        # one event for several sweeps due at the same time, in the order
+        # separate events would have run them
+        for st in batch:
+            st.sweep_pending = False
+            self._sweep(st)
 
     def _service_ns(self) -> int:
         base = self.cfg.service_time_ns
@@ -437,24 +454,40 @@ class SimDevice:
             st.chain_block = None
             if status != CompletionStatus.OK:
                 st.chain_cancel = True
-        # a slot freed: give every backlogged instance a chance, self first
+        # a slot freed: give every backlogged instance a chance, self first,
+        # in one sweep event; a poll-thread wake closes the batch, so that a
+        # zero-cost wake keeps its place between the sweeps
+        batch = []
         if len(st.inst.sq) or st.chain_cancel:
-            self._ensure_awake_and_sweep(st, t)
+            self._ensure_awake_and_sweep(st, t, batch)
         for other in self.instances:
             if other is not st and len(other.inst.sq):
-                self._ensure_awake_and_sweep(other, t)
+                self._ensure_awake_and_sweep(other, t, batch)
+        if batch:
+            self.clock.at(t, lambda: self._run_sweeps(batch))
 
-    def _ensure_awake_and_sweep(self, st: _InstState, t: int) -> None:
+    def _ensure_awake_and_sweep(self, st: _InstState, t: int,
+                                batch=None) -> None:
         # A poll thread that slept over a saturation stall leaves SQ entries
         # stranded; the producer-side NEED_WAKEUP check is modeled here.
+        # With ``batch``, a sweep due at t joins that list of instances for
+        # the caller to schedule as one event.
         poll = st.poll
         if poll is not None and poll.state == POLL_ASLEEP:
             if not poll._wake_pending:
+                if batch:
+                    closed = tuple(batch)
+                    batch.clear()
+                    self.clock.at(t, lambda: self._run_sweeps(closed))
                 poll._wake_pending = True
                 self.clock.at(t + poll.wakeup_cost,
                               lambda: self._wake_poll(st))
             return
-        self._schedule_sweep(st, t)
+        if batch is None:
+            self._schedule_sweep(st, t)
+        elif not st.sweep_pending:
+            st.sweep_pending = True
+            batch.append(st)
 
     def _deliver(self, st: _InstState, req, status, value, t: int) -> None:
         inst = st.inst

@@ -73,6 +73,7 @@ class _VirtualActor:
         self.gen = gen
         self.name = name
         self.done = False
+        rt.live += 1
         delay = rt._jitter() if rt._jitter else 0
         rt.clock.at(rt.clock.now + delay, self._resume)
 
@@ -84,6 +85,7 @@ class _VirtualActor:
             item = self.gen.send(None)
         except StopIteration:
             self.done = True
+            rt.live -= 1
             rt.current_executor = prev
             return
         rt.current_executor = prev
@@ -192,6 +194,7 @@ class Runtime:
         self.mode = mode
         self.clock = VirtualClock() if mode == "virtual" else WallClock()
         self.actors = []
+        self.live = 0  # virtual actors whose generator has not ended
         self.current_executor = "main"
         if sched_jitter_ns and mode == "virtual":
             rng = random.Random(seed ^ 0x9E3779B9)
@@ -213,6 +216,17 @@ class Runtime:
                  else _WallActor(self, gen, name))
         self.actors.append(actor)
         return actor
+
+    def all_exited(self):
+        """A predicate that holds once every spawned actor has finished.
+
+        Virtual mode tests the live-actor count, so the run loop pays no
+        scan per event; wall mode reads each actor's ``done`` flag.
+        """
+        if self.mode == "virtual":
+            return lambda: not self.live
+        actors = self.actors
+        return lambda: all(a.done for a in actors)
 
     def executor_id(self):
         """Identity of the currently running executor, for SPSC audits."""

@@ -6,7 +6,9 @@ from ringbench.arch import (RequestWorkload, RingConfig, TaskWorkload,
                             WorkloadNotPartitionable, run_direct_access,
                             run_dynamic_pool, run_shared_nothing,
                             run_static_pool)
-from ringbench.device import DeviceConfig
+from ringbench.arch.driver import drive
+from ringbench.device import DeviceConfig, SimDevice
+from ringbench.runtime import Runtime
 from ringbench.tasks import Geometry, generate_corpus, interpret_task
 
 US = 1_000
@@ -151,6 +153,53 @@ class TestDirectAccess:
                               seed=5)
         assert r.conservation_holds()
         assert r.completed_ok == 1000
+
+
+class TestRunPredicate:
+    """Shared-nothing and direct access run until every actor has exited:
+    a live-actor count in virtual mode, the actors' done flags in wall
+    mode."""
+
+    @pytest.mark.parametrize("runner,extra", [
+        (run_shared_nothing, (2,)), (run_direct_access, (2, 2))])
+    def test_actor_parked_forever_is_diagnosed(self, monkeypatch, runner,
+                                               extra):
+        # a device that loses every completion leaves the workers parked
+        # on their signals with nothing left on the calendar
+        monkeypatch.setattr(SimDevice, "_deliver", lambda *args: None)
+        wl = RequestWorkload(op_count=40, op_kind="nop", queue_depth=4)
+        with pytest.raises(RuntimeError, match="virtual run deadlocked"):
+            runner(wl, *extra, device_cfg=FAST_DEV, seed=1)
+
+    def test_counts_live_virtual_actors(self):
+        rt = Runtime("virtual")
+        never = rt.signal()
+
+        def exits():
+            yield 1_000
+
+        def parks():
+            yield never
+
+        rt.spawn(exits(), "exits")
+        rt.spawn(parks(), "parks")
+        done = rt.all_exited()
+        assert rt.live == 2 and not done()
+        with pytest.raises(RuntimeError, match="virtual run deadlocked"):
+            drive(rt, done)
+        assert rt.live == 1
+
+    def test_wall_mode_reads_done_flags(self):
+        rt = Runtime("wall")
+
+        def short():
+            yield 1_000
+
+        for i in range(3):
+            rt.spawn(short(), f"a{i}")
+        drive(rt, rt.all_exited(), wall_timeout=10.0)
+        assert rt.live == 0  # wall actors are not counted
+        assert all(a.done for a in rt.actors)
 
 
 class TestBouncedTaskSubmissions:

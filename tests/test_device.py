@@ -1,5 +1,6 @@
 """Simulated device: event calendar, throughput model, poll-thread upkeep."""
 
+import heapq
 import io
 import time
 
@@ -280,3 +281,159 @@ class TestTrace:
         assert lines[0] == "time_ns,event_kind,instance_id,request_id"
         kinds = [ln.split(",")[1] for ln in lines[1:]]
         assert "submit" in kinds and "consume" in kinds and "complete" in kinds
+
+
+class ReferenceClock:
+    """Every event through one ``(t, seq)`` heap: the order the calendar
+    must keep."""
+
+    def __init__(self):
+        self.now = 0
+        self._heap = []
+        self._seq = 0
+
+    def at(self, t, fn):
+        self._seq += 1
+        heapq.heappush(self._heap, (t, self._seq, fn))
+
+    def step(self):
+        if not self._heap:
+            return False
+        t, _, fn = heapq.heappop(self._heap)
+        self.now = t
+        fn()
+        return True
+
+    def run_until(self, t):
+        while self._heap and self._heap[0][0] <= t:
+            self.step()
+        self.now = max(self.now, t)
+
+
+def firing_order(clock, program, children):
+    """Run ``program`` on ``clock``: ("at", delay) schedules an event,
+    ("run_until", dt) advances time, ("step",) fires one event. Event k,
+    when it fires, schedules one event per delay in ``children[k]``.
+    Returns (event, time) per firing and the time after each run_until."""
+    fired = []
+    count = [0]
+
+    def schedule(delay):
+        k = count[0]
+        count[0] += 1
+
+        def event():
+            fired.append((k, clock.now))
+            for d in (children[k] if k < len(children) else ()):
+                schedule(d)
+        clock.at(clock.now + delay, event)
+
+    for op in program:
+        if op[0] == "at":
+            schedule(op[1])
+        elif op[0] == "run_until":
+            clock.run_until(clock.now + op[1])
+            fired.append(("now", clock.now))
+        else:
+            clock.step()
+    while clock.step():
+        pass
+    return fired
+
+
+class TestClockOrder:
+    def test_heap_entry_due_now_fires_before_new_same_instant_events(self):
+        clock = VirtualClock()
+        order = []
+
+        def a():
+            order.append("a")
+            clock.at(clock.now, x)  # b is already due now: x goes after it
+
+        def x():
+            order.append("x")
+            clock.at(clock.now, lambda: order.append("y"))
+            clock.at(clock.now + 1, lambda: order.append("z"))
+
+        clock.at(10, a)
+        clock.at(10, lambda: order.append("b"))
+        clock.run_until_idle()
+        assert order == ["a", "b", "x", "y", "z"]
+        assert clock.now == 11
+
+    def test_run_until_drains_same_instant_events(self):
+        clock = VirtualClock()
+        order = []
+        clock.at(0, lambda: order.append(0))
+        clock.at(0, lambda: clock.at(0, lambda: order.append(2)))
+        clock.at(0, lambda: order.append(1))
+        clock.run_until(0)
+        assert order == [0, 1, 2]
+        assert not clock.step()
+        clock.at(0, lambda: order.append(3))
+        clock.run_until(5)
+        assert order == [0, 1, 2, 3]
+        assert clock.now == 5
+
+    def test_random_schedules_fire_in_reference_order(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        delays = st.sampled_from((0, 0, 0, 1, 2, 7))
+        ops = st.one_of(st.tuples(st.just("at"), delays),
+                        st.tuples(st.just("run_until"), delays),
+                        st.tuples(st.just("step")))
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(program=st.lists(ops, max_size=25),
+                   children=st.lists(st.lists(delays, max_size=3),
+                                     max_size=40))
+        def check(program, children):
+            expect = firing_order(ReferenceClock(), program, children)
+            assert firing_order(VirtualClock(), program, children) == expect
+
+        check()
+
+
+class TestSlotHandoff:
+    """One completion frees one slot; the backlogged instances get their
+    chance in attach order, the completing one first, and the wake of a
+    sleeping poll thread at zero cost keeps its place among the sweeps."""
+
+    def consume_order(self, cost_us, push_at_us):
+        # A's first request holds one slot; its second, pushed at push_at,
+        # takes the other. A's third request, B's (whose poll thread sleeps
+        # again 1 us later) and C's then wait for the first slot to free.
+        cfg = DeviceConfig(service_time_ns=10 * US, jitter_frac=0.0,
+                           parallelism=2, submission_cpu_cost_ns=cost_us * US,
+                           poll=PollConfig(wakeup_cost_ns=0))
+        clock = VirtualClock()
+        dev = SimDevice(cfg, clock)
+        a = ApiInstance(sq_capacity=8, cq_capacity=8)
+        b = ApiInstance(sq_capacity=8, cq_capacity=8, sq_poll_enabled=True,
+                        sq_poll_idle_timeout=1 * US)
+        c = ApiInstance(sq_capacity=8, cq_capacity=8)
+        for inst in (a, b, c):
+            dev.attach(inst)
+        consumed = []
+        dev.trace = lambda t, kind, i, r: (
+            consumed.append((t // US, "abc"[i])) if kind == "consume"
+            else None)
+        a.sq_push(IoRequest(OpKind.NOP), clock.now)
+        clock.run_until(push_at_us * US)
+        for inst in (a, a, b, c):
+            inst.sq_push(IoRequest(OpKind.NOP), clock.now)
+        clock.run_until((push_at_us + 1) * US)
+        assert dev.instances[1].poll.state == POLL_ASLEEP
+        clock.run_until_idle()
+        return consumed
+
+    def test_completing_instance_sweeps_before_a_wake(self):
+        # the first slot frees at 10 us and A takes it at once
+        assert self.consume_order(0, 5) == [
+            (0, "a"), (5, "a"), (10, "a"), (15, "b"), (20, "c")]
+
+    def test_wake_runs_between_the_sweeps(self):
+        # the first slot frees at 15 us while A's consumer is busy until
+        # 17 us: B's wake runs after A's sweep and before C's, so B gets it
+        assert self.consume_order(5, 12) == [
+            (0, "a"), (12, "a"), (15, "b"), (27, "a"), (30, "c")]
