@@ -422,6 +422,77 @@ def deliver_completion(handle: RequestHandle, comp: Completion,
         owner.signal.notify()
 
 
+class MissStreak:
+    """The respawn rule, for a run of poll misses at the front of one
+    worker's ready queue.
+
+    The queue holds coroutine frames under the coroutine scheme and
+    tasklets otherwise. A poll tasklet whose handle is not done misses, and
+    so does a frame awaiting such a handle. A miss costs ``poll_cost_ns``
+    (a frame also pays ``resume_cost_ns``), counts a respawn, for a frame
+    also a resume, and sends the item to the back of the queue.
+
+    In virtual mode the worker yields the streak and the clock's spin lane
+    charges its misses (``VirtualClock.spin``): ``spin`` takes the miss due
+    now and tells whether the next item misses too, and ``end`` settles
+    the queue and the counters once, then resumes the worker. Nothing else
+    reads them before that. In wall mode, and for zero-cost misses, the
+    worker charges each miss itself and calls ``settle(1)``.
+    """
+
+    __slots__ = ("ready", "collector", "frames", "cost", "left", "count",
+                 "resume")
+
+    def __init__(self, worker: Worker, ectx: ExecContext, scheme: str):
+        costs = ectx.costs
+        self.ready = worker.ready
+        self.collector = ectx.collector
+        self.frames = scheme == "coroutine"
+        self.cost = costs.poll_cost_ns + (
+            costs.resume_cost_ns if self.frames else 0)
+        self.left = 0       # items left in the worker's ready-queue rotation
+        self.count = 0      # misses taken, not yet settled
+        self.resume = None  # resumes the worker; set by its actor
+
+    def start(self, left: int) -> bool:
+        """Begin a streak at the front of a rotation with ``left`` items
+        to go; True when the front item misses."""
+        self.left = left
+        self.count = -1
+        return self.spin()
+
+    def spin(self) -> bool:
+        """Count the miss due now (none yet when called by ``start``);
+        True when the next item of the rotation misses too."""
+        count = self.count = self.count + 1
+        if count == self.left:
+            return False
+        item = self.ready[count]
+        task = item[1]
+        if self.frames:
+            handle = task.pending_handle
+            return handle is not None and handle.status != HANDLE_DONE
+        return task.units[item[2]].kind == KIND_POLL \
+            and task.pending_handle.status != HANDLE_DONE
+
+    def end(self) -> None:
+        self.settle(self.count)
+        self.resume()
+
+    def settle(self, count: int) -> None:
+        """Charge the first ``count`` items of the ready queue a miss each
+        and move them to its back."""
+        ready = self.ready
+        collector = self.collector
+        collector.tasklet_respawns += count
+        if self.frames:
+            # an unsuccessful poll-resume leaves the frame unchanged
+            for i in range(count):
+                ready[i][1].frame.resume_count += 1
+            collector.coroutine_resumes += count
+        ready.rotate(-count)
+
+
 # -- worker loops ----------------------------------------------------------------------
 
 
@@ -484,6 +555,10 @@ def task_worker_loop(worker: Worker, hooks, shard_specs, scheme: str,
     results = ectx.results
     gated = bool(deps_by_task)
     has_reap = getattr(hooks, "has_reap", True)
+    streak = MissStreak(worker, ectx, scheme)
+    miss_cost = streak.cost
+    # zero-cost misses make no event: they stay inline
+    spin_lane = miss_cost > 0 and ectx.rt.mode == "virtual"
     while True:
         sig_version = worker.signal.version  # park guard: see Signal docs
         progressed = False
@@ -533,43 +608,28 @@ def task_worker_loop(worker: Worker, hooks, shard_specs, scheme: str,
             worker.live[spec.task_id] = task
             worker.ready.append(entry)
             progressed = True
-        # run up to one full rotation of the ready queue per pass; a poll
-        # whose handle is still pending misses: it is charged here and goes
-        # to the back of the queue, which is the respawn rule
-        costs = ectx.costs
-        collector = ectx.collector
+        # run up to one full rotation of the ready queue per pass; a run of
+        # items that miss is one streak (the respawn rule, see MissStreak)
         ready = worker.ready
-        for _ in range(len(ready)):
-            item = ready.popleft()
-            kind = item[0]
-            if kind == "unit":
-                task = item[1]
-                unit = task.units[item[2]]
-                if unit.kind == KIND_POLL \
-                        and task.pending_handle.status != HANDLE_DONE:
-                    if costs.poll_cost_ns:
-                        yield costs.poll_cost_ns
-                    collector.tasklet_respawns += 1
-                    ready.append(item)
-                    miss_streak += 1
-                    continue
-            elif kind == "frame":
-                task = item[1]
-                handle = task.pending_handle
-                if handle is not None and handle.status != HANDLE_DONE:
-                    cost = costs.resume_cost_ns + costs.poll_cost_ns
-                    if cost:
-                        yield cost
-                    # an unsuccessful poll-resume leaves the frame unchanged
-                    task.frame.resume_count += 1
-                    collector.coroutine_resumes += 1
-                    collector.tasklet_respawns += 1
-                    ready.append(item)
-                    miss_streak += 1
-                    continue
-            yield from execute_item(item, ectx, hooks.new_handle)
-            progressed = True
-            miss_streak = 0
+        left = len(ready)
+        while left:
+            if not streak.start(left):
+                left -= 1
+                yield from execute_item(ready.popleft(), ectx,
+                                        hooks.new_handle)
+                progressed = True
+                miss_streak = 0
+                continue
+            if spin_lane:
+                yield streak
+                missed = streak.count
+            else:
+                if miss_cost:
+                    yield miss_cost
+                streak.settle(1)
+                missed = 1
+            left -= missed
+            miss_streak += missed
         if (exhausted and not deferred and not worker.live
                 and not worker.ready and not worker.blocked
                 and not worker.handoff):

@@ -330,10 +330,18 @@ class IoPool:
             unit.signal.notify()
 
     def controller_actor(self):
+        """One scaling decision per window until the pool stops.
+
+        In virtual mode a window that changes nothing while no other event
+        is pending ends the controller: nothing can ever happen again, and
+        re-arming would hide that deadlock from ``drive``.
+        """
         cfg = self.controller_cfg
         sq_cap = self.ring_cfg.sq_capacity
         hi = cfg.high_water * sq_cap
         lo = cfg.low_water * sq_cap
+        clock = self.rt.clock
+        virtual = self.rt.mode == "virtual"
         while not self.stopping:
             yield cfg.window_ns
             if self.stopping:
@@ -344,6 +352,8 @@ class IoPool:
                 self.set_active(active + 1)
             elif active > cfg.min_active and mean / (active - 1) < lo:
                 self.set_active(active - 1)
+            elif virtual and clock.idle():
+                return
 
     # -- shutdown ---------------------------------------------------------------------
 

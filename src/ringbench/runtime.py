@@ -4,7 +4,10 @@ An actor is a plain generator that yields what it wants from the scheduler:
 
 * an ``int`` of ns: consume that much CPU (a virtual-time charge, or a
   calibrated spin on a real thread);
-* a ``Signal``: park until someone notifies it.
+* a ``Signal``: park until someone notifies it;
+* in virtual mode, a poll-miss streak (``arch.common.MissStreak``): its
+  misses are charged in the clock's spin lane (``VirtualClock.spin``),
+  and the actor resumes when the streak ends.
 
 In virtual mode all actors plus the device share one ``VirtualClock`` and
 run interleaved on the calling thread; actor steps are atomic between
@@ -91,8 +94,13 @@ class _VirtualActor:
         rt.current_executor = prev
         if type(item) is int:
             rt.clock.at(rt.clock.now + item, self._resume)
-        else:
+        elif type(item) is Signal:
             item._waiters.append(self)
+        else:
+            # a poll-miss streak: the clock's spin lane charges its misses
+            # and its end resumes this actor
+            item.resume = self._resume
+            rt.clock.spin(item.cost, item)
 
 
 class _WallActor:

@@ -171,6 +171,18 @@ class TestRunPredicate:
         with pytest.raises(RuntimeError, match="virtual run deadlocked"):
             runner(wl, *extra, device_cfg=FAST_DEV, seed=1)
 
+    @pytest.mark.parametrize("scheme", ("full", "coroutine"))
+    @pytest.mark.parametrize("runner,extra", [
+        (run_shared_nothing, (2,)), (run_direct_access, (2, 2))])
+    def test_spinning_workers_park_and_are_diagnosed(self, monkeypatch,
+                                                     runner, extra, scheme):
+        # poll misses run in the clock's spin lane; with every completion
+        # lost, each streak must still end, and the workers park
+        monkeypatch.setattr(SimDevice, "_deliver", lambda *args: None)
+        wl = TaskWorkload(specs=generate_corpus(53, 12))
+        with pytest.raises(RuntimeError, match="virtual run deadlocked"):
+            runner(wl, *extra, scheme=scheme, device_cfg=FAST_DEV, seed=1)
+
     def test_counts_live_virtual_actors(self):
         rt = Runtime("virtual")
         never = rt.signal()

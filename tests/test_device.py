@@ -341,6 +341,123 @@ def firing_order(clock, program, children):
     return fired
 
 
+class ReferenceSpinClock(ReferenceClock):
+    """``ReferenceClock`` with each poll miss a plain ``at(now + cost)``,
+    and the spin lane's notion of one step: after a miss that does not end
+    its streak, the step goes on while the next event is a miss of the
+    same cost within the ``run_until`` bound."""
+
+    def __init__(self):
+        super().__init__()
+        self.until = None
+
+    def miss_at(self, t, cost, fn):
+        # fn() returns True when it scheduled its streak's next miss
+        self.at(t, (cost, fn))
+
+    def step(self):
+        if not self._heap:
+            return False
+        t, _, fn = heapq.heappop(self._heap)
+        self.now = t
+        while type(fn) is tuple:
+            cost, miss = fn
+            if not miss():
+                break
+            if not self._heap:
+                break
+            t, _, fn = self._heap[0]
+            if type(fn) is not tuple or fn[0] != cost or (
+                    self.until is not None and t > self.until):
+                break
+            heapq.heappop(self._heap)
+            self.now = t
+        else:
+            fn()
+        return True
+
+    def run_until(self, t):
+        self.until = t
+        super().run_until(t)
+        self.until = None
+
+
+class Streak:
+    """A streak of ``n`` misses for ``VirtualClock.spin``."""
+
+    def __init__(self, cost, n, on_miss, on_end):
+        self.cost = cost
+        self.n = n
+        self.on_miss = on_miss
+        self.end = on_end
+
+    def spin(self):
+        self.on_miss()
+        self.n -= 1
+        return self.n > 0
+
+
+def spin_firing_order(clock, program, children):
+    """Like ``firing_order``, with one more op: ("spin", cost, n) starts a
+    streak of n misses of ``cost`` each. ``VirtualClock`` runs it in its
+    spin lane, ``ReferenceSpinClock`` as one event per miss. Event k (a
+    plain event or a streak's end) runs the ops in ``children[k]``."""
+    fired = []
+    count = [0]
+
+    def run_ops(ops):
+        for op in ops:
+            if op[0] == "at":
+                schedule(op[1])
+            else:
+                streak(op[1], op[2])
+
+    def event(k):
+        fired.append((k, clock.now))
+        run_ops(children[k] if k < len(children) else ())
+
+    def schedule(delay):
+        k = count[0]
+        count[0] += 1
+        clock.at(clock.now + delay, lambda: event(k))
+
+    def streak(cost, n):
+        k = count[0]
+        count[0] += 1
+
+        def on_miss():
+            fired.append((k, "miss", clock.now))
+
+        if isinstance(clock, VirtualClock):
+            clock.spin(cost, Streak(cost, n, on_miss, lambda: event(k)))
+            return
+        left = [n]
+
+        def miss():
+            on_miss()
+            left[0] -= 1
+            if left[0]:
+                clock.miss_at(clock.now + cost, cost, miss)
+                return True
+            event(k)
+            return False
+
+        clock.miss_at(clock.now + cost, cost, miss)
+
+    for op in program:
+        if op[0] == "run_until":
+            clock.run_until(clock.now + op[1])
+            fired.append(("now", clock.now))
+        elif op[0] == "step":
+            clock.step()
+            fired.append(("now", clock.now))
+        else:
+            run_ops((op,))
+    while clock.step():
+        pass
+    return fired
+
+
 class TestClockOrder:
     def test_heap_entry_due_now_fires_before_new_same_instant_events(self):
         clock = VirtualClock()
@@ -392,6 +509,46 @@ class TestClockOrder:
             assert firing_order(VirtualClock(), program, children) == expect
 
         check()
+
+    def test_spin_lane_keeps_reference_order(self):
+        # misses of two costs tie with plain events and with each other;
+        # run_until bounds cut streaks; a streak's end may start another
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        delays = st.sampled_from((0, 0, 1, 2, 3, 7))
+        spins = st.tuples(st.just("spin"), st.sampled_from((1, 1, 2, 3)),
+                          st.integers(1, 4))
+        child = st.one_of(st.tuples(st.just("at"), delays), spins)
+        ops = st.one_of(child, spins,
+                        st.tuples(st.just("run_until"), delays),
+                        st.tuples(st.just("step")))
+
+        @hyp.settings(max_examples=400, deadline=None)
+        @hyp.given(program=st.lists(ops, max_size=25),
+                   children=st.lists(st.lists(child, max_size=3),
+                                     max_size=40))
+        def check(program, children):
+            expect = spin_firing_order(ReferenceSpinClock(), program,
+                                       children)
+            assert spin_firing_order(VirtualClock(), program,
+                                     children) == expect
+
+        check()
+
+    def test_spin_lane_runs_a_streak_in_one_step(self):
+        clock = VirtualClock()
+        order = []
+        clock.spin(5, Streak(5, 3, lambda: order.append(clock.now),
+                             lambda: order.append("end")))
+        clock.at(10, lambda: order.append("y"))
+        clock.at(20, lambda: order.append("x"))
+        # the second miss, due at 10, was scheduled after y: y goes first
+        assert clock.step() and order == [5]
+        assert clock.step() and order == [5, "y"]
+        # the rest of the streak comes before x: one step
+        assert clock.step() and order == [5, "y", 10, 15, "end"]
+        assert clock.step() and order[-1] == "x"
+        assert not clock.step() and clock.idle()
 
 
 class TestSlotHandoff:

@@ -4,7 +4,9 @@ pool's submit/reap actor pairs.
 
 Device jitter and scheduling jitter are both on, so a change in the order
 in which a run spawns actors or draws random numbers shows up as a
-different digest, not only a change in the model.
+different digest, not only a change in the model. Each case also pins the
+number of calendar events it fires, which moves when the event loop does
+more or less work for the same output.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from ringbench.arch import (ArrivalWorkload, ControllerConfig,
                             RingConfig, TaskWorkload, THREADING_PAIR,
                             run_direct_access, run_dynamic_pool,
                             run_shared_nothing, run_static_pool)
-from ringbench.device import DeviceConfig
+from ringbench.device import DeviceConfig, VirtualClock
 from ringbench.metrics import write_summary_csv
 from ringbench.tasks import generate_corpus
 
@@ -97,6 +99,31 @@ GOLDEN = {
 }
 
 
+# calendar events each case fires (VirtualClock.step calls that ran one):
+# an exact count of the simulator's work, pinned next to its output
+EVENTS = {
+    "shared_nothing-requests": 16237,
+    "shared_nothing-tasks-full": 1500,
+    "shared_nothing-tasks-callback": 898,
+    "shared_nothing-tasks-coroutine": 1218,
+    "direct_access-requests": 23571,
+    "direct_access-tasks-full": 2014,
+    "direct_access-tasks-callback": 1179,
+    "direct_access-tasks-coroutine": 1482,
+    "static_pool-requests": 27623,
+    "static_pool-tasks-full": 2528,
+    "static_pool-tasks-callback": 1196,
+    "static_pool-tasks-coroutine": 2054,
+    "dynamic_pool-requests": 27585,
+    "dynamic_pool-tasks-full": 2497,
+    "dynamic_pool-tasks-callback": 1184,
+    "dynamic_pool-tasks-coroutine": 2072,
+    "dynamic_pool-arrivals": 11062,
+    "static_pool_pair-requests": 35510,
+    "static_pool_pair-inline_requests": 28854,
+    "static_pool_pair-tasks-callback": 1456,
+}
+
 def run_case(case: str):
     arch, kind, *scheme = case.split("-")
     if kind == "arrivals":
@@ -120,5 +147,15 @@ def run_case(case: str):
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))
-def test_summary_csv_digest(case, tmp_path):
+def test_summary_csv_digest(case, tmp_path, monkeypatch):
+    step = VirtualClock.step
+    events = [0]
+
+    def counted_step(clock):
+        fired = step(clock)
+        events[0] += fired
+        return fired
+
+    monkeypatch.setattr(VirtualClock, "step", counted_step)
     assert csv_digest(run_case(case), tmp_path) == GOLDEN[case]
+    assert events[0] == EVENTS[case]

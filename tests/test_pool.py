@@ -10,7 +10,8 @@ from ringbench.arch import (ArrivalWorkload, ControllerConfig,
                             run_static_pool)
 from ringbench.arch.common import HANDLE_DONE, HANDLE_QUEUED
 from ringbench.arch.pool import POLICY_LEAST_LOADED
-from ringbench.device import DeviceConfig, PollConfig, steady_state_iops
+from ringbench.device import (DeviceConfig, PollConfig, SimDevice,
+                              VirtualClock, steady_state_iops)
 from ringbench.ring import CompletionStatus, IoRequest, OpKind
 from ringbench.tasks import Geometry, generate_corpus, interpret_task
 
@@ -349,3 +350,28 @@ class TestDynamicPool:
                                  results_out=results)
             assert results == expect
             assert r.conservation_holds()
+
+    @pytest.mark.parametrize("workload", [
+        pytest.param(lambda: RequestWorkload(op_count=40, op_kind="nop",
+                                             queue_depth=4), id="requests"),
+        pytest.param(lambda: TaskWorkload(specs=generate_corpus(52, 8)),
+                     id="tasks-full")])
+    def test_lost_completions_are_diagnosed(self, monkeypatch, workload):
+        # with every completion lost, only the controller's windows stay on
+        # the calendar; a window that changes nothing must end it, so the
+        # run raises instead of spinning towards the event budget
+        monkeypatch.setattr(SimDevice, "_deliver", lambda *args: None)
+        step = VirtualClock.step
+        steps = [0]
+
+        def counted_step(clock):
+            steps[0] += 1
+            if steps[0] > 100_000:
+                pytest.fail("deadlock not diagnosed within 100 000 events")
+            return step(clock)
+
+        monkeypatch.setattr(VirtualClock, "step", counted_step)
+        with pytest.raises(RuntimeError, match="virtual run deadlocked"):
+            run_dynamic_pool(workload(), 2, 2, scheme="full",
+                             controller=ControllerConfig(window_ns=MS),
+                             device_cfg=FAST, seed=1)
