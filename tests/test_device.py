@@ -360,20 +360,17 @@ class ReferenceSpinClock(ReferenceClock):
             return False
         t, _, fn = heapq.heappop(self._heap)
         self.now = t
-        while type(fn) is tuple:
-            cost, miss = fn
-            if not miss():
-                break
-            if not self._heap:
-                break
+        if type(fn) is not tuple:
+            fn()
+            return True
+        cost = fn[0]
+        while fn[1]() and self._heap:
             t, _, fn = self._heap[0]
             if type(fn) is not tuple or fn[0] != cost or (
                     self.until is not None and t > self.until):
                 break
             heapq.heappop(self._heap)
             self.now = t
-        else:
-            fn()
         return True
 
     def run_until(self, t):
@@ -385,8 +382,7 @@ class ReferenceSpinClock(ReferenceClock):
 class Streak:
     """A streak of ``n`` misses for ``VirtualClock.spin``."""
 
-    def __init__(self, cost, n, on_miss, on_end):
-        self.cost = cost
+    def __init__(self, n, on_miss, on_end):
         self.n = n
         self.on_miss = on_miss
         self.end = on_end
@@ -429,7 +425,7 @@ def spin_firing_order(clock, program, children):
             fired.append((k, "miss", clock.now))
 
         if isinstance(clock, VirtualClock):
-            clock.spin(cost, Streak(cost, n, on_miss, lambda: event(k)))
+            clock.spin(cost, Streak(n, on_miss, lambda: event(k)))
             return
         left = [n]
 
@@ -538,7 +534,7 @@ class TestClockOrder:
     def test_spin_lane_runs_a_streak_in_one_step(self):
         clock = VirtualClock()
         order = []
-        clock.spin(5, Streak(5, 3, lambda: order.append(clock.now),
+        clock.spin(5, Streak(3, lambda: order.append(clock.now),
                              lambda: order.append("end")))
         clock.at(10, lambda: order.append("y"))
         clock.at(20, lambda: order.append("x"))
