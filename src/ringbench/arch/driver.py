@@ -26,12 +26,15 @@ from .common import (ExecContext, ExecCosts, HandleFactory, RingConfig,
 
 EXEC_IO_THREADS = "io_threads"
 EXEC_INLINE_CALLBACKS = "inline_callbacks"
+EXEC_MODES = (EXEC_IO_THREADS, EXEC_INLINE_CALLBACKS)
 
 POLICY_ROUND_ROBIN = "round_robin"
 POLICY_LEAST_LOADED = "least_loaded"
+POLICIES = (POLICY_ROUND_ROBIN, POLICY_LEAST_LOADED)
 
 THREADING_SINGLE = "single_thread"
 THREADING_PAIR = "submit_reap_pair"
+THREADING_MODES = (THREADING_SINGLE, THREADING_PAIR)
 
 
 @dataclass

@@ -25,9 +25,9 @@ from ..ring import PushResult
 from .common import (ArrivalWorkload, ExecContext, PoolShutdown,
                      TimeoutExceeded, Worker, deliver_completion,
                      request_stream)
-from .driver import (EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS,
-                     POLICY_LEAST_LOADED, POLICY_ROUND_ROBIN, THREADING_PAIR,
-                     RunContext, RunOptions, drive)
+from .driver import (EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS, EXEC_MODES,
+                     POLICIES, POLICY_ROUND_ROBIN, THREADING_MODES,
+                     THREADING_PAIR, RunContext, RunOptions, drive)
 
 
 @dataclass
@@ -106,10 +106,12 @@ class IoPool:
     def __init__(self, ctx: RunContext, k_instances: int,
                  controller: ControllerConfig = None):
         opts = ctx.opts
-        if opts.exec_mode not in (EXEC_IO_THREADS, EXEC_INLINE_CALLBACKS):
+        if opts.exec_mode not in EXEC_MODES:
             raise ValueError(f"unknown exec mode {opts.exec_mode!r}")
-        if opts.policy not in (POLICY_ROUND_ROBIN, POLICY_LEAST_LOADED):
+        if opts.policy not in POLICIES:
             raise ValueError(f"unknown dispatch policy {opts.policy!r}")
+        if opts.threading_mode not in THREADING_MODES:
+            raise ValueError(f"unknown threading mode {opts.threading_mode!r}")
         rt = self.rt = ctx.rt
         self.ctx = ctx
         self.device = ctx.device

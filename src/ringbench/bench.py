@@ -75,8 +75,7 @@ def _point_seed(base: int, a: int, b: int) -> int:
     return (base * 1_000_003 + a * 101 + b) & 0x7FFFFFFF
 
 
-def cmd_sweep_qd(cfg: ExperimentConfig, qd_list, out_dir,
-                 plot: bool = False) -> str:
+def cmd_sweep_qd(cfg: ExperimentConfig, qd_list, out_dir) -> str:
     """One row per (qd, measured run); prediction column in sim mode."""
     if cfg.workload.kind != "requests":
         raise ConfigInvalid("workload.kind", "sweep-qd needs a request "
@@ -99,8 +98,6 @@ def cmd_sweep_qd(cfg: ExperimentConfig, qd_list, out_dir,
     write_summary_csv(path, reports,
                       extra_columns=("qd", "run", "little_law_iops"),
                       extra_values=extra)
-    if plot:
-        _plot_qd(path, out_dir)
     return path
 
 
@@ -109,8 +106,7 @@ def replace_workload_qd(cfg: ExperimentConfig, qd: int) -> ExperimentConfig:
     return replace(cfg, workload=w)
 
 
-def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir,
-                       plot: bool = False) -> str:
+def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir) -> str:
     """Rows for {inline_callbacks, io_threads} x cost; random reads."""
     a = cfg.architecture
     if a.kind not in ("static_pool", "dynamic_pool"):
@@ -143,8 +139,6 @@ def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir,
                       extra_columns=("exec_mode", "callback_cost_ns", "run",
                                      "oracle_iops"),
                       extra_values=extra)
-    if plot:
-        _plot_callback(path, out_dir)
     return path
 
 
@@ -162,8 +156,7 @@ def consumer_rate_oracle(cfg: ExperimentConfig, cost_ns: int) -> float:
     return min(device_rate, consumer_rate)
 
 
-def cmd_scaling_trace(cfg: ExperimentConfig, out_dir,
-                      plot: bool = False) -> tuple:
+def cmd_scaling_trace(cfg: ExperimentConfig, out_dir) -> tuple:
     """Dynamic vs static A/B on the same load profile and seed."""
     if cfg.architecture.kind != "dynamic_pool":
         raise ConfigInvalid("architecture.kind",
@@ -197,8 +190,6 @@ def cmd_scaling_trace(cfg: ExperimentConfig, out_dir,
         fh.write("time_ns,active_count\n")
         for t, n in dyn.active_instance_timeline:
             fh.write(f"{t},{n}\n")
-    if plot:
-        _plot_timeline(timeline_path, out_dir)
     return summary, timeline_path, dyn, stat
 
 
@@ -216,73 +207,3 @@ def phase_counts(report: MetricsReport, phases) -> list:
                 break
     return counts
 
-
-def _matplotlib():
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-        return plt
-    except ImportError:
-        raise ConfigInvalid("plot", "matplotlib is not installed; install "
-                            "the 'plot' extra or drop --plot") from None
-
-
-def _read_csv(path):
-    import csv
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def _plot_qd(csv_path, out_dir):
-    plt = _matplotlib()
-    rows = _read_csv(csv_path)
-    qds = sorted({int(r["qd"]) for r in rows})
-    meas = [sum(float(r["iops"]) for r in rows if int(r["qd"]) == q)
-            / max(1, sum(1 for r in rows if int(r["qd"]) == q)) for q in qds]
-    pred = [float(next(r["little_law_iops"] for r in rows
-                       if int(r["qd"]) == q)) for q in qds]
-    fig, ax = plt.subplots()
-    ax.plot(qds, meas, marker="o", label="measured")
-    ax.plot(qds, pred, linestyle="--", label="min(qd, P)/S")
-    ax.set_xscale("log", base=2)
-    ax.set_xlabel("queue depth")
-    ax.set_ylabel("IOPS")
-    ax.legend()
-    fig.savefig(os.path.join(out_dir, "sweep_qd.png"), dpi=120)
-    plt.close(fig)
-
-
-def _plot_callback(csv_path, out_dir):
-    plt = _matplotlib()
-    rows = _read_csv(csv_path)
-    fig, ax = plt.subplots()
-    for mode in ("inline_callbacks", "io_threads"):
-        pts = sorted({int(r["callback_cost_ns"]) for r in rows
-                      if r["exec_mode"] == mode})
-        ys = [sum(float(r["iops"]) for r in rows
-                  if r["exec_mode"] == mode
-                  and int(r["callback_cost_ns"]) == c)
-              / max(1, sum(1 for r in rows if r["exec_mode"] == mode
-                           and int(r["callback_cost_ns"]) == c))
-              for c in pts]
-        ax.plot(pts, ys, marker="o", label=mode)
-    ax.set_xlabel("post-I/O callback cost (ns)")
-    ax.set_ylabel("IOPS")
-    ax.set_yscale("log")
-    ax.legend()
-    fig.savefig(os.path.join(out_dir, "sweep_callback.png"), dpi=120)
-    plt.close(fig)
-
-
-def _plot_timeline(csv_path, out_dir):
-    plt = _matplotlib()
-    rows = _read_csv(csv_path)
-    ts = [int(r["time_ns"]) / 1e6 for r in rows]
-    ns = [int(r["active_count"]) for r in rows]
-    fig, ax = plt.subplots()
-    ax.step(ts, ns, where="post")
-    ax.set_xlabel("time (ms)")
-    ax.set_ylabel("active instances")
-    fig.savefig(os.path.join(out_dir, "scaling_timeline.png"), dpi=120)
-    plt.close(fig)

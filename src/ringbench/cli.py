@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", choices=("sim", "native"),
                        help="override config backend")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--plot", action="store_true",
-                       help="emit static PNG plots next to the CSVs")
 
     p = sub.add_parser("sweep-qd", help="IOPS vs queue depth sweep")
     common(p)
@@ -146,15 +144,13 @@ def main(argv=None) -> int:
                 print(f"native backend unavailable: {exc}", file=sys.stderr)
                 return EXIT_CONFIG_ERROR
         if args.command == "sweep-qd":
-            path = bench.cmd_sweep_qd(cfg, args.qd_list, args.out, args.plot)
+            path = bench.cmd_sweep_qd(cfg, args.qd_list, args.out)
             print(path)
         elif args.command == "sweep-callback":
-            path = bench.cmd_sweep_callback(cfg, args.cost_list, args.out,
-                                            args.plot)
+            path = bench.cmd_sweep_callback(cfg, args.cost_list, args.out)
             print(path)
         elif args.command == "scaling-trace":
-            summary, timeline, _, _ = bench.cmd_scaling_trace(cfg, args.out,
-                                                              args.plot)
+            summary, timeline, _, _ = bench.cmd_scaling_trace(cfg, args.out)
             print(summary)
             print(timeline)
         else:  # pragma: no cover - argparse restricts choices

@@ -11,6 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .arch.common import ExecCosts, RingConfig
+from .arch.driver import EXEC_MODES, POLICIES, THREADING_MODES
 from .arch.pool import ControllerConfig
 from .device import DeviceConfig, PollConfig
 
@@ -18,7 +19,6 @@ ARCHITECTURES = ("shared_nothing", "direct_access", "static_pool",
                  "dynamic_pool")
 SCHEMES = ("full", "callback", "coroutine")
 OP_KINDS = ("seq_read", "rand_read", "write_mix", "nop")
-EXEC_MODES = ("io_threads", "inline_callbacks")
 BACKENDS = ("sim", "native")
 
 
@@ -163,6 +163,11 @@ def validate(cfg: ExperimentConfig) -> None:
     _check(a.k_instances >= 1, "architecture.k_instances", "must be >= 1")
     _check(a.exec_mode in EXEC_MODES, "architecture.exec_mode",
            f"must be one of {EXEC_MODES}")
+    _check(a.dispatch_policy in POLICIES, "architecture.dispatch_policy",
+           f"must be one of {POLICIES}")
+    _check(a.instance_threading in THREADING_MODES,
+           "architecture.instance_threading",
+           f"must be one of {THREADING_MODES}")
     _check(a.inbox_capacity >= 1, "architecture.inbox_capacity", ">= 1")
     r = a.ring
     _check(r.sq_capacity >= 1 and r.sq_capacity & (r.sq_capacity - 1) == 0,

@@ -2,9 +2,9 @@
 
 The device is an event calendar plus a small amount of per-instance state:
 a bounded set of in-service slots (internal parallelism), a fixed service
-time with optional seeded jitter, chain gating for linked requests, fault
-injection, and an accounting model of the per-instance submission-poll
-thread (the steep upkeep cost of ring instances).
+time with optional seeded jitter, fault injection, and an accounting model
+of the per-instance submission-poll thread (the steep upkeep cost of ring
+instances).
 
 The same device logic runs in two modes:
 
@@ -312,16 +312,13 @@ class PollThread:
 
 
 class _InstState:
-    __slots__ = ("inst", "poll", "chain_block", "chain_cancel",
-                 "consumer_free_at", "sweep_pending", "reaper_signal",
-                 "space_signal", "in_service", "busy_since", "busy_ns",
-                 "consumed")
+    __slots__ = ("inst", "poll", "consumer_free_at", "sweep_pending",
+                 "reaper_signal", "space_signal", "in_service", "busy_since",
+                 "busy_ns", "consumed")
 
     def __init__(self, inst: ApiInstance, poll):
         self.inst = inst
         self.poll = poll
-        self.chain_block = None   # request_id gating a linked chain
-        self.chain_cancel = False  # cancelling the tail of a failed chain
         self.consumer_free_at = 0
         self.sweep_pending = False
         self.reaper_signal = None
@@ -336,8 +333,8 @@ class SimDevice:
     """Shared device multiplexing any number of attached instances.
 
     Service slots (internal parallelism) are global; consumption from each
-    SQ is gated by free slots, the instance's poll-thread state, linked
-    chains, and the per-entry submission CPU cost.
+    SQ is gated by free slots, the instance's poll-thread state and the
+    per-entry submission CPU cost.
     """
 
     def __init__(self, cfg: DeviceConfig, clock, seed: int = 0):
@@ -350,9 +347,6 @@ class SimDevice:
         self.fault_plan: dict[tuple[int, int], int] = {}
         self.completion_listener = None  # fn(instance_id, comp, submit_time)
         self.trace = None                # fn(time, kind, instance_id, req_id)
-        self.completed_total = 0
-        self.canceled_total = 0
-        self.errored_total = 0
         self._jitter = cfg.jitter_frac != 0.0
 
     # -- wiring ---------------------------------------------------------------
@@ -456,8 +450,6 @@ class SimDevice:
         sq = inst.sq
         popped = 0
         while True:
-            if st.chain_block is not None:
-                break
             poll = st.poll
             if poll is not None and poll.state != POLL_ACTIVE:
                 break
@@ -466,20 +458,6 @@ class SimDevice:
                 break
             now = clock.now
             cost = cfg.submission_cpu_cost_ns
-            if st.chain_cancel:
-                if cost:
-                    if now < st.consumer_free_at:
-                        self._schedule_sweep(st, st.consumer_free_at)
-                        break
-                    st.consumer_free_at = now + cost
-                sq.try_pop()
-                popped += 1
-                st.consumed += 1
-                self._deliver(st, req, CompletionStatus.CANCELED, 0,
-                              now + cost)
-                if not req.link_flag:
-                    st.chain_cancel = False
-                continue
             if self.in_service >= cfg.parallelism:
                 break
             if cost:
@@ -507,8 +485,6 @@ class SimDevice:
             done_at = now + cost + self._service_ns()
             clock.at(done_at,
                      self._completion_fn(st, req, status, value, done_at))
-            if req.link_flag:
-                st.chain_block = req.request_id
         if popped and st.space_signal is not None:
             st.space_signal.notify()
 
@@ -521,15 +497,11 @@ class SimDevice:
         if st.in_service == 0:
             st.busy_ns += t - st.busy_since
         self._deliver(st, req, status, value, t)
-        if st.chain_block == req.request_id:
-            st.chain_block = None
-            if status != CompletionStatus.OK:
-                st.chain_cancel = True
         # a slot freed: give every backlogged instance a chance, self first,
         # in one sweep event; a poll-thread wake closes the batch, so that a
         # zero-cost wake keeps its place between the sweeps
         batch = []
-        if len(st.inst.sq) or st.chain_cancel:
+        if len(st.inst.sq):
             self._ensure_awake_and_sweep(st, t, batch)
         for other in self.instances:
             if other is not st and len(other.inst.sq):
@@ -565,14 +537,8 @@ class SimDevice:
         comp = Completion(req.request_id, req.user_data, status, value, t)
         submit_time = inst.submit_time_of(req.request_id)
         inst.deliver_completion(comp)
-        self.completed_total += 1
-        if status == CompletionStatus.CANCELED:
-            self.canceled_total += 1
-        elif status == CompletionStatus.ERROR:
-            self.errored_total += 1
         if self.trace is not None:
-            kind = "cancel" if status == CompletionStatus.CANCELED else "complete"
-            self.trace(t, kind, inst.instance_id, req.request_id)
+            self.trace(t, "complete", inst.instance_id, req.request_id)
         listener = self.completion_listener
         if listener is not None:
             listener(inst.instance_id, comp, submit_time)

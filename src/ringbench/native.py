@@ -6,8 +6,7 @@ binding is importable. Absent either, ``native_open`` raises
 UnsupportedPlatform with the reason; nothing is partially initialized.
 
 The backend satisfies the same push/reap contract as the simulated device:
-one submitter thread, one reaper thread, exactly-once completions, linked
-chains via the kernel's native link flags.
+one submitter thread, one reaper thread, exactly-once completions.
 """
 
 from __future__ import annotations
@@ -162,8 +161,6 @@ class _UringBackend:
             b.io_uring_prep_fsync(sqe, self._fd, 0)
         else:
             b.io_uring_prep_nop(sqe)
-        if req.link_flag:
-            sqe.flags |= b.IOSQE_IO_LINK
         sqe.user_data = req.request_id
         b.io_uring_submit(self._ring)
         self._inflight += 1
@@ -181,7 +178,7 @@ class _UringBackend:
             self._iov.pop(rid, None)
             if res >= 0:
                 comp = Completion(rid, rid, CompletionStatus.OK, res, 0)
-            elif res == -125:  # ECANCELED: a linked predecessor failed
+            elif res == -125:  # ECANCELED
                 comp = Completion(rid, rid, CompletionStatus.CANCELED, 0, 0)
             else:
                 comp = Completion(rid, rid, CompletionStatus.ERROR, -res, 0)

@@ -43,22 +43,21 @@ class IoRequest:
     """One I/O operation. request_id is assigned at submission when None."""
 
     __slots__ = ("request_id", "op", "offset", "length", "buffer_id",
-                 "link_flag", "user_data")
+                 "user_data")
 
     def __init__(self, op: OpKind, offset: int = 0, length: int = 0,
-                 buffer_id: int = 0, link_flag: bool = False,
-                 user_data: int = 0, request_id: Optional[int] = None):
+                 buffer_id: int = 0, user_data: int = 0,
+                 request_id: Optional[int] = None):
         self.request_id = request_id
         self.op = op
         self.offset = offset
         self.length = length
         self.buffer_id = buffer_id
-        self.link_flag = link_flag
         self.user_data = user_data
 
     def __repr__(self):
         return (f"IoRequest(id={self.request_id}, op={OpKind(self.op).name}, "
-                f"off={self.offset}, len={self.length}, link={self.link_flag})")
+                f"off={self.offset}, len={self.length})")
 
 
 class Completion:
@@ -279,44 +278,6 @@ class ApiInstance:
             hook(self)
         return PushResult.ACCEPTED
 
-    def submit_linked(self, reqs, now: int = 0) -> PushResult:
-        """All-or-nothing enqueue of an ordered chain.
-
-        Every request but the last must carry link_flag; the backend starts
-        link k+1 only after link k completed OK, and cancels the rest of the
-        chain after a failure.
-        """
-        n = len(reqs)
-        if n == 0:
-            return PushResult.ACCEPTED
-        if n > self.sq.capacity:
-            raise ValueError("chain longer than the submission queue")
-        for r in reqs[:-1]:
-            if not r.link_flag:
-                raise ValueError("non-terminal chain member missing link_flag")
-        if reqs[-1].link_flag:
-            raise ValueError("terminal chain member must not set link_flag")
-        sq = self.sq
-        if sq.capacity - (sq.tail - sq.head) < n:
-            return PushResult.QUEUE_FULL
-        if self._completion_headroom() < n:
-            return PushResult.QUEUE_FULL
-        for req in reqs:
-            if req.request_id is None:
-                req.request_id = self._next_request_id
-                self._next_request_id += 1
-            assert req.request_id not in self.inflight
-            self.inflight[req.request_id] = now
-            self.accepted_total += 1
-            pushed = sq.try_push(req)
-            assert pushed
-        if self.audit is not None:
-            self.audit.record_push()
-        hook = self.on_submit
-        if hook is not None:
-            hook(self)
-        return PushResult.ACCEPTED
-
     # -- consumer side -------------------------------------------------------
 
     def cq_reap(self, max_completions: int) -> list[Completion]:
@@ -353,14 +314,8 @@ class ApiInstance:
                               self.pending_completion_count())
 
     def quiescent_conservation_holds(self) -> bool:
-        return (self.accepted_total ==
-                self.completed_total + self.pending_completion_count())
-
-
-def link_chain(reqs) -> list[IoRequest]:
-    """Set link flags so ``reqs`` forms one ordered chain."""
-    for r in reqs[:-1]:
-        r.link_flag = True
-    if reqs:
-        reqs[-1].link_flag = False
-    return list(reqs)
+        """Once the backend is idle: every accepted request has its
+        completion written, and each one was reaped or still sits in the CQ.
+        """
+        return (self.pending_completion_count() == 0 and
+                self.accepted_total == self.reaped_total + len(self.cq))

@@ -218,6 +218,21 @@ class TestCli:
         rc = main(["sweep-qd", "--config", str(bad), "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("dispatch_policy", "leastloaded"),
+        ("instance_threading", "pair")])
+    def test_unknown_pool_knob_is_exit_2(self, tmp_path, capsys, field,
+                                         value):
+        cfg_path = tmp_path / "cfg.json"
+        data = to_dict(small_config(**{"architecture.kind": "static_pool"}))
+        data["architecture"][field] = value
+        cfg_path.write_text(json.dumps(data))
+        rc = main(["sweep-qd", "--config", str(cfg_path), "--qd-list", "4",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"architecture.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_qd.csv").exists()
+
     def test_native_backend_unavailable_is_exit_2(self, tmp_path, capsys):
         from ringbench.native import native_available
         if native_available():

@@ -4,12 +4,11 @@ import pytest
 
 from ringbench.arch import (ArrivalWorkload, ControllerConfig,
                             EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS,
-                            PoolShutdown, RequestWorkload, RingConfig,
-                            TaskWorkload, THREADING_PAIR, TimeoutExceeded,
-                            handle_poll, open_pool, run_dynamic_pool,
-                            run_static_pool)
+                            POLICY_LEAST_LOADED, PoolShutdown,
+                            RequestWorkload, RingConfig, TaskWorkload,
+                            THREADING_PAIR, TimeoutExceeded, handle_poll,
+                            open_pool, run_dynamic_pool, run_static_pool)
 from ringbench.arch.common import HANDLE_DONE, HANDLE_QUEUED
-from ringbench.arch.pool import POLICY_LEAST_LOADED
 from ringbench.device import (DeviceConfig, PollConfig, SimDevice,
                               VirtualClock, steady_state_iops)
 from ringbench.ring import CompletionStatus, IoRequest, OpKind
@@ -112,6 +111,15 @@ class TestDispatchLayer:
                             threading_mode=THREADING_PAIR)
         assert r.conservation_holds()
         assert r.completed_ok == 10_000
+
+    @pytest.mark.parametrize("knob", [{"policy": "leastloaded"},
+                                      {"threading_mode": "pair"},
+                                      {"exec_mode": "inline"}],
+                             ids=["policy", "threading_mode", "exec_mode"])
+    def test_unknown_knob_rejected(self, knob):
+        wl = RequestWorkload(op_count=10, queue_depth=1)
+        with pytest.raises(ValueError, match="unknown"):
+            run_static_pool(wl, 1, 1, device_cfg=FAST, **knob)
 
     def test_task_workloads_supported_in_pair_mode(self):
         specs = generate_corpus(41, 20)

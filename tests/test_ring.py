@@ -8,7 +8,7 @@ import pytest
 from ringbench.device import DeviceConfig, SimDevice, VirtualClock
 from ringbench.ring import (ApiInstance, Completion, CompletionStatus,
                             IoRequest, OpKind, PushResult, RingQueue,
-                            link_chain, validate_request)
+                            validate_request)
 
 
 def nop():
@@ -250,86 +250,6 @@ class TestCqReap:
         assert sorted(reaped) == list(range(total))
 
 
-class TestLinkedChains:
-    def _device(self, jitter, seed=0, parallelism=16):
-        clock = VirtualClock()
-        cfg = DeviceConfig(service_time_ns=100_000,
-                           jitter_frac=jitter, parallelism=parallelism)
-        dev = SimDevice(cfg, clock, seed=seed)
-        inst = ApiInstance(sq_capacity=64, cq_capacity=128)
-        dev.attach(inst)
-        return clock, dev, inst
-
-    @pytest.mark.parametrize("seed", range(100))
-    def test_fsync_never_completes_before_linked_write(self, seed):
-        clock, dev, inst = self._device(jitter=0.3, seed=seed)
-        write = IoRequest(OpKind.WRITE, offset=0, length=4096)
-        fsync = IoRequest(OpKind.FSYNC)
-        # unlinked noise ops keep the device busy around the chain
-        for _ in range(8):
-            inst.sq_push(nop(), clock.now)
-        assert inst.submit_linked(link_chain([write, fsync]),
-                                  clock.now) == PushResult.ACCEPTED
-        clock.run_until_idle()
-        comps = {c.request_id: c for c in inst.cq_reap(64)}
-        assert comps[fsync.request_id].complete_time >= \
-            comps[write.request_id].complete_time
-        assert comps[write.request_id].status == CompletionStatus.OK
-
-    def test_chain_of_one_behaves_like_sq_push(self):
-        clock, dev, inst = self._device(jitter=0.0)
-        single = IoRequest(OpKind.NOP)
-        assert inst.submit_linked([single], clock.now) == PushResult.ACCEPTED
-        clock.run_until_idle()
-        (comp,) = inst.cq_reap(8)
-        assert comp.request_id == single.request_id
-        assert comp.status == CompletionStatus.OK
-
-    def test_failure_cancels_chain_tail(self):
-        clock, dev, inst = self._device(jitter=0.0)
-        read = IoRequest(OpKind.READ, offset=0, length=4096)
-        write = IoRequest(OpKind.WRITE, offset=4096, length=4096)
-        chain = link_chain([read, write])
-        assert inst.submit_linked(chain, clock.now) == PushResult.ACCEPTED
-        dev.inject_fault(inst.instance_id, read.request_id, code=5)
-        clock.run_until_idle()
-        comps = {c.request_id: c for c in inst.cq_reap(8)}
-        assert comps[read.request_id].status == CompletionStatus.ERROR
-        assert comps[read.request_id].value == 5
-        assert comps[write.request_id].status == CompletionStatus.CANCELED
-
-    def test_cancel_cascade_stops_at_chain_end(self):
-        clock, dev, inst = self._device(jitter=0.0)
-        chain = link_chain([IoRequest(OpKind.NOP) for _ in range(3)])
-        independent = IoRequest(OpKind.NOP)
-        inst.submit_linked(chain, clock.now)
-        inst.sq_push(independent, clock.now)
-        dev.inject_fault(inst.instance_id, chain[0].request_id)
-        clock.run_until_idle()
-        comps = {c.request_id: c for c in inst.cq_reap(8)}
-        assert comps[chain[1].request_id].status == CompletionStatus.CANCELED
-        assert comps[chain[2].request_id].status == CompletionStatus.CANCELED
-        assert comps[independent.request_id].status == CompletionStatus.OK
-
-    def test_atomic_rejection_when_chain_does_not_fit(self):
-        inst = ApiInstance(sq_capacity=8, cq_capacity=8)
-        for _ in range(6):
-            inst.sq_push(nop())
-        chain = link_chain([IoRequest(OpKind.NOP) for _ in range(3)])
-        assert inst.submit_linked(chain) == PushResult.QUEUE_FULL
-        assert inst.depths().sq_depth == 6  # nothing partially enqueued
-
-    def test_chain_timestamps_monotone(self):
-        clock, dev, inst = self._device(jitter=0.25, seed=11)
-        chain = link_chain([IoRequest(OpKind.NOP) for _ in range(6)])
-        inst.submit_linked(chain, clock.now)
-        clock.run_until_idle()
-        comps = inst.cq_reap(16)
-        order = {c.request_id: c.complete_time for c in comps}
-        times = [order[r.request_id] for r in chain]
-        assert times == sorted(times)
-
-
 class TestInstanceDepth:
     def test_fresh_instance(self):
         assert ApiInstance().depths() == (0, 0, 0)
@@ -367,6 +287,28 @@ class TestInstanceDepth:
         assert inst.quiescent_conservation_holds()
         inst.cq_reap(512)
         assert inst.quiescent_conservation_holds()
+
+    def test_lost_completion_breaks_conservation(self, monkeypatch):
+        clock = VirtualClock()
+        dev = SimDevice(DeviceConfig(service_time_ns=1_000, jitter_frac=0.0),
+                        clock)
+        deliver = SimDevice._deliver
+        seen = []
+
+        def drop_fifth(self, st, req, status, value, t):
+            seen.append(req.request_id)
+            if len(seen) != 5:
+                deliver(self, st, req, status, value, t)
+
+        monkeypatch.setattr(SimDevice, "_deliver", drop_fifth)
+        inst = ApiInstance()
+        dev.attach(inst)
+        for _ in range(10):
+            inst.sq_push(nop(), clock.now)
+        clock.run_until_idle()
+        assert len(inst.cq_reap(512)) == 9
+        assert inst.depths().inflight == 1
+        assert not inst.quiescent_conservation_holds()
 
 
 class TestValidation:
