@@ -250,6 +250,112 @@ class TestCqReap:
         assert sorted(reaped) == list(range(total))
 
 
+class TestFaultedRequests:
+    """The ERROR path through the device: ``fault_plan`` marks requests
+    independently; nothing else fails, and nothing is ever CANCELED."""
+
+    SERVICE_NS = 100_000
+
+    def _device(self, jitter, seed=0, parallelism=16):
+        clock = VirtualClock()
+        cfg = DeviceConfig(service_time_ns=self.SERVICE_NS,
+                           jitter_frac=jitter, parallelism=parallelism)
+        dev = SimDevice(cfg, clock, seed=seed)
+        inst = ApiInstance(sq_capacity=64, cq_capacity=128)
+        dev.attach(inst)
+        return clock, dev, inst
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_faults_complete_once_with_their_codes(self, seed):
+        jitter = 0.3
+        clock, dev, inst = self._device(jitter=jitter, seed=seed)
+        rng = random.Random(seed)
+        reqs = []
+        for i in range(rng.randint(4, 40)):
+            op = rng.choice((OpKind.NOP, OpKind.READ, OpKind.WRITE,
+                             OpKind.FSYNC))
+            length = 4096 * rng.randint(1, 8) \
+                if op in (OpKind.READ, OpKind.WRITE) else 0
+            req = IoRequest(op, offset=4096 * i, length=length, user_data=i)
+            assert inst.sq_push(req, clock.now) == PushResult.ACCEPTED
+            reqs.append(req)
+        codes = {r.request_id: rng.randint(1, 125)
+                 for r in rng.sample(reqs, rng.randint(0, len(reqs)))}
+        for rid, code in codes.items():
+            dev.inject_fault(inst.instance_id, rid, code=code)
+        clock.run_until_idle()
+        assert inst.quiescent_conservation_holds()
+        comps = inst.cq_reap(len(reqs) + 1)
+        assert sorted(c.request_id for c in comps) == \
+            sorted(r.request_id for r in reqs)
+        by_id = {c.request_id: c for c in comps}
+        floor_ns = int(self.SERVICE_NS * (1.0 - jitter))
+        for r in reqs:
+            c = by_id[r.request_id]
+            assert c.user_data == r.user_data
+            assert c.complete_time >= floor_ns
+            if r.request_id in codes:
+                assert c.status == CompletionStatus.ERROR
+                assert c.value == codes[r.request_id]
+            else:
+                assert c.status == CompletionStatus.OK
+                assert c.value == r.length
+        assert inst.quiescent_conservation_holds()
+
+    def test_single_request_round_trip(self):
+        clock, dev, inst = self._device(jitter=0.0)
+        single = IoRequest(OpKind.NOP, user_data=42)
+        assert inst.sq_push(single, clock.now) == PushResult.ACCEPTED
+        clock.run_until_idle()
+        (comp,) = inst.cq_reap(8)
+        assert comp.request_id == single.request_id
+        assert comp.user_data == 42
+        assert comp.status == CompletionStatus.OK
+        assert comp.complete_time == self.SERVICE_NS
+
+    def test_fault_leaves_the_next_request_ok(self):
+        clock, dev, inst = self._device(jitter=0.0)
+        read = IoRequest(OpKind.READ, offset=0, length=4096)
+        write = IoRequest(OpKind.WRITE, offset=4096, length=4096)
+        inst.sq_push(read, clock.now)
+        inst.sq_push(write, clock.now)
+        dev.inject_fault(inst.instance_id, read.request_id, code=5)
+        clock.run_until_idle()
+        comps = {c.request_id: c for c in inst.cq_reap(8)}
+        assert comps[read.request_id].status == CompletionStatus.ERROR
+        assert comps[read.request_id].value == 5
+        assert comps[write.request_id].status == CompletionStatus.OK
+        assert comps[write.request_id].value == 4096
+
+    def test_fault_plan_is_per_instance(self):
+        # request ids restart at 0 on every instance; a fault names both
+        clock, dev, a = self._device(jitter=0.0)
+        b = ApiInstance(sq_capacity=64, cq_capacity=128)
+        dev.attach(b)
+        for inst in (a, b):
+            for _ in range(4):
+                inst.sq_push(nop(), clock.now)
+        dev.inject_fault(a.instance_id, 2, code=9)
+        clock.run_until_idle()
+        status_a = {c.request_id: c.status for c in a.cq_reap(8)}
+        status_b = {c.request_id: c.status for c in b.cq_reap(8)}
+        assert status_a == {0: CompletionStatus.OK, 1: CompletionStatus.OK,
+                            2: CompletionStatus.ERROR, 3: CompletionStatus.OK}
+        assert set(status_b.values()) == {CompletionStatus.OK}
+
+    def test_one_slot_completes_in_submission_order(self):
+        clock, dev, inst = self._device(jitter=0.25, seed=11, parallelism=1)
+        reqs = [IoRequest(OpKind.NOP) for _ in range(6)]
+        for r in reqs:
+            inst.sq_push(r, clock.now)
+        dev.inject_fault(inst.instance_id, reqs[2].request_id)
+        clock.run_until_idle()
+        order = {c.request_id: c.complete_time for c in inst.cq_reap(16)}
+        times = [order[r.request_id] for r in reqs]
+        assert times == sorted(times)
+        assert len(set(times)) == len(times)
+
+
 class TestInstanceDepth:
     def test_fresh_instance(self):
         assert ApiInstance().depths() == (0, 0, 0)
