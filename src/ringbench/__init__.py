@@ -4,7 +4,7 @@ with a deterministic simulated storage device and a benchmark CLI."""
 __version__ = "0.1.0"
 
 from .device import DeviceConfig, PollConfig, SimDevice, VirtualClock, \
-    desk_nvme, steady_state_iops
+    steady_state_iops
 from .metrics import MetricsReport
 from .ring import (ApiInstance, Completion, CompletionStatus, IoRequest,
                    OpKind, PushResult, RingQueue)
@@ -12,6 +12,6 @@ from .ring import (ApiInstance, Completion, CompletionStatus, IoRequest,
 __all__ = [
     "ApiInstance", "Completion", "CompletionStatus", "DeviceConfig",
     "IoRequest", "MetricsReport", "OpKind", "PollConfig", "PushResult",
-    "RingQueue", "SimDevice", "VirtualClock", "desk_nvme",
-    "steady_state_iops", "__version__",
+    "RingQueue", "SimDevice", "VirtualClock", "steady_state_iops",
+    "__version__",
 ]

@@ -20,6 +20,7 @@ Placement rules the engine enforces:
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -139,8 +140,7 @@ def request_stream(workload, geometry: Geometry, seed: int, shard: int):
 # -- request handles ------------------------------------------------------------
 
 HANDLE_QUEUED = 0
-HANDLE_SUBMITTED = 1
-HANDLE_DONE = 2
+HANDLE_DONE = 1
 
 
 class RequestHandle:
@@ -157,10 +157,6 @@ class RequestHandle:
         self.inline_cont = None         # (task, unit_index) for fused units
         self.inline_cost_ns = 0         # request-workload inline callback
         self.queue_on_done = False      # request driver consumes done queue
-
-    def mark_submitted(self) -> None:
-        if self.status == HANDLE_QUEUED:
-            self.status = HANDLE_SUBMITTED
 
     def complete(self, comp: Completion) -> None:
         assert self.status != HANDLE_DONE, "completion slot written twice"
@@ -675,13 +671,22 @@ def per_instance_stats(device, elapsed: int, inbox_peaks=None) -> list:
 
 
 class HandleFactory:
-    """Allocates handles; one per run, callable as make_handle(owner)."""
+    """Makes a run's handles, as make_handle(owner), and maps each from
+    its id, which its request carries as ``user_data``, until the reaper
+    pops it. A handle is registered when it is made, so its completion
+    finds it however the submission bounced or raced."""
 
-    __slots__ = ("_next",)
+    __slots__ = ("_ids", "_live")
 
     def __init__(self):
-        self._next = 0
+        self._ids = itertools.count(1)
+        self._live = {}  # handle_id -> handle awaiting its completion
 
     def __call__(self, owner=None) -> RequestHandle:
-        self._next += 1
-        return RequestHandle(self._next, owner)
+        handle = RequestHandle(next(self._ids), owner)
+        self._live[handle.handle_id] = handle
+        return handle
+
+    def pop(self, comp: Completion) -> RequestHandle:
+        """The handle a reaped completion belongs to, now unregistered."""
+        return self._live.pop(comp.user_data)

@@ -17,13 +17,12 @@ from .driver import RunContext, RunOptions
 
 
 class _SharedInstance:
-    __slots__ = ("inst", "sq_lock", "cq_lock", "table")
+    __slots__ = ("inst", "sq_lock", "cq_lock")
 
     def __init__(self, inst, rt):
         self.inst = inst
         self.sq_lock = rt.lock()
         self.cq_lock = rt.lock()
-        self.table = {}  # user_data -> handle; insert under sq_lock
 
 
 class _DaHooks:
@@ -45,15 +44,10 @@ class _DaHooks:
         if hold:
             yield hold
         req.user_data = handle.handle_id
-        sh.table[handle.handle_id] = handle
         res = sh.inst.sq_push(req, self.rt.now())
-        if res != PushResult.ACCEPTED:
-            del sh.table[handle.handle_id]
         sh.sq_lock.release()
-        if res != PushResult.ACCEPTED:
-            return False  # no buffering here: the request bounces back
-        handle.mark_submitted()
-        return True
+        # no buffering here: a refused request bounces back
+        return res == PushResult.ACCEPTED
 
     def reap_phase(self):
         costs = self.costs
@@ -74,11 +68,10 @@ class _DaHooks:
             if not comps:
                 continue
             progressed = True
-            table = sh.table
+            handles = self.new_handle
             for c in comps:
-                handle = table.pop(c.user_data)
-                yield from deliver_completion(handle, c, self.ectx,
-                                              self.new_handle)
+                yield from deliver_completion(handles.pop(c), c, self.ectx,
+                                              handles)
         return progressed
 
 

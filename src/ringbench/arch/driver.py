@@ -159,8 +159,10 @@ class RunContext:
 
     def run(self, done_pred, on_done=None) -> None:
         self.start_device()
-        drive(self.rt, done_pred, on_done)
-        self.stop_device()
+        try:
+            drive(self.rt, done_pred, on_done)
+        finally:
+            self.stop_device()
 
     def report(self, inbox_peaks=None, timeline=()):
         collectors, self.collectors = self.collectors, []
@@ -180,7 +182,9 @@ def drive(rt, done_pred, on_done=None, max_events: int = 500_000_000,
     finish. Virtual: steps the calendar, then drains the remaining events;
     an idle calendar with the predicate still false is a deadlock and
     raises with that diagnosis. Wall: polls the predicate, then joins every
-    actor and re-raises the first actor error.
+    actor. The first error, an actor's own or the run's (a timeout, a
+    raising predicate), is raised at once and stops every actor at its
+    next yield.
     """
     virtual = rt.mode == "virtual"
     n = 0
@@ -195,10 +199,16 @@ def drive(rt, done_pred, on_done=None, max_events: int = 500_000_000,
                 raise RuntimeError(f"event budget exhausted after {n} events")
     else:
         deadline = time.monotonic() + wall_timeout
-        while not done_pred():
-            if time.monotonic() > deadline:
-                raise RuntimeError("wall run timed out before completion")
-            time.sleep(0.0005)
+        try:
+            while not done_pred():
+                if rt.error is not None:
+                    raise rt.error
+                if time.monotonic() > deadline:
+                    raise RuntimeError("wall run timed out before completion")
+                time.sleep(0.0005)
+        except BaseException as exc:
+            rt.fail(exc)
+            raise
     rt.workload_done_ns = rt.now()
     if on_done is not None:
         on_done()
@@ -208,10 +218,9 @@ def drive(rt, done_pred, on_done=None, max_events: int = 500_000_000,
     for actor in rt.actors:
         actor.thread.join(max(0.0, deadline - time.monotonic()))
         if actor.thread.is_alive():
-            raise RuntimeError(f"actor {actor.name} failed to finish")
-    for actor in rt.actors:
-        if actor.error is not None:
-            raise actor.error
+            rt.fail(RuntimeError(f"actor {actor.name} failed to finish"))
+        if rt.error is not None:
+            raise rt.error
 
 
 def finalize_report(collector, rt, device, inbox_peaks=None, timeline=(),

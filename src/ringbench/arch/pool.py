@@ -125,7 +125,6 @@ class IoPool:
         self.active_count = k_instances
         self.timeline = [(rt.now(), k_instances)]
         self.overflow = deque()
-        self.handle_table = {}
         self.handle_factory = ctx.new_handle
         self.pending = LoadMeter(locked=(rt.mode == "wall"))
         self.skip_violations = 0
@@ -161,7 +160,6 @@ class IoPool:
 
     def _dispatch(self, req, handle) -> None:
         req.user_data = handle.handle_id
-        self.handle_table[handle.handle_id] = handle
         self.pending.change(1, self.rt.now())
         if self.overflow:
             # earlier parked requests go first
@@ -196,12 +194,11 @@ class IoPool:
 
         return submit
 
-    def pool_submit(self, req, handle=None, inline_cost_ns: int = 0):
+    def pool_submit(self, req, inline_cost_ns: int = 0):
         """Immediate-return submission (the non-actor API surface)."""
         if self.stopping:
             raise PoolShutdown("pool is draining")
-        if handle is None:
-            handle = self.handle_factory(None)
+        handle = self.handle_factory(None)
         handle.inline_cost_ns = inline_cost_ns
         self._dispatch(req, handle)
         self.ctx.collector.on_submit()
@@ -224,7 +221,6 @@ class IoPool:
                 yield costs.submit_cost_ns
             if unit.inst.sq_push(req, rt.now()) != PushResult.ACCEPTED:
                 break  # backpressure: wait for completions to free headroom
-            handle.mark_submitted()
             unit.pending_sub = None
             progressed = True
         return progressed
@@ -236,14 +232,13 @@ class IoPool:
             return False
         if costs.reap_cost_ns:
             yield costs.reap_cost_ns * len(comps)
-        table = self.handle_table
+        handles = self.handle_factory
         meter = self.pending
         now = self.rt.now
         for c in comps:
-            handle = table.pop(c.user_data)
+            handle = handles.pop(c)
             meter.change(-1, now())
-            yield from deliver_completion(handle, c, ectx,
-                                          self.handle_factory)
+            yield from deliver_completion(handle, c, ectx, handles)
             if handle.inline_cost_ns and (unit.inbox or unit.pending_sub):
                 # a long inline callback must not starve the SQ: refill
                 # between callbacks like any sane event loop; in pair
@@ -393,8 +388,10 @@ class IoPool:
                 raise TimeoutExceeded(self.abandoned_count())
             return False
 
-        drive(rt, drained)
-        self.ctx.stop_device()
+        try:
+            drive(rt, drained)
+        finally:
+            self.ctx.stop_device()
         return self.report()
 
     def report(self):

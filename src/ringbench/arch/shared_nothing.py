@@ -23,7 +23,6 @@ class _SnHooks:
         self.costs = ectx.costs
         self.ectx = ectx
         self.new_handle = handle_factory
-        self.table = {}
         self.inline_cb_cost = 0  # shared-nothing is inline by definition
 
     def submit(self, req, handle):
@@ -31,12 +30,7 @@ class _SnHooks:
         if costs.submit_cost_ns:
             yield costs.submit_cost_ns
         req.user_data = handle.handle_id
-        self.table[handle.handle_id] = handle
-        if self.inst.sq_push(req, self.rt.now()) != PushResult.ACCEPTED:
-            del self.table[handle.handle_id]
-            return False
-        handle.mark_submitted()
-        return True
+        return self.inst.sq_push(req, self.rt.now()) == PushResult.ACCEPTED
 
     def reap_phase(self):
         comps = self.inst.cq_reap(64)
@@ -44,11 +38,10 @@ class _SnHooks:
             return False
         if self.costs.reap_cost_ns:
             yield self.costs.reap_cost_ns * len(comps)
-        table = self.table
+        handles = self.new_handle
         for c in comps:
-            handle = table.pop(c.user_data)
-            yield from deliver_completion(handle, c, self.ectx,
-                                          self.new_handle)
+            yield from deliver_completion(handles.pop(c), c, self.ectx,
+                                          handles)
         return True
 
 

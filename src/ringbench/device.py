@@ -246,11 +246,6 @@ class DeviceConfig:
             raise ValueError("capacity must hold at least one block")
 
 
-def desk_nvme(jitter: bool = True) -> DeviceConfig:
-    cfg = DeviceConfig()
-    return cfg if jitter else replace(cfg, jitter_frac=0.0)
-
-
 def effective_config(cfg: DeviceConfig, op_kind: str) -> DeviceConfig:
     """Apply the random-read service multiplier for rand_read workloads."""
     if op_kind == "rand_read" and cfg.random_read_multiplier != 1.0:
@@ -562,19 +557,6 @@ class SimDevice:
         if elapsed <= 0:
             return [0.0 for _ in self.instances]
         return [min(1.0, st.busy_ns / elapsed) for st in self.instances]
-
-
-class TraceWriter:
-    """CSV event-trace sink (debug flag): time_ns,event_kind,instance_id,request_id."""
-
-    HEADER = "time_ns,event_kind,instance_id,request_id\n"
-
-    def __init__(self, fh):
-        self._fh = fh
-        fh.write(self.HEADER)
-
-    def __call__(self, t, kind, instance_id, request_id):
-        self._fh.write(f"{t},{kind},{instance_id},{request_id}\n")
 
 
 class WallDeviceThread:

@@ -16,7 +16,7 @@ ever read-modify-written by two threads.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 
 class OpKind(enum.IntEnum):
@@ -82,22 +82,6 @@ class Completion:
         return (f"Completion(id={self.request_id}, "
                 f"{CompletionStatus(self.status).name}, value={self.value}, "
                 f"t={self.complete_time})")
-
-
-def validate_request(req: IoRequest, block_size: int, capacity: int) -> None:
-    """Raise ValueError when a request violates the data-model invariants."""
-    if req.op in (OpKind.READ, OpKind.WRITE):
-        if req.length <= 0 or req.length % block_size:
-            raise ValueError(f"length {req.length} not a positive multiple "
-                             f"of block size {block_size}")
-        if req.offset % block_size:
-            raise ValueError(f"offset {req.offset} not block aligned")
-        if req.offset + req.length > capacity:
-            raise ValueError(f"range [{req.offset}, {req.offset + req.length})"
-                             f" exceeds capacity {capacity}")
-    else:
-        if req.length != 0:
-            raise ValueError(f"{OpKind(req.op).name} must carry length 0")
 
 
 class RingQueue:
@@ -181,12 +165,6 @@ class RingQueue:
         if self.tail == head:
             return None
         return self._slots[head & self._mask]
-
-
-class InstanceDepths(NamedTuple):
-    sq_depth: int
-    cq_depth: int
-    inflight: int
 
 
 class SpscAudit:
@@ -308,10 +286,6 @@ class ApiInstance:
         self.completed_total += 1
 
     # -- observers -------------------------------------------------------------
-
-    def depths(self) -> InstanceDepths:
-        return InstanceDepths(len(self.sq), len(self.cq),
-                              self.pending_completion_count())
 
     def quiescent_conservation_holds(self) -> bool:
         """Once the backend is idle: every accepted request has its

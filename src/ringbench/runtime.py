@@ -104,7 +104,7 @@ class _VirtualActor:
 
 
 class _WallActor:
-    __slots__ = ("rt", "gen", "name", "thread", "done", "error")
+    __slots__ = ("rt", "gen", "name", "thread", "done")
 
     # below this, sleeping is less accurate than burning the CPU
     SPIN_CEILING_NS = 200_000
@@ -114,15 +114,17 @@ class _WallActor:
         self.gen = gen
         self.name = name
         self.done = False
-        self.error = None
         self.thread = threading.Thread(target=self._run, name=name,
                                        daemon=True)
         self.thread.start()
 
     def _run(self) -> None:
+        rt = self.rt
         monotonic_ns = time.monotonic_ns
         try:
             for item in self.gen:
+                if rt.error is not None:
+                    return  # the run failed: stop at this yield
                 if type(item) is int:
                     if item <= 0:
                         continue
@@ -134,8 +136,8 @@ class _WallActor:
                             pass
                 else:
                     item._wait_wall()
-        except BaseException as exc:  # surfaced by Runtime.run()
-            self.error = exc
+        except BaseException as exc:  # re-raised by the run loop
+            rt.fail(exc)
         finally:
             self.done = True
 
@@ -203,6 +205,8 @@ class Runtime:
         self.clock = VirtualClock() if mode == "virtual" else WallClock()
         self.actors = []
         self.live = 0  # virtual actors whose generator has not ended
+        self.error = None  # wall mode: the run's first error, see fail()
+        self._error_lock = threading.Lock()
         self.current_executor = "main"
         if sched_jitter_ns and mode == "virtual":
             rng = random.Random(seed ^ 0x9E3779B9)
@@ -235,6 +239,13 @@ class Runtime:
             return lambda: not self.live
         actors = self.actors
         return lambda: all(a.done for a in actors)
+
+    def fail(self, exc: BaseException) -> None:
+        """Record the run's first error (wall mode); every actor stops at
+        its next yield."""
+        with self._error_lock:  # actor threads can fail at once
+            if self.error is None:
+                self.error = exc
 
     def executor_id(self):
         """Identity of the currently running executor, for SPSC audits."""

@@ -303,8 +303,11 @@ class CoroutineFrame:
     def upcoming_compute_cost(self) -> int:
         """Virtual cost of the segment the next successful resume executes.
 
-        Nested frames are treated as opaque suspension points; the engines
-        never schedule nested corpora, only the metrics path creates them.
+        Nested frames are opaque here: with one in progress only its next
+        segment is charged, and a nested step ahead ends the sum. The
+        corpus generator makes no nested steps; they arrive only in a
+        corpus read through ``corpus_path``, and only the coroutine scheme
+        runs them.
         """
         if self.inner is not None:
             return self.inner.upcoming_compute_cost()

@@ -1,11 +1,15 @@
 """Shared-nothing and direct-access architecture behavior."""
 
+import sys
+
 import pytest
 
 from ringbench.arch import (RequestWorkload, RingConfig, TaskWorkload,
                             WorkloadNotPartitionable, run_direct_access,
                             run_dynamic_pool, run_shared_nothing,
                             run_static_pool)
+from ringbench.arch import driver
+from ringbench.arch.common import HandleFactory
 from ringbench.arch.driver import drive
 from ringbench.device import DeviceConfig, SimDevice
 from ringbench.runtime import Runtime
@@ -310,3 +314,55 @@ class TestSchemeEquivalence:
                             seed=jitter_seed, sched_jitter_ns=400,
                             results_out=results)
             assert results == expect
+
+
+class TestHandleRegistry:
+    """The run's handle factory maps each handle it made until the reaper
+    pops it, bounced submissions included: a finished run leaves none."""
+
+    @staticmethod
+    def record_factories(monkeypatch):
+        factories = []
+
+        class Recording(HandleFactory):
+            def __init__(self):
+                super().__init__()
+                factories.append(self)
+
+        monkeypatch.setattr(driver, "HandleFactory", Recording)
+        return factories
+
+    @pytest.mark.parametrize("mode", ("virtual", "wall"))
+    @pytest.mark.parametrize("arch", list(RUNNERS))
+    def test_finished_run_leaves_no_handle(self, monkeypatch, arch, mode):
+        factories = self.record_factories(monkeypatch)
+        fn, args = RUNNERS[arch]
+        ring = RingConfig(sq_capacity=1, cq_capacity=1)
+        specs = generate_corpus(9, 24, max_steps=6)
+        results = {}
+        fn(TaskWorkload(specs=specs), *args, scheme="callback",
+           device_cfg=FAST_DEV, ring=ring, mode=mode, seed=2,
+           results_out=results)
+        assert results == oracle_states(specs, FAST_DEV)
+        r = fn(RequestWorkload(op_count=300, op_kind="nop", queue_depth=8),
+               *args, device_cfg=FAST_DEV, ring=ring, mode=mode, seed=3)
+        assert r.completed_ok == 300
+        assert len(factories) == 2
+        assert [f._live for f in factories] == [{}, {}]
+
+    @pytest.mark.parametrize("fn", (run_direct_access, run_static_pool))
+    def test_wall_threads_share_one_registry(self, monkeypatch, fn):
+        # more threads than cores and a short switch interval: handles made
+        # and popped by racing threads still come out exactly once each
+        factories = self.record_factories(monkeypatch)
+        ring = RingConfig(sq_capacity=2, cq_capacity=2)
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(5e-5)
+        try:
+            r = fn(RequestWorkload(op_count=4000, op_kind="nop",
+                                   queue_depth=16), 4, 2,
+                   device_cfg=FAST_DEV, ring=ring, mode="wall", seed=4)
+        finally:
+            sys.setswitchinterval(prev)
+        assert r.completed_ok == 4000 and r.conservation_holds()
+        assert factories[0]._live == {}

@@ -1,14 +1,13 @@
 """Simulated device: event calendar, throughput model, poll-thread upkeep."""
 
 import heapq
-import io
 import time
 
 import pytest
 
 from ringbench.device import (DeviceConfig, POLL_ASLEEP, PollConfig,
-                              SimDevice, TraceWriter, VirtualClock, WallClock,
-                              WallDeviceThread, desk_nvme, effective_config,
+                              SimDevice, VirtualClock, WallClock,
+                              WallDeviceThread, effective_config,
                               steady_state_iops)
 from ringbench.ring import ApiInstance, IoRequest, OpKind, PushResult
 
@@ -144,14 +143,14 @@ class TestThroughputModel:
 
 class TestDeterminism:
     def trace_of(self, seed):
-        buf = io.StringIO()
+        events = []
         clock, dev, inst = make(DeviceConfig(service_time_ns=10 * US,
                                              jitter_frac=0.3), seed=seed)
-        dev.trace = TraceWriter(buf)
+        dev.trace = lambda *row: events.append(row)
         for _ in range(200):
             inst.sq_push(IoRequest(OpKind.NOP), clock.now)
         drain(clock, inst)
-        return buf.getvalue()
+        return events
 
     def test_identical_seed_identical_trace(self):
         assert self.trace_of(42) == self.trace_of(42)
@@ -258,11 +257,12 @@ class TestConfig:
             DeviceConfig(jitter_frac=1.5).validate()
 
     def test_desk_nvme_preset(self):
-        cfg = desk_nvme()
+        # the defaults are the desk-nvme preset
+        cfg = DeviceConfig()
         assert cfg.service_time_ns == 100 * US
         assert cfg.parallelism == 64
         assert cfg.jitter_frac == 0.1
-        assert desk_nvme(jitter=False).jitter_frac == 0.0
+        assert cfg.block_size == 4096
 
     def test_random_read_multiplier(self):
         cfg = DeviceConfig(service_time_ns=100, random_read_multiplier=1.5)
@@ -272,15 +272,16 @@ class TestConfig:
 
 class TestTrace:
     def test_trace_schema(self):
-        buf = io.StringIO()
+        # rows are (time_ns, event_kind, instance_id, request_id); events
+        # not about one request carry request_id -1
+        events = []
         clock, dev, inst = make()
-        dev.trace = TraceWriter(buf)
+        dev.trace = lambda *row: events.append(row)
         inst.sq_push(IoRequest(OpKind.NOP), clock.now)
         drain(clock, inst)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "time_ns,event_kind,instance_id,request_id"
-        kinds = [ln.split(",")[1] for ln in lines[1:]]
-        assert "submit" in kinds and "consume" in kinds and "complete" in kinds
+        assert events == [(0, "submit", 0, -1), (0, "consume", 0, 0),
+                          (100 * US, "complete", 0, 0),
+                          (MS, "poll_sleep", 0, -1)]
 
 
 class ReferenceClock:

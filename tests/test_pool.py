@@ -1,7 +1,12 @@
 """Static/dynamic pool behavior: dispatch, handles, scaling, shutdown."""
 
+import itertools
+import threading
+import time
+
 import pytest
 
+import ringbench.arch.pool as pool_module
 from ringbench.arch import (ArrivalWorkload, ControllerConfig,
                             EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS,
                             POLICY_LEAST_LOADED, PoolShutdown,
@@ -24,7 +29,7 @@ class TestHandles:
     def test_happy_path_transitions(self):
         pool = open_pool(1, device_cfg=FAST)
         h = pool.pool_submit(IoRequest(OpKind.NOP))
-        assert handle_poll(h) in (HANDLE_QUEUED, 1)
+        assert handle_poll(h) == HANDLE_QUEUED
         report = pool.drain_and_shutdown()
         assert handle_poll(h) == HANDLE_DONE
         assert h.completion.status == CompletionStatus.OK
@@ -266,6 +271,35 @@ class TestWallMode:
         wl = RequestWorkload(op_count=1000, op_kind="nop", queue_depth=8)
         r = run_dynamic_pool(wl, 2, 2, device_cfg=FAST, mode="wall", seed=23)
         assert r.conservation_holds() and r.completed_ok == 1000
+
+    def test_actor_error_stops_the_run(self, monkeypatch):
+        # an I/O actor that raises ends the run with its own error at once,
+        # not at wall_timeout, and no thread of the run outlives it
+        deliver = pool_module.deliver_completion
+        seen = itertools.count(1)
+
+        def fail_50th(*args):
+            if next(seen) == 50:
+                raise ValueError("completion 50 failed")
+            return (yield from deliver(*args))
+
+        monkeypatch.setattr(pool_module, "deliver_completion", fail_50th)
+        before = set(threading.enumerate())
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="completion 50 failed"):
+            run_static_pool(RequestWorkload(op_count=2000, queue_depth=8),
+                            2, 1, mode="wall",
+                            device_cfg=DeviceConfig(service_time_ns=20 * US,
+                                                    jitter_frac=0.0))
+        assert time.monotonic() - start < 5.0
+        deadline = time.monotonic() + 2.0
+        while True:
+            left = [t.name for t in threading.enumerate()
+                    if t not in before and t.is_alive()]
+            if not left or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert left == []
 
     def test_drain_and_shutdown_wall(self):
         pool = open_pool(1, device_cfg=FAST, mode="wall")

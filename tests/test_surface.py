@@ -1,0 +1,75 @@
+"""Every function, class and method under src/ringbench has a caller in the
+product: a definition that no code under src/ refers to lives only for its
+own tests, and should be given a caller or deleted."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringbench"
+
+# documented surfaces that nothing under src/ calls, one reason each
+ALLOWED = {
+    "open_pool": "the README's library example",
+    "IoPool.pool_submit": "the README's library example",
+    "IoPool.drain_and_shutdown": "the README's library example",
+    "handle_poll": "the README's library example",
+    "write_corpus": "writes the corpus_path format",
+    "ArrivalWorkload.total_ops": "used by perfbench",
+}
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree):
+    """(qualified name, name) of every top-level function and class and of
+    every non-dunder method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, _FUNCS + (ast.ClassDef,)):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _FUNCS) and not _is_dunder(item.name):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def references(tree):
+    """Every name read, attribute read or name looked up through getattr.
+
+    Imports are not references, so a package ``__init__`` that only
+    re-exports a name does not keep it alive.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr"
+              and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            yield node.args[1].value
+
+
+def unreferenced(package):
+    defined = {}
+    used = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        defined.update(definitions(tree))
+        used.update(references(tree))
+    return defined, sorted(q for q, name in defined.items()
+                           if name not in used)
+
+
+def test_every_definition_has_a_caller_under_src():
+    defined, dead = unreferenced(PACKAGE)
+    uncalled = [q for q in dead if q not in ALLOWED]
+    assert not uncalled, f"no caller under src/: {', '.join(uncalled)}"
+    stale = [q for q in ALLOWED if q not in defined]
+    assert not stale, f"allowed but not defined: {', '.join(stale)}"

@@ -2,6 +2,8 @@
 
 import pytest
 
+from ringbench.arch import RequestWorkload
+from ringbench.arch.common import request_stream
 from ringbench.ring import Completion, CompletionStatus, OpKind
 from ringbench.tasks import (ComputeStep, CompletionMismatch,
                              Done, Geometry, IoStep, KIND_COMPUTE, KIND_POLL,
@@ -172,21 +174,53 @@ class TestCoroutine:
         assert frame.upcoming_compute_cost() == 30
 
 
+def assert_valid_request(req, geo, where):
+    """READ and WRITE move a positive whole number of blocks, block-aligned
+    and within capacity; FSYNC and NOP carry length 0."""
+    bs, cap = geo
+    if req.op in (OpKind.READ, OpKind.WRITE):
+        assert req.length > 0 and req.length % bs == 0, (where, req)
+        assert req.offset >= 0 and req.offset % bs == 0, (where, req)
+        assert req.offset + req.length <= cap, (where, req)
+    else:
+        assert req.op in (OpKind.FSYNC, OpKind.NOP), (where, req)
+        assert req.length == 0, (where, req)
+
+
 class TestRequests:
+    # three blocks: the corpus asks for up to four, so io_request_for clamps
+    TINY = Geometry(4096, 3 * 4096)
+
     def test_offsets_are_block_aligned_and_bounded(self):
-        for s in generate_corpus(3, 50):
-            state = s.initial_state
-            io_index = 0
-            for st in s.steps:
-                if isinstance(st, IoStep):
-                    req = io_request_for(s, st, io_index, state, GEO)
-                    if req.op in (OpKind.READ, OpKind.WRITE):
-                        assert req.offset % GEO.block_size == 0
-                        assert req.length % GEO.block_size == 0
-                        assert req.offset + req.length <= GEO.capacity_bytes
-                    else:
-                        assert req.length == 0
-                    io_index += 1
+        for geo in (GEO, self.TINY):
+            ops = set()
+            clamped = False
+            for s in generate_corpus(3, 50):
+                io_index = 0
+                for st in s.steps:
+                    if isinstance(st, IoStep):
+                        req = io_request_for(s, st, io_index,
+                                             s.initial_state, geo)
+                        assert_valid_request(req, geo, (s.task_id, io_index))
+                        ops.add(req.op)
+                        if st.kind in ("read", "write"):
+                            clamped |= req.length < st.blocks * geo.block_size
+                        io_index += 1
+            assert ops == set(OpKind), geo
+            assert clamped == (geo is self.TINY)
+            for kind in ("seq_read", "rand_read", "write_mix", "nop"):
+                wl = RequestWorkload(op_kind=kind, block_size=geo.block_size)
+                ops = set()
+                for shard in range(4):
+                    next_request = request_stream(wl, geo, 7, shard)
+                    for i in range(200):
+                        req = next_request()
+                        assert_valid_request(req, geo, (kind, shard, i))
+                        ops.add(req.op)
+                assert ops == {"seq_read": {OpKind.READ},
+                               "rand_read": {OpKind.READ},
+                               "write_mix": {OpKind.READ, OpKind.WRITE},
+                               "nop": {OpKind.NOP}}[kind]
 
     def test_state_rule_depends_on_state(self):
         st = IoStep("read", 1, "state")
