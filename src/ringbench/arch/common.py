@@ -2,9 +2,9 @@
 
 Two workload drivers exist: a lean closed-loop request driver (queue-depth
 benchmarks) and a task engine that executes partitioned TaskSpecs under any
-scheme. Both are written as actor generators against arch-specific hooks,
-so each architecture supplies only its submission path, its reaping path
-and its parking signal.
+scheme. Both are actor generators that take from an architecture only the
+executor's ``ExecContext`` (with its submission path) and a reap callable;
+each architecture supplies only those and its parking signal.
 
 Placement rules the engine enforces:
 
@@ -174,7 +174,7 @@ def handle_poll(handle: RequestHandle) -> int:
 
 class LiveTask:
     __slots__ = ("spec", "units", "state", "pending_handle", "owner",
-                 "frame", "done", "final_state")
+                 "frame", "done")
 
     def __init__(self, spec: TaskSpec, units, state: int, owner):
         self.spec = spec
@@ -184,7 +184,6 @@ class LiveTask:
         self.owner = owner
         self.frame = None
         self.done = False
-        self.final_state = None
 
 
 class Worker:
@@ -210,25 +209,23 @@ class ExecContext:
     """What executing a tasklet needs from the executor running it.
 
     ``submit`` is a generator: ``ok = yield from ectx.submit(req, handle)``.
-    ``trace_exec``, when set, is called as (phase, executor_id, item) at the
-    begin and end of every unit execution: the instrumentation behind the
-    tasklet-atomicity and callback-placement checks.
+    ``new_handle`` is the run's ``HandleFactory``.
     """
 
     __slots__ = ("rt", "costs", "collector", "submit", "geometry",
-                 "results", "worker", "dep_broadcast", "trace_exec")
+                 "results", "new_handle", "worker", "dep_broadcast")
 
     def __init__(self, rt, costs, collector, submit, geometry, results,
-                 worker=None):
+                 new_handle, worker=None):
         self.rt = rt
         self.costs = costs
         self.collector = collector
         self.submit = submit
         self.geometry = geometry
         self.results = results        # shared task_id -> final_state
+        self.new_handle = new_handle
         self.worker = worker          # None on I/O-instance executors
         self.dep_broadcast = ()       # signals to poke on task finish
-        self.trace_exec = None
 
 
 # -- task engine --------------------------------------------------------------------
@@ -252,7 +249,6 @@ def start_task(spec: TaskSpec, scheme: str, owner: Worker,
 
 
 def _finish_task(task: LiveTask, ectx: ExecContext) -> None:
-    task.final_state = task.state
     ectx.results[task.spec.task_id] = task.state
     task.done = True
     owner = task.owner
@@ -275,11 +271,11 @@ def _hand_to_owner(owner: Worker, item, ectx: ExecContext) -> None:
         owner.signal.notify()
 
 
-def _submit_unit_io(task: LiveTask, unit, ectx: ExecContext, make_handle):
+def _submit_unit_io(task: LiveTask, unit, ectx: ExecContext):
     """Build and submit a unit's trailing I/O. Generator."""
     req = io_request_for(task.spec, unit.submit_io, unit.submit_index,
                          task.state, ectx.geometry)
-    handle = make_handle(task.owner)
+    handle = ectx.new_handle(req, task.owner)
     nxt = unit.next_index
     follow_up = None
     if nxt is not None and task.units[nxt].kind == KIND_POLL_FUSED:
@@ -299,24 +295,13 @@ def _submit_unit_io(task: LiveTask, unit, ectx: ExecContext, make_handle):
         _hand_to_owner(task.owner, follow_up, ectx)
 
 
-def execute_item(item, ectx: ExecContext, make_handle):
+def execute_item(item, ectx: ExecContext):
     """Run one schedulable item; generator yielding CPU costs.
 
     A poll item reaches here only once its handle is done: the owner's
     ready loop charges a miss and respawns it without a call. Returns False
     only when a bounced submission bounces again, True otherwise.
     """
-    trace = ectx.trace_exec
-    if trace is not None:
-        trace("begin", ectx.rt.executor_id(), item)
-        result = yield from _execute_item(item, ectx, make_handle)
-        trace("end", ectx.rt.executor_id(), item)
-        return result
-    result = yield from _execute_item(item, ectx, make_handle)
-    return result
-
-
-def _execute_item(item, ectx: ExecContext, make_handle):
     kind = item[0]
     costs = ectx.costs
 
@@ -343,7 +328,7 @@ def _execute_item(item, ectx: ExecContext, make_handle):
                 yield cost
             task.state = run_compute(task.state, unit.compute)
             if unit.submit_io is not None:
-                yield from _submit_unit_io(task, unit, ectx, make_handle)
+                yield from _submit_unit_io(task, unit, ectx)
                 return True
         if unit.next_index is not None:
             _hand_to_owner(task.owner, ("unit", task, unit.next_index), ectx)
@@ -370,7 +355,7 @@ def _execute_item(item, ectx: ExecContext, make_handle):
             task.state = out.final_state
             _finish_task(task, ectx)
             return True
-        handle = make_handle(task.owner)
+        handle = ectx.new_handle(out.request, task.owner)
         task.pending_handle = handle
         ok = yield from ectx.submit(out.request, handle)
         if not ok:
@@ -399,7 +384,7 @@ def _execute_item(item, ectx: ExecContext, make_handle):
 
 
 def deliver_completion(handle: RequestHandle, comp: Completion,
-                       ectx: ExecContext, make_handle):
+                       ectx: ExecContext):
     """Reaper-side routing; runs fused continuations inline. Generator."""
     handle.complete(comp)
     if handle.inline_cost_ns:
@@ -407,7 +392,7 @@ def deliver_completion(handle: RequestHandle, comp: Completion,
     cont = handle.inline_cont
     if cont is not None:
         task, idx = cont
-        yield from execute_item(("fused", task, idx, comp), ectx, make_handle)
+        yield from execute_item(("fused", task, idx, comp), ectx)
         return
     owner = handle.owner
     if owner is not None:
@@ -492,15 +477,18 @@ class MissStreak:
 # -- worker loops ----------------------------------------------------------------------
 
 
-def request_worker_loop(worker: Worker, hooks, shard_ops: int, qd: int,
-                        next_request, worker_cb_cost: int):
-    """Closed-loop request driver: keep qd in flight until shard_ops done."""
+def request_worker_loop(worker: Worker, ectx: ExecContext, reap,
+                        shard_ops: int, qd: int, next_request,
+                        worker_cb_cost: int, inline_cb_cost: int):
+    """Closed-loop request driver: keep qd in flight until shard_ops done.
+
+    ``reap`` is None when another executor reaps this worker's completions.
+    """
     inflight = 0
     submitted = 0
     done = 0
     pending_req = None
     pending_handle = None
-    has_reap = getattr(hooks, "has_reap", True)
     while done < shard_ops:
         sig_version = worker.signal.version  # park guard: see Signal docs
         progressed = False
@@ -512,16 +500,16 @@ def request_worker_loop(worker: Worker, hooks, shard_ops: int, qd: int,
             done += n
             inflight -= n
             progressed = True
-        if has_reap:
-            reaped = yield from hooks.reap_phase()
+        if reap is not None:
+            reaped = yield from reap()
             progressed = progressed or reaped
         while inflight < qd and submitted < shard_ops:
             if pending_req is None:
                 pending_req = next_request()
-                pending_handle = hooks.new_handle(worker)
+                pending_handle = ectx.new_handle(pending_req, worker)
                 pending_handle.queue_on_done = True
-                pending_handle.inline_cost_ns = hooks.inline_cb_cost
-            ok = yield from hooks.submit(pending_req, pending_handle)
+                pending_handle.inline_cost_ns = inline_cb_cost
+            ok = yield from ectx.submit(pending_req, pending_handle)
             if not ok:
                 worker.collector.sq_full_retries += 1
                 break
@@ -539,8 +527,8 @@ def request_worker_loop(worker: Worker, hooks, shard_ops: int, qd: int,
             yield worker.signal
 
 
-def task_worker_loop(worker: Worker, hooks, shard_specs, scheme: str,
-                     workload: TaskWorkload, ectx: ExecContext,
+def task_worker_loop(worker: Worker, ectx: ExecContext, reap, shard_specs,
+                     scheme: str, workload: TaskWorkload,
                      deps_by_task: dict):
     """Scheme-aware task driver; see module docstring for placement rules."""
     spec_iter = iter(shard_specs)
@@ -550,7 +538,6 @@ def task_worker_loop(worker: Worker, hooks, shard_specs, scheme: str,
     miss_streak = 0
     results = ectx.results
     gated = bool(deps_by_task)
-    has_reap = getattr(hooks, "has_reap", True)
     streak = MissStreak(worker, ectx, scheme)
     miss_cost = streak.cost
     # zero-cost misses make no event: they stay inline
@@ -565,13 +552,13 @@ def task_worker_loop(worker: Worker, hooks, shard_specs, scheme: str,
             (worker.blocked if item[0] == "submit"
              else worker.ready).append(item)
             progressed = True
-        if has_reap:
-            reaped = yield from hooks.reap_phase()
+        if reap is not None:
+            reaped = yield from reap()
             progressed = progressed or reaped
         # retry bounced submissions once per pass
         for _ in range(len(worker.blocked)):
             item = worker.blocked.popleft()
-            ok = yield from execute_item(item, ectx, hooks.new_handle)
+            ok = yield from execute_item(item, ectx)
             progressed = progressed or ok
         # prune tasks finished on other executors, start new ones
         if worker.foreign_done:
@@ -611,8 +598,7 @@ def task_worker_loop(worker: Worker, hooks, shard_specs, scheme: str,
         while left:
             if not streak.start(left):
                 left -= 1
-                yield from execute_item(ready.popleft(), ectx,
-                                        hooks.new_handle)
+                yield from execute_item(ready.popleft(), ectx)
                 progressed = True
                 miss_streak = 0
                 continue
@@ -671,10 +657,10 @@ def per_instance_stats(device, elapsed: int, inbox_peaks=None) -> list:
 
 
 class HandleFactory:
-    """Makes a run's handles, as make_handle(owner), and maps each from
-    its id, which its request carries as ``user_data``, until the reaper
-    pops it. A handle is registered when it is made, so its completion
-    finds it however the submission bounced or raced."""
+    """Makes a run's handles, as new_handle(req, owner), and maps each from
+    its id, which it writes into its request as ``user_data``, until the
+    reaper pops it. A handle is registered when it is made, so its
+    completion finds it however the submission bounced or raced."""
 
     __slots__ = ("_ids", "_live")
 
@@ -682,8 +668,9 @@ class HandleFactory:
         self._ids = itertools.count(1)
         self._live = {}  # handle_id -> handle awaiting its completion
 
-    def __call__(self, owner=None) -> RequestHandle:
+    def __call__(self, req: IoRequest, owner=None) -> RequestHandle:
         handle = RequestHandle(next(self._ids), owner)
+        req.user_data = handle.handle_id
         self._live[handle.handle_id] = handle
         return handle
 

@@ -26,13 +26,11 @@ class _SharedInstance:
 
 
 class _DaHooks:
-    def __init__(self, worker, shared, ectx, handle_factory):
+    def __init__(self, worker, shared, ectx):
         self.shared = shared
         self.rt = ectx.rt
         self.costs = ectx.costs
         self.ectx = ectx
-        self.new_handle = handle_factory
-        self.inline_cb_cost = 0  # inline by construction, charged worker-side
         self._rr = worker.index  # spread first picks across workers
 
     def submit(self, req, handle):
@@ -43,7 +41,6 @@ class _DaHooks:
         hold = costs.lock_hold_ns + costs.submit_cost_ns
         if hold:
             yield hold
-        req.user_data = handle.handle_id
         res = sh.inst.sq_push(req, self.rt.now())
         sh.sq_lock.release()
         # no buffering here: a refused request bounces back
@@ -68,10 +65,9 @@ class _DaHooks:
             if not comps:
                 continue
             progressed = True
-            handles = self.new_handle
+            ectx = self.ectx
             for c in comps:
-                yield from deliver_completion(handles.pop(c), c, self.ectx,
-                                              handles)
+                yield from deliver_completion(ectx.new_handle.pop(c), c, ectx)
         return progressed
 
 
@@ -92,7 +88,8 @@ def run_direct_access(workload, n_workers: int, m_instances: int,
 
     def wire(worker, ectx):
         worker.signal = wake_all
-        return _DaHooks(worker, shared, ectx, ctx.new_handle)
+        hooks = _DaHooks(worker, shared, ectx)
+        return hooks.submit, hooks.reap_phase
 
     ctx.spawn_workers(n_workers, scheme, wire)
     ctx.run(rt.all_exited())

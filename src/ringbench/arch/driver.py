@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 from ..device import DeviceConfig, SimDevice, WallDeviceThread, \
     effective_config
@@ -51,7 +50,6 @@ class RunOptions:
     run_id: str = None
     sched_jitter_ns: int = 0
     results_out: dict = None
-    trace_exec: Callable = None
     keep_completion_times: bool = False
     exec_mode: str = EXEC_IO_THREADS
     policy: str = POLICY_ROUND_ROBIN
@@ -64,7 +62,7 @@ class RunContext:
 
     Per-executor collectors made through ``new_collector`` are absorbed into
     the device collector by ``report``; execution contexts made through
-    ``exec_context`` carry the run's ``trace_exec``.
+    ``exec_context`` carry the run's handle factory, ``new_handle``.
     """
 
     def __init__(self, arch: str, workload, opts: RunOptions):
@@ -97,19 +95,21 @@ class RunContext:
 
     def exec_context(self, collector, submit=None, worker=None):
         ectx = ExecContext(self.rt, self.costs, collector, submit,
-                           self.geometry, self.results, worker)
-        ectx.trace_exec = self.opts.trace_exec
+                           self.geometry, self.results, self.new_handle,
+                           worker)
         self.ectxs.append(ectx)
         return ectx
 
     def spawn_workers(self, n: int, scheme: str, wire,
-                      qd_per_worker: bool = False) -> list:
+                      qd_per_worker: bool = False,
+                      inline_cb_cost: int = 0) -> list:
         """Spawn one worker actor per shard and return the actors.
 
         ``wire(worker, ectx)`` connects a new worker to the architecture
-        and returns its hooks. A request workload's queue depth is split
-        over the workers unless ``qd_per_worker``. Its callback cost runs
-        on the worker after replenishment, unless the hooks charge it
+        and returns ``(submit, reap)``; ``reap`` is None when another
+        executor reaps. A request workload's queue depth is split over the
+        workers unless ``qd_per_worker``. Its callback cost runs on the
+        worker after replenishment, unless ``inline_cb_cost`` charges it
         inline on the reaping executor.
         """
         workload = self.workload
@@ -122,22 +122,21 @@ class RunContext:
         for i in range(n):
             worker = Worker(i, self.rt, self.new_collector())
             ectx = self.exec_context(worker.collector, worker=worker)
-            hooks = wire(worker, ectx)
-            ectx.submit = hooks.submit
+            ectx.submit, reap = wire(worker, ectx)
             if is_tasks:
-                gen = task_worker_loop(worker, hooks, shards[i], scheme,
-                                       workload, ectx, deps)
+                gen = task_worker_loop(worker, ectx, reap, shards[i], scheme,
+                                       workload, deps)
             else:
                 ops = workload.op_count // n + (
                     1 if i < workload.op_count % n else 0)
                 qd = workload.queue_depth if qd_per_worker \
                     else max(1, workload.queue_depth // n)
-                worker_cb = 0 if hooks.inline_cb_cost \
+                worker_cb = 0 if inline_cb_cost \
                     else workload.callback_cost_ns
                 gen = request_worker_loop(
-                    worker, hooks, ops, qd,
+                    worker, ectx, reap, ops, qd,
                     request_stream(workload, self.geometry, self.seed, i),
-                    worker_cb)
+                    worker_cb, inline_cb_cost)
             if worker.signal not in signals:
                 signals.append(worker.signal)
             actors.append(self.rt.spawn(gen, worker.name))
@@ -150,7 +149,8 @@ class RunContext:
 
     def start_device(self) -> None:
         if self.rt.mode == "wall":
-            self._dev_thread = WallDeviceThread(self.device).start()
+            self._dev_thread = WallDeviceThread(self.device,
+                                                self.rt.fail).start()
 
     def stop_device(self) -> None:
         if self._dev_thread is not None:

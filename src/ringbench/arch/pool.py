@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from ..metrics import MetricsCollector
 from ..ring import PushResult
 from .common import (ArrivalWorkload, ExecContext, PoolShutdown,
-                     TimeoutExceeded, Worker, deliver_completion,
-                     request_stream)
+                     TimeoutExceeded, deliver_completion, request_stream)
 from .driver import (EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS, EXEC_MODES,
                      POLICIES, POLICY_ROUND_ROBIN, THREADING_MODES,
                      THREADING_PAIR, RunContext, RunOptions, drive)
@@ -125,7 +124,6 @@ class IoPool:
         self.active_count = k_instances
         self.timeline = [(rt.now(), k_instances)]
         self.overflow = deque()
-        self.handle_factory = ctx.new_handle
         self.pending = LoadMeter(locked=(rt.mode == "wall"))
         self.skip_violations = 0
         self._rr = itertools.count()
@@ -159,7 +157,6 @@ class IoPool:
         unit.signal.notify()
 
     def _dispatch(self, req, handle) -> None:
-        req.user_data = handle.handle_id
         self.pending.change(1, self.rt.now())
         if self.overflow:
             # earlier parked requests go first
@@ -198,7 +195,7 @@ class IoPool:
         """Immediate-return submission (the non-actor API surface)."""
         if self.stopping:
             raise PoolShutdown("pool is draining")
-        handle = self.handle_factory(None)
+        handle = self.ctx.new_handle(req)
         handle.inline_cost_ns = inline_cost_ns
         self._dispatch(req, handle)
         self.ctx.collector.on_submit()
@@ -232,13 +229,13 @@ class IoPool:
             return False
         if costs.reap_cost_ns:
             yield costs.reap_cost_ns * len(comps)
-        handles = self.handle_factory
+        handles = ectx.new_handle
         meter = self.pending
         now = self.rt.now
         for c in comps:
             handle = handles.pop(c)
             meter.change(-1, now())
-            yield from deliver_completion(handle, c, ectx, handles)
+            yield from deliver_completion(handle, c, ectx)
             if handle.inline_cost_ns and (unit.inbox or unit.pending_sub):
                 # a long inline callback must not starve the SQ: refill
                 # between callbacks like any sane event loop; in pair
@@ -416,15 +413,6 @@ def open_pool(k_instances: int, *, controller: ControllerConfig = None,
     return pool
 
 
-class _PoolHooks:
-    has_reap = False  # I/O-instance actors reap; workers only poll handles
-
-    def __init__(self, pool: IoPool, worker: Worker, inline_cb: int):
-        self.new_handle = pool.handle_factory
-        self.inline_cb_cost = inline_cb
-        self.submit = pool.submitter_for(worker.collector)
-
-
 def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
               opts: RunOptions):
     ctx = RunContext(arch, workload, opts)
@@ -443,9 +431,11 @@ def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
         gen = _arrival_actor(pool, workload, ctx.new_collector(), inline)
         worker_actors = [rt.spawn(gen, "arrivals")]
     else:
+        # I/O-instance actors reap; workers only poll handles
         worker_actors = ctx.spawn_workers(
             n_workers, scheme,
-            lambda worker, ectx: _PoolHooks(pool, worker, inline))
+            lambda worker, ectx: (pool.submitter_for(worker.collector), None),
+            inline_cb_cost=inline)
 
     def workers_done():
         if pool.pending.level != 0:  # cheap guard on the per-event hot path
@@ -477,9 +467,10 @@ def _arrival_actor(pool: IoPool, workload: ArrivalWorkload, collector,
             delay = next_t - rt.now()
             if delay > 0:
                 yield delay
-            handle = pool.handle_factory(None)
+            req = next_req()
+            handle = pool.ctx.new_handle(req)
             handle.inline_cost_ns = inline_cost
-            yield from submit(next_req(), handle)
+            yield from submit(req, handle)
             collector.on_submit()
             next_t += gap
         next_t = phase_end

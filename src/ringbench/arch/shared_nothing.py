@@ -17,19 +17,16 @@ from .driver import RunContext, RunOptions
 class _SnHooks:
     """Submission and reaping against the worker's private instance."""
 
-    def __init__(self, inst, ectx, handle_factory):
+    def __init__(self, inst, ectx):
         self.inst = inst
         self.rt = ectx.rt
         self.costs = ectx.costs
         self.ectx = ectx
-        self.new_handle = handle_factory
-        self.inline_cb_cost = 0  # shared-nothing is inline by definition
 
     def submit(self, req, handle):
         costs = self.costs
         if costs.submit_cost_ns:
             yield costs.submit_cost_ns
-        req.user_data = handle.handle_id
         return self.inst.sq_push(req, self.rt.now()) == PushResult.ACCEPTED
 
     def reap_phase(self):
@@ -38,10 +35,9 @@ class _SnHooks:
             return False
         if self.costs.reap_cost_ns:
             yield self.costs.reap_cost_ns * len(comps)
-        handles = self.new_handle
+        ectx = self.ectx
         for c in comps:
-            yield from deliver_completion(handles.pop(c), c, self.ectx,
-                                          handles)
+            yield from deliver_completion(ectx.new_handle.pop(c), c, ectx)
         return True
 
 
@@ -65,7 +61,8 @@ def run_shared_nothing(workload, n_threads: int, scheme: str = "full", *,
             audits.append(inst.audit)
         ctx.device.attach(inst, reaper_signal=worker.signal,
                           space_signal=worker.signal)
-        return _SnHooks(inst, ectx, ctx.new_handle)
+        hooks = _SnHooks(inst, ectx)
+        return hooks.submit, hooks.reap_phase
 
     # each worker is a whole single-thread loop: it keeps the full qd
     ctx.spawn_workers(n_threads, scheme, wire, qd_per_worker=True)

@@ -1,9 +1,10 @@
 """Experiment execution: config in, reports and CSV rows out.
 
 Sweeps mirror the benchmark methodology: each point runs ``runs`` measured
-repetitions preceded by one preconditioning run whose results are discarded
-(kept for config parity with real-device runs, where preconditioning is not
-optional). Points run sequentially so CPU attribution stays clean.
+repetitions, numbered from 1. Every simulated run builds its device,
+runtime and RNG afresh from its own seed, so a warm-up run would condition
+nothing (the native sweep keeps one). Points run sequentially so CPU
+attribution stays clean.
 """
 
 from __future__ import annotations
@@ -86,12 +87,10 @@ def cmd_sweep_qd(cfg: ExperimentConfig, qd_list, out_dir) -> str:
             raise ConfigInvalid("qd_list", f"queue depth {qd} must be >= 1")
         dev_eff = effective_config(cfg.device, cfg.workload.op_kind)
         prediction = steady_state_iops(dev_eff, qd)
-        for run in range(cfg.runs + 1):
+        for run in range(1, cfg.runs + 1):
             point = replace_workload_qd(cfg, qd)
             report = run_experiment(point, seed=_point_seed(cfg.seed, qd, run),
                                     run_id=f"qd{qd}-run{run}")
-            if run == 0:
-                continue  # preconditioning run, excluded from statistics
             reports.append(report)
             extra.append((qd, run, repr(prediction)))
     path = os.path.join(out_dir, "sweep_qd.csv")
@@ -121,7 +120,7 @@ def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir) -> str:
         for cost in cost_list:
             if cost < 0:
                 raise ConfigInvalid("cost_list", "costs must be >= 0 ns")
-            for run in range(cfg.runs + 1):
+            for run in range(1, cfg.runs + 1):
                 w = replace(cfg.workload, op_kind="rand_read",
                             callback_cost_ns=cost)
                 point = replace(cfg, workload=w,
@@ -129,8 +128,6 @@ def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir) -> str:
                 report = run_experiment(
                     point, seed=_point_seed(cfg.seed, cost, run),
                     run_id=f"{exec_mode}-c{cost}-run{run}")
-                if run == 0:
-                    continue
                 reports.append(report)
                 oracle = consumer_rate_oracle(point, cost)
                 extra.append((exec_mode, cost, run, repr(oracle)))

@@ -48,7 +48,7 @@ class ArchitectureConfig:
 @dataclass
 class WorkloadConfig:
     kind: str = "requests"          # requests | tasks | arrivals
-    op_count: int = 1_000_000       # 1M ops per run, preconditioned
+    op_count: int = 1_000_000       # 1M ops per run
     op_kind: str = "seq_read"
     block_size: int = 4096
     queue_depth: int = 32

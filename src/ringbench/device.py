@@ -560,13 +560,21 @@ class SimDevice:
 
 
 class WallDeviceThread:
-    """Drives a SimDevice built on a WallClock from a dedicated thread."""
+    """Drives a SimDevice built on a WallClock from a dedicated thread; an
+    error a device callback raises ends it and goes to ``on_error``."""
 
-    def __init__(self, device: SimDevice):
+    def __init__(self, device: SimDevice, on_error):
         assert isinstance(device.clock, WallClock)
         self.device = device
-        self._thread = threading.Thread(target=device.clock.drain_loop,
+        self._on_error = on_error
+        self._thread = threading.Thread(target=self._drain,
                                         name="ringbench-device", daemon=True)
+
+    def _drain(self) -> None:
+        try:
+            self.device.clock.drain_loop()
+        except Exception as exc:
+            self._on_error(exc)
 
     def start(self):
         self._thread.start()

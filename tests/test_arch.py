@@ -8,7 +8,7 @@ from ringbench.arch import (RequestWorkload, RingConfig, TaskWorkload,
                             WorkloadNotPartitionable, run_direct_access,
                             run_dynamic_pool, run_shared_nothing,
                             run_static_pool)
-from ringbench.arch import driver
+from ringbench.arch import common, driver
 from ringbench.arch.common import HandleFactory
 from ringbench.arch.driver import drive
 from ringbench.device import DeviceConfig, SimDevice
@@ -244,14 +244,25 @@ class TestBouncedTaskSubmissions:
 
 
 class TestPlacementInstrumentation:
-    """Tasklet atomicity and the callback-placement rule, via exec tracing."""
+    """Tasklet atomicity and the callback-placement rule: every unit
+    execution is recorded as (phase, executor, item) at its begin and end
+    by wrapping the task engine's ``execute_item``."""
 
-    def _run_traced(self, fn, args, scheme, extra=None):
+    @staticmethod
+    def _run_traced(monkeypatch, fn, args, scheme):
         events = []
+        execute_item = common.execute_item
+
+        def traced(item, ectx):
+            events.append(("begin", ectx.rt.executor_id(), item))
+            result = yield from execute_item(item, ectx)
+            events.append(("end", ectx.rt.executor_id(), item))
+            return result
+
+        monkeypatch.setattr(common, "execute_item", traced)
         specs = generate_corpus(77, 20)
         fn(TaskWorkload(specs=specs), *args, scheme=scheme,
-           device_cfg=FAST_DEV, seed=9, trace_exec=lambda *e: events.append(e),
-           **(extra or {}))
+           device_cfg=FAST_DEV, seed=9)
         return events
 
     # the static pool cases keep the bare scheme as their id
@@ -259,9 +270,10 @@ class TestPlacementInstrumentation:
         pytest.param(arch, scheme, id=scheme if arch == "static_pool"
                      else f"{arch}-{scheme}")
         for arch in RUNNERS for scheme in SCHEMES])
-    def test_tasklet_starts_and_ends_on_one_executor(self, arch, scheme):
+    def test_tasklet_starts_and_ends_on_one_executor(self, monkeypatch, arch,
+                                                      scheme):
         fn, args = RUNNERS[arch]
-        events = self._run_traced(fn, args, scheme)
+        events = self._run_traced(monkeypatch, fn, args, scheme)
         stack = {}
         for phase, executor, item in events:
             key = id(item)
@@ -272,17 +284,19 @@ class TestPlacementInstrumentation:
                     "tasklet migrated executors mid-run"
         assert not stack
 
-    def test_callback_fused_units_run_on_reaping_executor(self):
+    def test_callback_fused_units_run_on_reaping_executor(self, monkeypatch):
         # in a pool, completions are reaped by io-instance actors; under
         # callback partitioning the fused unit must execute right there
-        events = self._run_traced(run_static_pool, (3, 2), "callback")
+        events = self._run_traced(monkeypatch, run_static_pool, (3, 2),
+                                  "callback")
         fused = [e for e in events if e[2][0] == "fused" and e[0] == "begin"]
         assert fused, "callback scheme must produce fused executions"
         assert all(str(executor).startswith("io-")
                    for _, executor, _ in fused)
 
-    def test_full_scheme_polls_stay_on_workers(self):
-        events = self._run_traced(run_static_pool, (3, 2), "full")
+    def test_full_scheme_polls_stay_on_workers(self, monkeypatch):
+        events = self._run_traced(monkeypatch, run_static_pool, (3, 2),
+                                  "full")
         units = [e for e in events if e[2][0] == "unit" and e[0] == "begin"]
         assert units
         assert all(str(executor).startswith("worker-")

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ringbench import bench
 from ringbench.bench import (cmd_scaling_trace, cmd_sweep_callback,
                              cmd_sweep_qd, consumer_rate_oracle)
 from ringbench.cli import main
@@ -106,6 +107,31 @@ class TestSweepQd:
     def test_rejects_bad_qd(self, tmp_path):
         with pytest.raises(ConfigInvalid):
             cmd_sweep_qd(small_config(), [0], tmp_path)
+
+
+@pytest.mark.parametrize("sweep", ("sweep-qd", "sweep-callback"))
+def test_sim_sweeps_run_only_the_measured_runs(monkeypatch, tmp_path, sweep):
+    # every simulated run is built afresh from its own seed, so a warm-up
+    # run would condition nothing: each point runs exactly ``runs`` times
+    run_ids = []
+    run_experiment = bench.run_experiment
+
+    def counted(cfg, **kw):
+        run_ids.append(kw["run_id"])
+        return run_experiment(cfg, **kw)
+
+    monkeypatch.setattr(bench, "run_experiment", counted)
+    cfg = small_config(**{"runs": 2, "workload.op_count": 200,
+                          "architecture.kind": "static_pool"})
+    if sweep == "sweep-qd":
+        cmd_sweep_qd(cfg, [1, 4], tmp_path)
+        points = ["qd1", "qd4"]
+    else:
+        cmd_sweep_callback(cfg, [0, 1000], tmp_path)
+        points = [f"{mode}-c{cost}" for mode in ("inline_callbacks",
+                                                 "io_threads")
+                  for cost in (0, 1000)]
+    assert run_ids == [f"{p}-run{run}" for p in points for run in (1, 2)]
 
 
 class TestSweepCallback:

@@ -231,14 +231,15 @@ class TestPollThreadModel:
         time.sleep(0.002)
         inst.sq_push(IoRequest(OpKind.NOP), clock.now)
         time.sleep(0.002)
-        thread = WallDeviceThread(dev).start()
+        errors = []
+        thread = WallDeviceThread(dev, errors.append).start()
         try:
             deadline = time.monotonic() + 1.0
             while not len(inst.cq) and time.monotonic() < deadline:
                 time.sleep(0.001)
         finally:
             thread.stop()
-        assert len(inst.cq) == 1
+        assert len(inst.cq) == 1 and errors == []
 
     def test_disabled_poll_has_no_model(self):
         clock, dev, inst = make(poll=False)

@@ -272,21 +272,13 @@ class TestWallMode:
         r = run_dynamic_pool(wl, 2, 2, device_cfg=FAST, mode="wall", seed=23)
         assert r.conservation_holds() and r.completed_ok == 1000
 
-    def test_actor_error_stops_the_run(self, monkeypatch):
-        # an I/O actor that raises ends the run with its own error at once,
-        # not at wall_timeout, and no thread of the run outlives it
-        deliver = pool_module.deliver_completion
-        seen = itertools.count(1)
-
-        def fail_50th(*args):
-            if next(seen) == 50:
-                raise ValueError("completion 50 failed")
-            return (yield from deliver(*args))
-
-        monkeypatch.setattr(pool_module, "deliver_completion", fail_50th)
+    @staticmethod
+    def assert_run_fails_fast(match):
+        # the run ends with the error at once, not at wall_timeout, and no
+        # thread of the run outlives it
         before = set(threading.enumerate())
         start = time.monotonic()
-        with pytest.raises(ValueError, match="completion 50 failed"):
+        with pytest.raises(ValueError, match=match):
             run_static_pool(RequestWorkload(op_count=2000, queue_depth=8),
                             2, 1, mode="wall",
                             device_cfg=DeviceConfig(service_time_ns=20 * US,
@@ -300,6 +292,32 @@ class TestWallMode:
                 break
             time.sleep(0.01)
         assert left == []
+
+    def test_actor_error_stops_the_run(self, monkeypatch):
+        # an I/O actor raises
+        deliver = pool_module.deliver_completion
+        seen = itertools.count(1)
+
+        def fail_50th(*args):
+            if next(seen) == 50:
+                raise ValueError("completion 50 failed")
+            return (yield from deliver(*args))
+
+        monkeypatch.setattr(pool_module, "deliver_completion", fail_50th)
+        self.assert_run_fails_fast("completion 50 failed")
+
+    def test_device_error_stops_the_run(self, monkeypatch):
+        # a callback on the device thread raises
+        deliver = SimDevice._deliver
+        seen = itertools.count(1)
+
+        def fail_50th(self, *args):
+            if next(seen) == 50:
+                raise ValueError("delivery 50 failed")
+            return deliver(self, *args)
+
+        monkeypatch.setattr(SimDevice, "_deliver", fail_50th)
+        self.assert_run_fails_fast("delivery 50 failed")
 
     def test_drain_and_shutdown_wall(self):
         pool = open_pool(1, device_cfg=FAST, mode="wall")

@@ -1,9 +1,14 @@
 """Every function, class and method under src/ringbench has a caller in the
-product: a definition that no code under src/ refers to lives only for its
-own tests, and should be given a caller or deleted."""
+product, and every run option has a passer: a definition that no code under
+src/ refers to, or a ``RunOptions`` field that no code under src/ passes by
+keyword, lives only for its own tests, and should be given a caller or
+deleted."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from ringbench.arch.driver import RunOptions
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringbench"
 
@@ -15,6 +20,12 @@ ALLOWED = {
     "handle_poll": "the README's library example",
     "write_corpus": "writes the corpus_path format",
     "ArrivalWorkload.total_ops": "used by perfbench",
+}
+
+# RunOptions fields that nothing under src/ passes, one reason each
+OPTIONS_ALLOWED = {
+    "sched_jitter_ns": "drives the scheduling-jitter interleavings of the "
+                       "golden cases and the ROADMAP 3(c) schedule explorer",
 }
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -73,3 +84,24 @@ def test_every_definition_has_a_caller_under_src():
     assert not uncalled, f"no caller under src/: {', '.join(uncalled)}"
     stale = [q for q in ALLOWED if q not in defined]
     assert not stale, f"allowed but not defined: {', '.join(stale)}"
+
+
+def keywords_passed(package):
+    """Every keyword name passed to a call under the package."""
+    passed = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        passed.update(kw.arg for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      for kw in node.keywords if kw.arg is not None)
+    return passed
+
+
+def test_every_run_option_is_passed_under_src():
+    options = [f.name for f in fields(RunOptions)]
+    passed = keywords_passed(PACKAGE)
+    unpassed = [o for o in options
+                if o not in passed and o not in OPTIONS_ALLOWED]
+    assert not unpassed, f"no passer under src/: {', '.join(unpassed)}"
+    stale = [o for o in OPTIONS_ALLOWED if o not in options]
+    assert not stale, f"allowed but not an option: {', '.join(stale)}"
