@@ -3,7 +3,7 @@
 Two workload drivers exist: a lean closed-loop request driver (queue-depth
 benchmarks) and a task engine that executes partitioned TaskSpecs under any
 scheme. Both are actor generators that take from an architecture only the
-executor's ``ExecContext`` (with its submission path) and a reap callable;
+worker (an ``ExecContext`` with its submission path) and a reap callable;
 each architecture supplies only those and its parking signal.
 
 Placement rules the engine enforces:
@@ -103,8 +103,20 @@ class ArrivalWorkload:
     op_kind: str = "rand_read"
     block_size: int = 4096
 
+    def __post_init__(self):
+        if any(rate > 1e9 for _, rate in self.phases):
+            raise ValueError("arrival rates above 1e9/s (one per ns)")
+
+    @staticmethod
+    def phase_schedule(duration_ns, rate) -> tuple:
+        """(gap_ns, count): a phase issues ``count`` arrivals ``gap_ns``
+        apart from its start, the last one before its end."""
+        gap = int(round(1e9 / rate)) if rate > 0 else 0
+        return gap, int(-(-duration_ns // gap)) if gap else 0
+
     def total_ops(self) -> int:
-        return sum(int(round(dur * rate / 1e9)) for dur, rate in self.phases)
+        return sum(self.phase_schedule(dur, rate)[1]
+                   for dur, rate in self.phases)
 
 
 def request_stream(workload, geometry: Geometry, seed: int, shard: int):
@@ -186,46 +198,47 @@ class LiveTask:
         self.done = False
 
 
-class Worker:
-    """Execution state of one worker thread/actor."""
+class ExecContext:
+    """The executor of one actor that charges CPU.
 
-    __slots__ = ("index", "name", "signal", "collector", "ready", "blocked",
-                 "handoff", "done_handles", "live", "foreign_done")
+    ``ExecContext(run)`` makes its own collector and joins ``run.ectxs``.
+    The architecture sets ``submit``, a generator:
+    ``ok = yield from ectx.submit(req, handle)``. ``new_handle`` is the
+    run's ``HandleFactory``.
+    """
 
-    def __init__(self, index: int, rt, collector: MetricsCollector):
+    __slots__ = ("rt", "costs", "collector", "submit", "geometry",
+                 "results", "new_handle", "dep_broadcast")
+
+    def __init__(self, run):
+        self.rt = run.rt
+        self.costs = run.costs
+        self.collector = MetricsCollector(run.run_id)
+        self.submit = None
+        self.geometry = run.geometry
+        self.results = run.results    # shared task_id -> final_state
+        self.new_handle = run.new_handle
+        self.dep_broadcast = ()       # signals to poke on task finish
+        run.ectxs.append(self)
+
+
+class Worker(ExecContext):
+    """A worker actor's executor and its queues."""
+
+    __slots__ = ("index", "name", "signal", "ready", "blocked", "handoff",
+                 "done_handles", "live", "foreign_done")
+
+    def __init__(self, index: int, run):
+        super().__init__(run)
         self.index = index
         self.name = f"worker-{index}"
-        self.signal = rt.signal()
-        self.collector = collector
+        self.signal = run.rt.signal()
         self.ready = deque()         # runnable items, FIFO (fair respawn)
         self.blocked = deque()       # submissions that bounced off a full SQ
         self.handoff = deque()       # cross-executor item handoffs (MPSC)
         self.done_handles = deque()  # request-driver completions (MPSC)
         self.live = {}               # task_id -> LiveTask
         self.foreign_done = 0        # tasks finished off-owner, not yet pruned
-
-
-class ExecContext:
-    """What executing a tasklet needs from the executor running it.
-
-    ``submit`` is a generator: ``ok = yield from ectx.submit(req, handle)``.
-    ``new_handle`` is the run's ``HandleFactory``.
-    """
-
-    __slots__ = ("rt", "costs", "collector", "submit", "geometry",
-                 "results", "new_handle", "worker", "dep_broadcast")
-
-    def __init__(self, rt, costs, collector, submit, geometry, results,
-                 new_handle, worker=None):
-        self.rt = rt
-        self.costs = costs
-        self.collector = collector
-        self.submit = submit
-        self.geometry = geometry
-        self.results = results        # shared task_id -> final_state
-        self.new_handle = new_handle
-        self.worker = worker          # None on I/O-instance executors
-        self.dep_broadcast = ()       # signals to poke on task finish
 
 
 # -- task engine --------------------------------------------------------------------
@@ -252,7 +265,7 @@ def _finish_task(task: LiveTask, ectx: ExecContext) -> None:
     ectx.results[task.spec.task_id] = task.state
     task.done = True
     owner = task.owner
-    if ectx.worker is not owner:
+    if ectx is not owner:
         ectx.collector.cross_thread_msgs += 1
         owner.foreign_done += 1
         owner.signal.notify()
@@ -263,12 +276,29 @@ def _finish_task(task: LiveTask, ectx: ExecContext) -> None:
 
 
 def _hand_to_owner(owner: Worker, item, ectx: ExecContext) -> None:
-    if ectx.worker is owner:
+    if ectx is owner:
         (owner.blocked if item[0] == "submit" else owner.ready).append(item)
     else:
         owner.handoff.append(item)
         ectx.collector.cross_thread_msgs += 1
         owner.signal.notify()
+
+
+def _submit(task: LiveTask, req, handle, follow_up, ectx: ExecContext):
+    """Submit a task's request: the one submit-and-bounce rule. A refused
+    request goes back to the task's owner as a ``"submit"`` item to retry;
+    an accepted one queues ``follow_up`` there, if any. Generator returning
+    whether the SQ took it."""
+    ok = yield from ectx.submit(req, handle)
+    if not ok:
+        ectx.collector.sq_full_retries += 1
+        _hand_to_owner(task.owner, ("submit", task, req, handle, follow_up),
+                       ectx)
+        return False
+    ectx.collector.on_submit()
+    if follow_up is not None:
+        _hand_to_owner(task.owner, follow_up, ectx)
+    return True
 
 
 def _submit_unit_io(task: LiveTask, unit, ectx: ExecContext):
@@ -284,15 +314,7 @@ def _submit_unit_io(task: LiveTask, unit, ectx: ExecContext):
         assert nxt is not None, "submission without a poll successor"
         follow_up = ("unit", task, nxt)
     task.pending_handle = handle
-    ok = yield from ectx.submit(req, handle)
-    if not ok:
-        ectx.collector.sq_full_retries += 1
-        _hand_to_owner(task.owner, ("submit", task, req, handle, follow_up),
-                       ectx)
-        return
-    ectx.collector.on_submit()
-    if follow_up is not None:
-        _hand_to_owner(task.owner, follow_up, ectx)
+    yield from _submit(task, req, handle, follow_up, ectx)
 
 
 def execute_item(item, ectx: ExecContext):
@@ -357,28 +379,12 @@ def execute_item(item, ectx: ExecContext):
             return True
         handle = ectx.new_handle(out.request, task.owner)
         task.pending_handle = handle
-        ok = yield from ectx.submit(out.request, handle)
-        if not ok:
-            ectx.collector.sq_full_retries += 1
-            _hand_to_owner(task.owner,
-                           ("submit", task, out.request, handle,
-                            ("frame", task)), ectx)
-            return True
-        ectx.collector.on_submit()
-        ectx.worker.ready.append(("frame", task))
+        yield from _submit(task, out.request, handle, ("frame", task), ectx)
         return True
 
     if kind == "submit":
         _, task, req, handle, follow_up = item
-        ok = yield from ectx.submit(req, handle)
-        if not ok:
-            ectx.collector.sq_full_retries += 1
-            ectx.worker.blocked.append(item)
-            return False
-        ectx.collector.on_submit()
-        if follow_up is not None:
-            ectx.worker.ready.append(follow_up)
-        return True
+        return (yield from _submit(task, req, handle, follow_up, ectx))
 
     raise AssertionError(f"unknown item kind {kind}")
 
@@ -396,7 +402,7 @@ def deliver_completion(handle: RequestHandle, comp: Completion,
         return
     owner = handle.owner
     if owner is not None:
-        if ectx.worker is not owner:
+        if ectx is not owner:
             ectx.collector.cross_thread_msgs += 1
         if handle.queue_on_done:
             owner.done_handles.append(handle)
@@ -424,10 +430,10 @@ class MissStreak:
     __slots__ = ("ready", "collector", "frames", "cost", "left", "count",
                  "resume")
 
-    def __init__(self, worker: Worker, ectx: ExecContext, scheme: str):
-        costs = ectx.costs
+    def __init__(self, worker: Worker, scheme: str):
+        costs = worker.costs
         self.ready = worker.ready
-        self.collector = ectx.collector
+        self.collector = worker.collector
         self.frames = scheme == "coroutine"
         self.cost = costs.poll_cost_ns + (
             costs.resume_cost_ns if self.frames else 0)
@@ -477,9 +483,9 @@ class MissStreak:
 # -- worker loops ----------------------------------------------------------------------
 
 
-def request_worker_loop(worker: Worker, ectx: ExecContext, reap,
-                        shard_ops: int, qd: int, next_request,
-                        worker_cb_cost: int, inline_cb_cost: int):
+def request_worker_loop(worker: Worker, reap, shard_ops: int, qd: int,
+                        next_request, worker_cb_cost: int,
+                        inline_cb_cost: int):
     """Closed-loop request driver: keep qd in flight until shard_ops done.
 
     ``reap`` is None when another executor reaps this worker's completions.
@@ -506,10 +512,10 @@ def request_worker_loop(worker: Worker, ectx: ExecContext, reap,
         while inflight < qd and submitted < shard_ops:
             if pending_req is None:
                 pending_req = next_request()
-                pending_handle = ectx.new_handle(pending_req, worker)
+                pending_handle = worker.new_handle(pending_req, worker)
                 pending_handle.queue_on_done = True
                 pending_handle.inline_cost_ns = inline_cb_cost
-            ok = yield from ectx.submit(pending_req, pending_handle)
+            ok = yield from worker.submit(pending_req, pending_handle)
             if not ok:
                 worker.collector.sq_full_retries += 1
                 break
@@ -527,21 +533,20 @@ def request_worker_loop(worker: Worker, ectx: ExecContext, reap,
             yield worker.signal
 
 
-def task_worker_loop(worker: Worker, ectx: ExecContext, reap, shard_specs,
-                     scheme: str, workload: TaskWorkload,
-                     deps_by_task: dict):
+def task_worker_loop(worker: Worker, reap, shard_specs, scheme: str,
+                     workload: TaskWorkload, deps_by_task: dict):
     """Scheme-aware task driver; see module docstring for placement rules."""
     spec_iter = iter(shard_specs)
     deferred = deque()
     exhausted = False
     max_live = workload.max_live_per_worker
     miss_streak = 0
-    results = ectx.results
+    results = worker.results
     gated = bool(deps_by_task)
-    streak = MissStreak(worker, ectx, scheme)
+    streak = MissStreak(worker, scheme)
     miss_cost = streak.cost
     # zero-cost misses make no event: they stay inline
-    spin_lane = miss_cost > 0 and ectx.rt.mode == "virtual"
+    spin_lane = miss_cost > 0 and worker.rt.mode == "virtual"
     while True:
         sig_version = worker.signal.version  # park guard: see Signal docs
         progressed = False
@@ -558,7 +563,7 @@ def task_worker_loop(worker: Worker, ectx: ExecContext, reap, shard_specs,
         # retry bounced submissions once per pass
         for _ in range(len(worker.blocked)):
             item = worker.blocked.popleft()
-            ok = yield from execute_item(item, ectx)
+            ok = yield from execute_item(item, worker)
             progressed = progressed or ok
         # prune tasks finished on other executors, start new ones
         if worker.foreign_done:
@@ -587,7 +592,7 @@ def task_worker_loop(worker: Worker, ectx: ExecContext, reap, shard_specs,
                 else:
                     deferred.append(nxt)
                     continue
-            task, entry = start_task(spec, scheme, worker, ectx.geometry)
+            task, entry = start_task(spec, scheme, worker, worker.geometry)
             worker.live[spec.task_id] = task
             worker.ready.append(entry)
             progressed = True
@@ -598,7 +603,7 @@ def task_worker_loop(worker: Worker, ectx: ExecContext, reap, shard_specs,
         while left:
             if not streak.start(left):
                 left -= 1
-                yield from execute_item(ready.popleft(), ectx)
+                yield from execute_item(ready.popleft(), worker)
                 progressed = True
                 miss_streak = 0
                 continue

@@ -26,11 +26,11 @@ class _SharedInstance:
 
 
 class _DaHooks:
-    def __init__(self, worker, shared, ectx):
+    def __init__(self, shared, worker):
         self.shared = shared
-        self.rt = ectx.rt
-        self.costs = ectx.costs
-        self.ectx = ectx
+        self.rt = worker.rt
+        self.costs = worker.costs
+        self.worker = worker
         self._rr = worker.index  # spread first picks across workers
 
     def submit(self, req, handle):
@@ -65,9 +65,10 @@ class _DaHooks:
             if not comps:
                 continue
             progressed = True
-            ectx = self.ectx
+            worker = self.worker
             for c in comps:
-                yield from deliver_completion(ectx.new_handle.pop(c), c, ectx)
+                yield from deliver_completion(worker.new_handle.pop(c), c,
+                                              worker)
         return progressed
 
 
@@ -86,9 +87,9 @@ def run_direct_access(workload, n_workers: int, m_instances: int,
         ctx.device.attach(inst, reaper_signal=wake_all, space_signal=wake_all)
         shared.append(_SharedInstance(inst, rt))
 
-    def wire(worker, ectx):
+    def wire(worker):
         worker.signal = wake_all
-        hooks = _DaHooks(worker, shared, ectx)
+        hooks = _DaHooks(shared, worker)
         return hooks.submit, hooks.reap_phase
 
     ctx.spawn_workers(n_workers, scheme, wire)

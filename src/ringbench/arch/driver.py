@@ -1,11 +1,11 @@
 """The run assembly the four architectures share, and the run loop.
 
 Every run builds the same things once: a runtime, the device, the device
-collector, a handle factory and the results table (``RunContext``); it
-shards the workload over worker actors (``RunContext.spawn_workers``),
-drives the calendar to quiescence and finalizes one report. An
-architecture supplies only how it wires instances and hooks, its done
-predicate and its report extras.
+collector, a handle factory, the results table and the list of executors
+(``RunContext``); it shards the workload over worker actors
+(``RunContext.spawn_workers``), drives the calendar to quiescence and
+finalizes one report. An architecture supplies only how it wires instances
+and hooks, its done predicate and its report extras.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from ..device import DeviceConfig, SimDevice, WallDeviceThread, \
 from ..metrics import MetricsCollector
 from ..runtime import Runtime
 from ..tasks import Geometry
-from .common import (ExecContext, ExecCosts, HandleFactory, RingConfig,
-                     TaskWorkload, Worker, deps_map, per_instance_stats,
+from .common import (ExecCosts, HandleFactory, RingConfig, TaskWorkload,
+                     Worker, deps_map, per_instance_stats,
                      request_stream, request_worker_loop, shard_specs,
                      task_worker_loop)
 
@@ -58,11 +58,12 @@ class RunOptions:
 
 
 class RunContext:
-    """One run's runtime, device, collectors and inputs.
+    """One run's runtime, device, collector, executors and inputs.
 
-    Per-executor collectors made through ``new_collector`` are absorbed into
-    the device collector by ``report``; execution contexts made through
-    ``exec_context`` carry the run's handle factory, ``new_handle``.
+    ``ectxs`` holds the run's executors, one per actor that charges CPU:
+    each ``ExecContext(run)`` joins it when made and carries the run's
+    handle factory, ``new_handle``. ``report`` absorbs their collectors
+    into the device collector.
     """
 
     def __init__(self, arch: str, workload, opts: RunOptions):
@@ -84,29 +85,16 @@ class RunContext:
         self.new_handle = HandleFactory()
         self.results = opts.results_out if opts.results_out is not None \
             else {}
-        self.collectors = []
         self.ectxs = []
         self._dev_thread = None
-
-    def new_collector(self) -> MetricsCollector:
-        collector = MetricsCollector(self.run_id)
-        self.collectors.append(collector)
-        return collector
-
-    def exec_context(self, collector, submit=None, worker=None):
-        ectx = ExecContext(self.rt, self.costs, collector, submit,
-                           self.geometry, self.results, self.new_handle,
-                           worker)
-        self.ectxs.append(ectx)
-        return ectx
 
     def spawn_workers(self, n: int, scheme: str, wire,
                       qd_per_worker: bool = False,
                       inline_cb_cost: int = 0) -> list:
         """Spawn one worker actor per shard and return the actors.
 
-        ``wire(worker, ectx)`` connects a new worker to the architecture
-        and returns ``(submit, reap)``; ``reap`` is None when another
+        ``wire(worker)`` connects a new worker to the architecture and
+        returns ``(submit, reap)``; ``reap`` is None when another
         executor reaps. A request workload's queue depth is split over the
         workers unless ``qd_per_worker``. Its callback cost runs on the
         worker after replenishment, unless ``inline_cb_cost`` charges it
@@ -120,11 +108,10 @@ class RunContext:
         actors = []
         signals = []
         for i in range(n):
-            worker = Worker(i, self.rt, self.new_collector())
-            ectx = self.exec_context(worker.collector, worker=worker)
-            ectx.submit, reap = wire(worker, ectx)
+            worker = Worker(i, self)
+            worker.submit, reap = wire(worker)
             if is_tasks:
-                gen = task_worker_loop(worker, ectx, reap, shards[i], scheme,
+                gen = task_worker_loop(worker, reap, shards[i], scheme,
                                        workload, deps)
             else:
                 ops = workload.op_count // n + (
@@ -134,7 +121,7 @@ class RunContext:
                 worker_cb = 0 if inline_cb_cost \
                     else workload.callback_cost_ns
                 gen = request_worker_loop(
-                    worker, ectx, reap, ops, qd,
+                    worker, reap, ops, qd,
                     request_stream(workload, self.geometry, self.seed, i),
                     worker_cb, inline_cb_cost)
             if worker.signal not in signals:
@@ -165,9 +152,9 @@ class RunContext:
             self.stop_device()
 
     def report(self, inbox_peaks=None, timeline=()):
-        collectors, self.collectors = self.collectors, []
-        for c in collectors:
-            self.collector.absorb(c)
+        ectxs, self.ectxs = self.ectxs, []
+        for ectx in ectxs:
+            self.collector.absorb(ectx.collector)
         return finalize_report(self.collector, self.rt, self.device,
                                inbox_peaks, timeline,
                                self.opts.keep_completion_times)

@@ -113,10 +113,7 @@ class IoPool:
             raise ValueError(f"unknown threading mode {opts.threading_mode!r}")
         rt = self.rt = ctx.rt
         self.ctx = ctx
-        self.device = ctx.device
         self.k = k_instances
-        self.ring_cfg = ctx.ring
-        self.costs = ctx.costs
         self.policy = opts.policy
         self.controller_cfg = controller
         self.threading_mode = opts.threading_mode
@@ -176,9 +173,16 @@ class IoPool:
                 return
             self._deliver_to_inbox(unit, self.overflow.popleft())
 
+    def exec_context(self) -> ExecContext:
+        """A new executor for a pool actor; it submits through the
+        dispatch layer."""
+        ectx = ExecContext(self.ctx)
+        ectx.submit = self.submitter_for(ectx.collector)
+        return ectx
+
     def submitter_for(self, collector: MetricsCollector):
         """Generator-style submit hook bound to the executor's collector."""
-        costs = self.costs
+        costs = self.ctx.costs
 
         def submit(req, handle):
             if self.stopping:
@@ -203,10 +207,10 @@ class IoPool:
 
     # -- instance execution ------------------------------------------------------
 
-    def _submit_pass(self, unit: IoInstanceUnit):
+    def _submit_pass(self, unit: IoInstanceUnit, ectx: ExecContext):
         """Move inbox entries into the SQ; generator returning progress."""
-        costs = self.costs
-        rt = self.rt
+        costs = ectx.costs
+        rt = ectx.rt
         progressed = False
         while True:
             if unit.pending_sub is None:
@@ -223,7 +227,7 @@ class IoPool:
         return progressed
 
     def _reap_pass(self, unit: IoInstanceUnit, ectx: ExecContext):
-        costs = self.costs
+        costs = ectx.costs
         comps = unit.inst.cq_reap(64)
         if not comps:
             return False
@@ -243,7 +247,7 @@ class IoPool:
                 if unit.reap_signal is not None:
                     unit.signal.notify()
                 else:
-                    yield from self._submit_pass(unit)
+                    yield from self._submit_pass(unit, ectx)
         return True
 
     def _unit_drained(self, unit: IoInstanceUnit) -> bool:
@@ -255,7 +259,7 @@ class IoPool:
         while True:
             sig_version = unit.signal.version  # park guard: see Signal docs
             active = unit.index < self.active_count
-            submitted = yield from self._submit_pass(unit)
+            submitted = yield from self._submit_pass(unit, ectx)
             reaped = yield from self._reap_pass(unit, ectx)
             if active and self.overflow and not unit.inbox:
                 self._drain_overflow()
@@ -266,10 +270,10 @@ class IoPool:
                 if unit.signal.version == sig_version:
                     yield unit.signal
 
-    def _io_actor_submit(self, unit: IoInstanceUnit):
+    def _io_actor_submit(self, unit: IoInstanceUnit, ectx: ExecContext):
         while True:
             sig_version = unit.signal.version
-            submitted = yield from self._submit_pass(unit)
+            submitted = yield from self._submit_pass(unit, ectx)
             if unit.index < self.active_count and self.overflow \
                     and not unit.inbox:
                 self._drain_overflow()
@@ -298,17 +302,14 @@ class IoPool:
                 yield unit.reap_signal
 
     def _spawn_instance_actors(self) -> None:
-        ctx = self.ctx
         for unit in self.instances:
-            collector = ctx.new_collector()
-            ectx = ctx.exec_context(collector, self.submitter_for(collector))
             if self.threading_mode == THREADING_PAIR:
-                self.rt.spawn(self._io_actor_submit(unit),
+                self.rt.spawn(self._io_actor_submit(unit, self.exec_context()),
                               f"io-{unit.index}-submit")
-                self.rt.spawn(self._io_actor_reap(unit, ectx),
+                self.rt.spawn(self._io_actor_reap(unit, self.exec_context()),
                               f"io-{unit.index}-reap")
             else:
-                self.rt.spawn(self._io_actor_single(unit, ectx),
+                self.rt.spawn(self._io_actor_single(unit, self.exec_context()),
                               f"io-{unit.index}")
 
     # -- scaling controller ---------------------------------------------------------
@@ -331,7 +332,7 @@ class IoPool:
         re-arming would hide that deadlock from ``drive``.
         """
         cfg = self.controller_cfg
-        sq_cap = self.ring_cfg.sq_capacity
+        sq_cap = self.ctx.ring.sq_capacity
         hi = cfg.high_water * sq_cap
         lo = cfg.low_water * sq_cap
         clock = self.rt.clock
@@ -428,13 +429,13 @@ def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
     inline = getattr(workload, "callback_cost_ns", 0) \
         if opts.exec_mode == EXEC_INLINE_CALLBACKS else 0
     if is_arrival:
-        gen = _arrival_actor(pool, workload, ctx.new_collector(), inline)
+        gen = _arrival_actor(pool, workload, pool.exec_context(), inline)
         worker_actors = [rt.spawn(gen, "arrivals")]
     else:
         # I/O-instance actors reap; workers only poll handles
         worker_actors = ctx.spawn_workers(
             n_workers, scheme,
-            lambda worker, ectx: (pool.submitter_for(worker.collector), None),
+            lambda worker: (pool.submitter_for(worker.collector), None),
             inline_cb_cost=inline)
 
     def workers_done():
@@ -448,32 +449,28 @@ def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
     return pool.report()
 
 
-def _arrival_actor(pool: IoPool, workload: ArrivalWorkload, collector,
-                   inline_cost: int):
-    next_req = request_stream(workload, pool.ctx.geometry, pool.ctx.seed, 0)
-    submit = pool.submitter_for(collector)
-    rt = pool.rt
-    next_t = rt.now()
+def _arrival_actor(pool: IoPool, workload: ArrivalWorkload,
+                   ectx: ExecContext, inline_cost: int):
+    next_req = request_stream(workload, ectx.geometry, pool.ctx.seed, 0)
+    rt = ectx.rt
+    start = rt.now()
     for duration_ns, rate in workload.phases:
-        phase_end = next_t + duration_ns
-        if rate <= 0:
-            delay = phase_end - rt.now()
-            if delay > 0:
-                yield delay
-            next_t = phase_end
-            continue
-        gap = int(round(1e9 / rate))
-        while next_t < phase_end:
-            delay = next_t - rt.now()
+        gap, count = workload.phase_schedule(duration_ns, rate)
+        for i in range(count):
+            delay = start + i * gap - rt.now()
             if delay > 0:
                 yield delay
             req = next_req()
-            handle = pool.ctx.new_handle(req)
+            handle = ectx.new_handle(req)
             handle.inline_cost_ns = inline_cost
-            yield from submit(req, handle)
-            collector.on_submit()
-            next_t += gap
-        next_t = phase_end
+            yield from ectx.submit(req, handle)
+            ectx.collector.on_submit()
+        start += duration_ns
+        if not count:
+            # a phase without arrivals still takes its time
+            delay = start - rt.now()
+            if delay > 0:
+                yield delay
 
 
 def run_static_pool(workload, n_workers: int, k_instances: int,

@@ -17,11 +17,11 @@ from .driver import RunContext, RunOptions
 class _SnHooks:
     """Submission and reaping against the worker's private instance."""
 
-    def __init__(self, inst, ectx):
+    def __init__(self, inst, worker):
         self.inst = inst
-        self.rt = ectx.rt
-        self.costs = ectx.costs
-        self.ectx = ectx
+        self.rt = worker.rt
+        self.costs = worker.costs
+        self.worker = worker
 
     def submit(self, req, handle):
         costs = self.costs
@@ -35,9 +35,9 @@ class _SnHooks:
             return False
         if self.costs.reap_cost_ns:
             yield self.costs.reap_cost_ns * len(comps)
-        ectx = self.ectx
+        worker = self.worker
         for c in comps:
-            yield from deliver_completion(ectx.new_handle.pop(c), c, ectx)
+            yield from deliver_completion(worker.new_handle.pop(c), c, worker)
         return True
 
 
@@ -54,14 +54,14 @@ def run_shared_nothing(workload, n_threads: int, scheme: str = "full", *,
     rt = ctx.rt
     audits = []
 
-    def wire(worker, ectx):
+    def wire(worker):
         inst = ctx.ring.build()
         if audit:
             inst.audit = SpscAudit(rt.executor_id)
             audits.append(inst.audit)
         ctx.device.attach(inst, reaper_signal=worker.signal,
                           space_signal=worker.signal)
-        hooks = _SnHooks(inst, ectx)
+        hooks = _SnHooks(inst, worker)
         return hooks.submit, hooks.reap_phase
 
     # each worker is a whole single-thread loop: it keeps the full qd

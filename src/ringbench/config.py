@@ -152,8 +152,8 @@ def validate(cfg: ExperimentConfig) -> None:
     try:
         d.validate()
     except ValueError as exc:
-        raise ConfigInvalid("device", str(exc)) from None
-    _check(d.poll.idle_timeout_ns > 0, "device.poll.idle_timeout_ns", "> 0")
+        name, _, rule = str(exc).partition(" ")
+        raise ConfigInvalid(f"device.{name}", rule) from None
     _check(d.poll.wakeup_cost_ns >= 0, "device.poll.wakeup_cost_ns", ">= 0")
     a = cfg.architecture
     _check(a.kind in ARCHITECTURES, "architecture.kind",
@@ -176,12 +176,18 @@ def validate(cfg: ExperimentConfig) -> None:
            "architecture.ring.cq_capacity", "must be a power of two")
     _check(r.cq_capacity >= r.sq_capacity, "architecture.ring.cq_capacity",
            "must be >= sq_capacity so completions can never be lost")
+    _check(r.idle_timeout_ns > 0, "architecture.ring.idle_timeout_ns", "> 0")
+    for f in fields(a.costs):
+        _check(getattr(a.costs, f.name) >= 0,
+               f"architecture.costs.{f.name}", ">= 0")
     c = a.controller
     _check(c.window_ns > 0, "architecture.controller.window_ns", "> 0")
     _check(0 < c.low_water < c.high_water,
            "architecture.controller.low_water",
            "need 0 < low_water < high_water")
     _check(c.min_active >= 1, "architecture.controller.min_active", ">= 1")
+    _check(a.kind != "dynamic_pool" or c.min_active <= a.k_instances,
+           "architecture.controller.min_active", "must be <= k_instances")
     w = cfg.workload
     _check(w.kind in ("requests", "tasks", "arrivals"), "workload.kind",
            "requests | tasks | arrivals")
@@ -203,7 +209,8 @@ def validate(cfg: ExperimentConfig) -> None:
             _check(isinstance(ph, (list, tuple)) and len(ph) == 2,
                    f"workload.phases[{i}]", "must be [duration_ns, rate]")
             _check(ph[0] > 0, f"workload.phases[{i}]", "duration must be > 0")
-            _check(ph[1] >= 0, f"workload.phases[{i}]", "rate must be >= 0")
+            _check(0 <= ph[1] <= 1e9, f"workload.phases[{i}]",
+                   "rate must be in [0, 1e9] ops/s")
     if cfg.backend == "native":
         _check(bool(cfg.native.path), "native.path",
                "a target file or device is required")

@@ -214,7 +214,8 @@ class WallClock:
 
 @dataclass
 class PollConfig:
-    idle_timeout_ns: int = 1_000_000  # ms-granularity timeout
+    """SQ-poll thread costs; its idle timeout is the ring's (RingConfig)."""
+
     wakeup_cost_ns: int = 5_000       # syscall-scale; tunable, not ground truth
 
 
@@ -224,6 +225,8 @@ class DeviceConfig:
 
     ``random_read_multiplier`` is applied by experiment builders when the
     workload is random reads (the device itself treats offsets uniformly).
+    ``validate`` raises ``ValueError`` whose message starts with the
+    offending field.
     """
 
     service_time_ns: int = 100_000
@@ -243,13 +246,17 @@ class DeviceConfig:
         if not 0.0 <= self.jitter_frac < 1.0:
             raise ValueError("jitter_frac must be in [0, 1)")
         if self.block_size < 1 or self.capacity_bytes < self.block_size:
-            raise ValueError("capacity must hold at least one block")
+            raise ValueError("capacity_bytes must hold at least one block")
+        if self.submission_cpu_cost_ns < 0:
+            raise ValueError("submission_cpu_cost_ns must be >= 0")
+        if int(self.service_time_ns * self.random_read_multiplier) <= 0:
+            raise ValueError("random_read_multiplier must keep service > 0")
 
 
 def effective_config(cfg: DeviceConfig, op_kind: str) -> DeviceConfig:
-    """Apply the random-read service multiplier for rand_read workloads."""
+    """Apply the random-read multiplier once: the result's is 1.0."""
     if op_kind == "rand_read" and cfg.random_read_multiplier != 1.0:
-        return replace(cfg, service_time_ns=int(
+        return replace(cfg, random_read_multiplier=1.0, service_time_ns=int(
             cfg.service_time_ns * cfg.random_read_multiplier))
     return cfg
 
@@ -274,10 +281,10 @@ class PollThread:
                  "wakeup_cost", "busy_ns", "active_since", "wakeups",
                  "sleeps", "_wake_pending", "_check_pending")
 
-    def __init__(self, cfg: PollConfig, now: int = 0):
+    def __init__(self, cfg: PollConfig, idle_timeout: int, now: int = 0):
         self.state = POLL_ACTIVE
         self.last_submission_seen = now
-        self.idle_timeout = cfg.idle_timeout_ns
+        self.idle_timeout = idle_timeout
         self.wakeup_cost = cfg.wakeup_cost_ns
         self.busy_ns = 0
         self.active_since = now
@@ -350,8 +357,7 @@ class SimDevice:
                space_signal=None) -> int:
         poll = None
         if inst.sq_poll_enabled:
-            poll = PollThread(replace(self.cfg.poll,
-                                      idle_timeout_ns=inst.sq_poll_idle_timeout),
+            poll = PollThread(self.cfg.poll, inst.sq_poll_idle_timeout,
                               self.clock.now)
         st = _InstState(inst, poll)
         st.reaper_signal = reaper_signal

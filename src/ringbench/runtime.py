@@ -150,21 +150,19 @@ class VirtualLock:
     collide in a discrete-event world.
     """
 
-    __slots__ = ("rt", "held", "signal", "contention", "acquisitions")
+    __slots__ = ("rt", "held", "signal", "contention")
 
     def __init__(self, rt):
         self.rt = rt
         self.held = False
         self.signal = Signal(rt)
         self.contention = 0
-        self.acquisitions = 0
 
     def acquire(self):
         while self.held:
             self.contention += 1
             yield self.signal
         self.held = True
-        self.acquisitions += 1
 
     def release(self) -> None:
         assert self.held
@@ -175,18 +173,16 @@ class VirtualLock:
 class WallLock:
     """threading.Lock wrapper counting failed immediate acquires."""
 
-    __slots__ = ("_lock", "contention", "acquisitions")
+    __slots__ = ("_lock", "contention")
 
     def __init__(self, rt=None):
         self._lock = threading.Lock()
         self.contention = 0
-        self.acquisitions = 0
 
     def acquire(self):
         if not self._lock.acquire(blocking=False):
             self.contention += 1  # benign racy increment: a count, not a gate
             self._lock.acquire()
-        self.acquisitions += 1
         return
         yield  # pragma: no cover - keeps the actor-side protocol uniform
 

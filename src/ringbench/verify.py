@@ -200,8 +200,7 @@ def _dynamic_pool_rules(cfg) -> CheckResult:
     from .arch import ArrivalWorkload
     dev = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
                        parallelism=64, submission_cpu_cost_ns=20 * US,
-                       poll=PollConfig(idle_timeout_ns=MS,
-                                       wakeup_cost_ns=5 * US))
+                       poll=PollConfig(wakeup_cost_ns=5 * US))
     ring = RingConfig(sq_capacity=16, cq_capacity=32)
     ctrl = ControllerConfig(window_ns=5 * MS)
     wl = ArrivalWorkload(phases=[(40 * MS, 4_000), (40 * MS, 90_000)] * 2)
@@ -222,7 +221,7 @@ def _poll_timeout(cfg) -> CheckResult:
     clock = VirtualClock()
     dev = SimDevice(DeviceConfig(
         service_time_ns=10 * US, jitter_frac=0.0,
-        poll=PollConfig(idle_timeout_ns=MS, wakeup_cost_ns=5 * US)),
+        poll=PollConfig(wakeup_cost_ns=5 * US)),
         clock, seed=1)
     inst = ApiInstance(64, 128)
     dev.attach(inst)

@@ -288,8 +288,7 @@ class TestCriterion7DynamicPoolEfficiency:
         t0 = time.time()
         dcfg = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
                             parallelism=64, submission_cpu_cost_ns=20 * US,
-                            poll=PollConfig(idle_timeout_ns=MS,
-                                            wakeup_cost_ns=5 * US))
+                            poll=PollConfig(wakeup_cost_ns=5 * US))
         ring = RingConfig(sq_capacity=16, cq_capacity=32)
         ctrl = ControllerConfig(window_ns=5 * MS, high_water=0.75,
                                 low_water=0.25)
@@ -324,8 +323,7 @@ class TestCriterion8PollTimeoutSemantics:
     def test_poll_thread_accounting(self):
         t0 = time.time()
         cfg = DeviceConfig(service_time_ns=10 * US, jitter_frac=0.0,
-                           poll=PollConfig(idle_timeout_ns=MS,
-                                           wakeup_cost_ns=5 * US))
+                           poll=PollConfig(wakeup_cost_ns=5 * US))
         # sub-timeout gaps: never sleeps, busy the whole window
         from ringbench.ring import PushResult
         clock = VirtualClock()

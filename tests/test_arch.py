@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from ringbench.arch import (RequestWorkload, RingConfig, TaskWorkload,
+from ringbench.arch import (ArrivalWorkload, RequestWorkload, RingConfig,
+                            TaskWorkload, THREADING_PAIR,
                             WorkloadNotPartitionable, run_direct_access,
                             run_dynamic_pool, run_shared_nothing,
                             run_static_pool)
@@ -380,3 +381,40 @@ class TestHandleRegistry:
             sys.setswitchinterval(prev)
         assert r.completed_ok == 4000 and r.conservation_holds()
         assert factories[0]._live == {}
+
+
+class TestExecutors:
+    """Every actor that charges CPU runs on an executor of its own, made
+    through the run's ``RunContext``, and the report absorbs each
+    executor's collector."""
+
+    SPECS = generate_corpus(11, 12, max_steps=4)
+    ARRIVALS = ArrivalWorkload(phases=[(MS, 20_000)])
+
+    @pytest.mark.parametrize("fn,workload,args,threading,expect", [
+        (run_shared_nothing, "tasks", (3,), None, 3),
+        (run_direct_access, "tasks", (3, 2), None, 3),
+        (run_static_pool, "tasks", (3, 2), None, 3 + 2),
+        (run_static_pool, "tasks", (3, 2), THREADING_PAIR, 3 + 2 * 2),
+        (run_dynamic_pool, "arrivals", (0, 3), None, 1 + 3),
+        (run_dynamic_pool, "arrivals", (0, 3), THREADING_PAIR, 1 + 3 * 2),
+    ], ids=["shared_nothing", "direct_access", "static_pool",
+            "static_pool-pair", "arrivals", "arrivals-pair"])
+    def test_one_executor_per_actor(self, monkeypatch, fn, workload, args,
+                                    threading, expect):
+        seen = []
+        report = driver.RunContext.report
+
+        def counting_report(ctx, *a, **kw):
+            seen.append([id(e.collector) for e in ctx.ectxs])
+            return report(ctx, *a, **kw)
+
+        monkeypatch.setattr(driver.RunContext, "report", counting_report)
+        wl = (TaskWorkload(specs=list(self.SPECS)) if workload == "tasks"
+              else self.ARRIVALS)
+        kw = {"threading_mode": threading} if threading else {}
+        r = fn(wl, *args, device_cfg=FAST_DEV, seed=5, **kw)
+        assert r.conservation_holds()
+        [collectors] = seen
+        assert len(collectors) == expect
+        assert len(set(collectors)) == expect

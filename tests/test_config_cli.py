@@ -16,7 +16,9 @@ from ringbench.config import (ConfigInvalid, ExperimentConfig, defaults,
 MS = 1_000_000
 
 
-def small_config(**overrides) -> ExperimentConfig:
+def config_data(**overrides) -> dict:
+    """The small config as a document, with dotted-key overrides applied
+    and not validated."""
     data = to_dict(defaults())
     data["workload"]["op_count"] = 3000
     data["architecture"]["kind"] = "shared_nothing"
@@ -28,7 +30,17 @@ def small_config(**overrides) -> ExperimentConfig:
         for p in parents:
             node = node[p]
         node[leaf] = value
-    return from_dict(data)
+    return data
+
+
+def small_config(**overrides) -> ExperimentConfig:
+    return from_dict(config_data(**overrides))
+
+
+ARRIVALS = {"workload.kind": "arrivals", "architecture.kind": "dynamic_pool",
+            "workload.phases": [[MS, 5000]]}
+COST_FIELDS = ("submit_cost_ns", "reap_cost_ns", "poll_cost_ns",
+               "resume_cost_ns", "lock_hold_ns", "inbox_push_cost_ns")
 
 
 def zero_costs(data: dict) -> dict:
@@ -58,15 +70,27 @@ class TestConfig:
         assert "device.warp_speed" in str(exc.value)
 
     def test_invalid_values_have_paths(self):
-        for key, value, fragment in (
-                ("architecture.kind", "ring0", "architecture.kind"),
-                ("workload.op_kind", "?", "workload.op_kind"),
-                ("architecture.ring.sq_capacity", 100,
-                 "architecture.ring.sq_capacity"),
-                ("workload.queue_depth", 0, "workload.queue_depth")):
+        dynamic_4 = {"architecture.kind": "dynamic_pool",
+                     "architecture.k_instances": 4}
+        for key, value, context in (
+                ("architecture.kind", "ring0", {}),
+                ("workload.op_kind", "?", {}),
+                ("architecture.ring.sq_capacity", 100, {}),
+                ("workload.queue_depth", 0, {}),
+                # inputs that would crash a run if accepted
+                *((f"architecture.costs.{name}", -1, {})
+                  for name in COST_FIELDS),
+                ("device.submission_cpu_cost_ns", -1, {}),
+                ("device.random_read_multiplier", 0, {}),
+                ("device.random_read_multiplier", -1, {}),
+                ("device.random_read_multiplier", 1e-6, {}),
+                ("architecture.controller.min_active", 9, dynamic_4),
+                ("architecture.ring.idle_timeout_ns", 0, {}),
+                ("architecture.ring.idle_timeout_ns", -5, {}),
+                ("workload.phases", [[MS, 3e9]], ARRIVALS)):
             with pytest.raises(ConfigInvalid) as exc:
-                small_config(**{key: value})
-            assert fragment in str(exc.value)
+                small_config(**{**context, key: value})
+            assert key in str(exc.value), (key, value)
 
     def test_cq_smaller_than_sq_rejected(self):
         with pytest.raises(ConfigInvalid) as exc:
@@ -258,6 +282,28 @@ class TestCli:
         assert rc == 2
         assert f"architecture.{field}" in capsys.readouterr().err
         assert not (tmp_path / "sweep_qd.csv").exists()
+
+    @pytest.mark.parametrize("command,overrides,message", [
+        ("sweep-qd", {"architecture.costs.submit_cost_ns": -1},
+         "architecture.costs.submit_cost_ns"),
+        ("sweep-qd", {"architecture.ring.idle_timeout_ns": -5},
+         "architecture.ring.idle_timeout_ns"),
+        ("sweep-qd", {"device.poll.idle_timeout_ns": MS},
+         "device.poll.idle_timeout_ns: unknown field"),
+        ("scaling-trace", {**ARRIVALS, "workload.phases": [[1000, 3e9]]},
+         "workload.phases[0]"),
+    ], ids=["negative-cost", "ring-timeout", "deleted-poll-timeout",
+            "rate-above-1e9"])
+    def test_input_rejected_before_running_is_exit_2(self, tmp_path,
+                                                     capsys, command,
+                                                     overrides, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_data(**overrides)))
+        rc = main([command, "--config", str(cfg_path), "--out",
+                   str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_native_backend_unavailable_is_exit_2(self, tmp_path, capsys):
         from ringbench.native import native_available

@@ -187,8 +187,7 @@ class TestPollThreadModel:
 
     def test_wakeup_costs_are_charged_and_delay_consumption(self):
         cfg = DeviceConfig(service_time_ns=10 * US, jitter_frac=0.0,
-                           poll=PollConfig(idle_timeout_ns=MS,
-                                           wakeup_cost_ns=5 * US))
+                           poll=PollConfig(wakeup_cost_ns=5 * US))
         clock, dev, inst = make(cfg, idle_timeout=MS)
         poll = dev.instances[0].poll
         inst.sq_push(IoRequest(OpKind.NOP), clock.now)
@@ -205,8 +204,7 @@ class TestPollThreadModel:
     def test_gap_cycles_bound_busy_time(self):
         # all gaps > timeout: busy <= count * (timeout + wakeup)
         cfg = DeviceConfig(service_time_ns=10 * US, jitter_frac=0.0,
-                           poll=PollConfig(idle_timeout_ns=MS,
-                                           wakeup_cost_ns=5 * US))
+                           poll=PollConfig(wakeup_cost_ns=5 * US))
         clock, dev, inst = make(cfg, idle_timeout=MS)
         poll = dev.instances[0].poll
         count = 20
@@ -268,6 +266,10 @@ class TestConfig:
     def test_random_read_multiplier(self):
         cfg = DeviceConfig(service_time_ns=100, random_read_multiplier=1.5)
         assert effective_config(cfg, "rand_read").service_time_ns == 150
+        # applied once: a device built from the result validates, even
+        # where applying the multiplier again would round to 0
+        tiny = DeviceConfig(service_time_ns=2000, random_read_multiplier=1e-3)
+        SimDevice(effective_config(tiny, "rand_read"), VirtualClock())
         assert effective_config(cfg, "seq_read").service_time_ns == 100
 
 

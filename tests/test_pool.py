@@ -331,8 +331,7 @@ class TestWallMode:
 class TestDynamicPool:
     DCFG = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
                         parallelism=64, submission_cpu_cost_ns=20 * US,
-                        poll=PollConfig(idle_timeout_ns=MS,
-                                        wakeup_cost_ns=5 * US))
+                        poll=PollConfig(wakeup_cost_ns=5 * US))
     RING = RingConfig(sq_capacity=16, cq_capacity=32)
     CTRL = ControllerConfig(window_ns=5 * MS, high_water=0.75,
                             low_water=0.25)
@@ -435,3 +434,22 @@ class TestDynamicPool:
             run_dynamic_pool(workload(), 2, 2, scheme="full",
                              controller=ControllerConfig(window_ns=MS),
                              device_cfg=FAST, seed=1)
+
+
+class TestArrivalSchedule:
+    """One arrival rule: the arrival actor issues exactly the
+    ``ArrivalWorkload.total_ops()`` requests perfbench expects."""
+
+    @pytest.mark.parametrize("phases,ops", [
+        ([(50 * MS, 3000)], 151),
+        ([(10 * MS, 7000), (10 * MS, 0), (10 * MS, 30000)], 372)],
+        ids=["uneven-gap", "idle-middle-phase"])
+    def test_total_ops_equals_submitted(self, phases, ops):
+        wl = ArrivalWorkload(phases=phases)
+        r = run_dynamic_pool(wl, 0, 2, device_cfg=FAST, seed=3)
+        assert wl.total_ops() == r.submitted == ops
+        assert r.conservation_holds()
+
+    def test_rate_above_one_per_ns_rejected(self):
+        with pytest.raises(ValueError, match="1e9"):
+            ArrivalWorkload(phases=[(1000, 3e9)])

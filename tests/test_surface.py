@@ -1,8 +1,10 @@
 """Every function, class and method under src/ringbench has a caller in the
-product, and every run option has a passer: a definition that no code under
-src/ refers to, or a ``RunOptions`` field that no code under src/ passes by
-keyword, lives only for its own tests, and should be given a caller or
-deleted."""
+product, every run option has a passer, and every stored attribute has a
+reader: a definition that no code under src/ refers to, or a ``RunOptions``
+field that no code under src/ passes by keyword, lives only for its own
+tests, and should be given a caller or deleted; an attribute that code under
+src/ringbench stores and nothing under src/, tests/ or perfbench/ reads is
+write-only state, and should be read or deleted."""
 
 import ast
 from dataclasses import fields
@@ -10,7 +12,8 @@ from pathlib import Path
 
 from ringbench.arch.driver import RunOptions
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringbench"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ringbench"
 
 # documented surfaces that nothing under src/ calls, one reason each
 ALLOWED = {
@@ -26,6 +29,12 @@ ALLOWED = {
 OPTIONS_ALLOWED = {
     "sched_jitter_ns": "drives the scheduling-jitter interleavings of the "
                        "golden cases and the ROADMAP 3(c) schedule explorer",
+}
+
+# attributes stored under src/ringbench that nothing reads, one reason each
+WRITE_ONLY_ALLOWED = {
+    "_inflight": "native backend: it cannot run without a liburing binding "
+                 "and is kept as it is",
 }
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -105,3 +114,34 @@ def test_every_run_option_is_passed_under_src():
     assert not unpassed, f"no passer under src/: {', '.join(unpassed)}"
     stale = [o for o in OPTIONS_ALLOWED if o not in options]
     assert not stale, f"allowed but not an option: {', '.join(stale)}"
+
+
+def attribute_names(paths, ctx):
+    """Attribute names in ``ctx`` context (``ast.Store`` or ``ast.Load``)
+    under the paths; for loads also names looked up through ``getattr``
+    or ``hasattr``. An augmented assignment stores without loading."""
+    names = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx):
+                names.add(node.attr)
+            elif (ctx is ast.Load and isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in ("getattr", "hasattr")
+                  and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                names.add(node.args[1].value)
+    return names
+
+
+def test_every_stored_attribute_is_read():
+    stored = attribute_names(sorted(PACKAGE.rglob("*.py")), ast.Store)
+    readers = [p for d in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    read = attribute_names(readers, ast.Load)
+    unread = sorted(a for a in stored
+                    if a not in read and a not in WRITE_ONLY_ALLOWED)
+    assert not unread, f"stored but never read: {', '.join(unread)}"
+    stale = [a for a in WRITE_ONLY_ALLOWED if a not in stored]
+    assert not stale, f"allowed but not stored: {', '.join(stale)}"
