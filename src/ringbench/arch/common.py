@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..metrics import InstanceStats, MetricsCollector
@@ -62,6 +62,11 @@ class ExecCosts:
     lock_hold_ns: int = 250        # direct access critical sections
     inbox_push_cost_ns: int = 100  # dispatch-layer handoff
 
+    def validate(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
+
 
 @dataclass
 class RingConfig:
@@ -70,9 +75,19 @@ class RingConfig:
     sq_poll: bool = True
     idle_timeout_ns: int = 1_000_000
 
-    def build(self) -> ApiInstance:
+    def validate(self) -> None:
+        for name in ("sq_capacity", "cq_capacity"):
+            n = getattr(self, name)
+            if n < 1 or n & (n - 1):
+                raise ValueError(f"{name} must be a power of two")
+        if self.cq_capacity < self.sq_capacity:
+            raise ValueError("cq_capacity must be >= sq_capacity")
+        if self.idle_timeout_ns <= 0:
+            raise ValueError("idle_timeout_ns must be > 0")
+
+    def build(self, executor_id=None) -> ApiInstance:
         return ApiInstance(self.sq_capacity, self.cq_capacity,
-                           self.sq_poll, self.idle_timeout_ns)
+                           self.sq_poll, self.idle_timeout_ns, executor_id)
 
 
 @dataclass

@@ -83,7 +83,7 @@ def run_direct_access(workload, n_workers: int, m_instances: int,
     wake_all = rt.signal()  # completions may matter to any worker
     shared = []
     for _ in range(m_instances):
-        inst = ctx.ring.build()
+        inst = ctx.ring.build()  # shared by design: no owner check
         ctx.device.attach(inst, reaper_signal=wake_all, space_signal=wake_all)
         shared.append(_SharedInstance(inst, rt))
 

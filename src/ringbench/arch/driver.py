@@ -71,6 +71,8 @@ class RunContext:
         self.opts = opts
         self.ring = opts.ring or RingConfig()
         self.costs = opts.costs or ExecCosts()
+        self.ring.validate()
+        self.costs.validate()
         self.seed = opts.seed
         self.run_id = opts.run_id or f"{arch}-{opts.seed}"
         # task workloads and a bare pool have no op kind to adjust for

@@ -2,10 +2,10 @@
 
 Workers submit to a dispatch layer and poll the handle they get back; each
 I/O instance is a dedicated actor (or submit/reap actor pair) exclusively
-owning one ring instance. The dynamic variant adds a scaling controller
-that widens or narrows the active prefix of instances by at most one per
-window; starved instances drain, their poll threads time out, and the
-actors park.
+owning one ring instance, which enforces that ownership. The dynamic
+variant adds a scaling controller that widens or narrows the active prefix
+of instances by at most one per window; starved instances drain, their
+poll threads time out, and the actors park.
 
 This module supplies the pool units and their actors, the dispatch layer,
 the worker hooks that submit through it, the controller, and the report
@@ -38,6 +38,16 @@ class ControllerConfig:
     high_water: float = 0.75   # of sq_capacity, per active instance
     low_water: float = 0.25    # projected onto (active - 1) instances
     min_active: int = 1
+
+    def validate(self, k_instances: int = None) -> None:
+        if self.window_ns <= 0:
+            raise ValueError("window_ns must be > 0")
+        if not 0 < self.low_water < self.high_water:
+            raise ValueError("low_water must be in (0, high_water)")
+        if self.min_active < 1:
+            raise ValueError("min_active must be >= 1")
+        if k_instances is not None and self.min_active > k_instances:
+            raise ValueError("min_active must be <= k_instances")
 
 
 class LoadMeter:
@@ -111,6 +121,8 @@ class IoPool:
             raise ValueError(f"unknown dispatch policy {opts.policy!r}")
         if opts.threading_mode not in THREADING_MODES:
             raise ValueError(f"unknown threading mode {opts.threading_mode!r}")
+        if controller is not None:
+            controller.validate(k_instances)
         rt = self.rt = ctx.rt
         self.ctx = ctx
         self.k = k_instances
@@ -126,8 +138,8 @@ class IoPool:
         self._rr = itertools.count()
         self.instances = []
         for i in range(k_instances):
-            unit = IoInstanceUnit(i, ctx.ring.build(), opts.inbox_capacity,
-                                  rt)
+            unit = IoInstanceUnit(i, ctx.ring.build(rt.executor_id),
+                                  opts.inbox_capacity, rt)
             if self.threading_mode == THREADING_PAIR:
                 unit.reap_signal = rt.signal()
             ctx.device.attach(unit.inst,

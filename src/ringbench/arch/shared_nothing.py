@@ -2,14 +2,14 @@
 communication. Parallelism is fully independent copies of the single-thread
 loop, which is why the workload must be statically partitionable.
 
-This module supplies the private-instance wiring, the hooks that submit to
-and reap from that instance, and the optional SPSC audit; the run assembly
-is ``driver.RunContext``.
+This module supplies the private-instance wiring, which makes the worker
+its ring's only producer and reaper, and the hooks that submit to and reap
+from that instance; the run assembly is ``driver.RunContext``.
 """
 
 from __future__ import annotations
 
-from ..ring import PushResult, SpscAudit
+from ..ring import PushResult
 from .common import TaskWorkload, check_partitionable, deliver_completion
 from .driver import RunContext, RunOptions
 
@@ -41,24 +41,17 @@ class _SnHooks:
         return True
 
 
-def run_shared_nothing(workload, n_threads: int, scheme: str = "full", *,
-                       audit: bool = False, **kw):
+def run_shared_nothing(workload, n_threads: int, scheme: str = "full", **kw):
     """Run the workload over n private (instance, worker) pairs.
 
-    Takes the ``RunOptions`` keywords; ``audit`` asserts each ring side saw
-    a single executor.
+    Takes the ``RunOptions`` keywords.
     """
     if isinstance(workload, TaskWorkload):
         check_partitionable(workload, n_threads)
     ctx = RunContext("shared_nothing", workload, RunOptions(**kw))
-    rt = ctx.rt
-    audits = []
 
     def wire(worker):
-        inst = ctx.ring.build()
-        if audit:
-            inst.audit = SpscAudit(rt.executor_id)
-            audits.append(inst.audit)
+        inst = ctx.ring.build(ctx.rt.executor_id)
         ctx.device.attach(inst, reaper_signal=worker.signal,
                           space_signal=worker.signal)
         hooks = _SnHooks(inst, worker)
@@ -66,8 +59,5 @@ def run_shared_nothing(workload, n_threads: int, scheme: str = "full", *,
 
     # each worker is a whole single-thread loop: it keeps the full qd
     ctx.spawn_workers(n_threads, scheme, wire, qd_per_worker=True)
-    ctx.run(rt.all_exited())
-    for a in audits:
-        assert len(a.push_executors) <= 1, "SQ had multiple producers"
-        assert len(a.reap_executors) <= 1, "CQ had multiple reapers"
+    ctx.run(ctx.rt.all_exited())
     return ctx.report()

@@ -143,18 +143,21 @@ def _check(cond: bool, path: str, message: str) -> None:
         raise ConfigInvalid(path, message)
 
 
+def _validated(section, path: str, *args) -> None:
+    """Raise a section's ``validate`` error at its field's dotted path."""
+    try:
+        section.validate(*args)
+    except ValueError as exc:
+        name, _, rule = str(exc).partition(" ")
+        raise ConfigInvalid(f"{path}.{name}", rule) from None
+
+
 def validate(cfg: ExperimentConfig) -> None:
     _check(cfg.backend in BACKENDS, "backend", f"must be one of {BACKENDS}")
     _check(cfg.scheme in SCHEMES, "scheme", f"must be one of {SCHEMES}")
     _check(cfg.mode in ("virtual", "wall"), "mode", "virtual or wall")
     _check(cfg.runs >= 1, "runs", "must be >= 1")
-    d = cfg.device
-    try:
-        d.validate()
-    except ValueError as exc:
-        name, _, rule = str(exc).partition(" ")
-        raise ConfigInvalid(f"device.{name}", rule) from None
-    _check(d.poll.wakeup_cost_ns >= 0, "device.poll.wakeup_cost_ns", ">= 0")
+    _validated(cfg.device, "device")
     a = cfg.architecture
     _check(a.kind in ARCHITECTURES, "architecture.kind",
            f"must be one of {ARCHITECTURES}")
@@ -169,25 +172,11 @@ def validate(cfg: ExperimentConfig) -> None:
            "architecture.instance_threading",
            f"must be one of {THREADING_MODES}")
     _check(a.inbox_capacity >= 1, "architecture.inbox_capacity", ">= 1")
-    r = a.ring
-    _check(r.sq_capacity >= 1 and r.sq_capacity & (r.sq_capacity - 1) == 0,
-           "architecture.ring.sq_capacity", "must be a power of two")
-    _check(r.cq_capacity >= 1 and r.cq_capacity & (r.cq_capacity - 1) == 0,
-           "architecture.ring.cq_capacity", "must be a power of two")
-    _check(r.cq_capacity >= r.sq_capacity, "architecture.ring.cq_capacity",
-           "must be >= sq_capacity so completions can never be lost")
-    _check(r.idle_timeout_ns > 0, "architecture.ring.idle_timeout_ns", "> 0")
-    for f in fields(a.costs):
-        _check(getattr(a.costs, f.name) >= 0,
-               f"architecture.costs.{f.name}", ">= 0")
-    c = a.controller
-    _check(c.window_ns > 0, "architecture.controller.window_ns", "> 0")
-    _check(0 < c.low_water < c.high_water,
-           "architecture.controller.low_water",
-           "need 0 < low_water < high_water")
-    _check(c.min_active >= 1, "architecture.controller.min_active", ">= 1")
-    _check(a.kind != "dynamic_pool" or c.min_active <= a.k_instances,
-           "architecture.controller.min_active", "must be <= k_instances")
+    _validated(a.ring, "architecture.ring")
+    _validated(a.costs, "architecture.costs")
+    # only the dynamic pool runs the controller over its k instances
+    _validated(a.controller, "architecture.controller",
+               a.k_instances if a.kind == "dynamic_pool" else None)
     w = cfg.workload
     _check(w.kind in ("requests", "tasks", "arrivals"), "workload.kind",
            "requests | tasks | arrivals")

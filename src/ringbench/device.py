@@ -251,6 +251,8 @@ class DeviceConfig:
             raise ValueError("submission_cpu_cost_ns must be >= 0")
         if int(self.service_time_ns * self.random_read_multiplier) <= 0:
             raise ValueError("random_read_multiplier must keep service > 0")
+        if self.poll.wakeup_cost_ns < 0:
+            raise ValueError("poll.wakeup_cost_ns must be >= 0")
 
 
 def effective_config(cfg: DeviceConfig, op_kind: str) -> DeviceConfig:

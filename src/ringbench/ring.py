@@ -167,45 +167,24 @@ class RingQueue:
         return self._slots[head & self._mask]
 
 
-class SpscAudit:
-    """Record which executor touches each ring side; tests assert |set|<=1.
-
-    ``executor_id`` defaults to the OS thread id; the virtual-time runtime
-    swaps in its actor identity so single-OS-thread simulations still audit
-    the logical contract.
-    """
-
-    __slots__ = ("executor_id", "push_executors", "reap_executors")
-
-    def __init__(self, executor_id=None):
-        import threading
-        self.executor_id = executor_id or threading.get_ident
-        self.push_executors = set()
-        self.reap_executors = set()
-
-    def record_push(self):
-        self.push_executors.add(self.executor_id())
-
-    def record_reap(self):
-        self.reap_executors.add(self.executor_id())
-
-
 class ApiInstance:
     """One SQ+CQ pair plus in-flight bookkeeping.
 
     The CQ can never overflow: submission is refused unless the CQ could
     absorb every not-yet-completed request plus this one, so the backend's
-    completion write is guaranteed a slot.
+    completion write is guaranteed a slot. Given ``executor_id``, the
+    first executors to push and to reap are its only ``producer`` and
+    ``reaper``; rings shared by design behind locks pass none.
     """
 
     __slots__ = ("sq", "cq", "sq_poll_enabled", "sq_poll_idle_timeout",
-                 "inflight", "instance_id",
-                 "accepted_total", "completed_total", "reaped_total",
-                 "on_submit", "audit", "_next_request_id")
+                 "inflight", "instance_id", "executor_id", "producer",
+                 "reaper", "accepted_total", "completed_total",
+                 "reaped_total", "on_submit", "_next_request_id")
 
     def __init__(self, sq_capacity: int = 256, cq_capacity: int = 512,
                  sq_poll_enabled: bool = True,
-                 sq_poll_idle_timeout: int = 1_000_000):
+                 sq_poll_idle_timeout: int = 1_000_000, executor_id=None):
         if cq_capacity < sq_capacity:
             raise ValueError(f"cq capacity {cq_capacity} must be >= sq "
                              f"capacity {sq_capacity}")
@@ -219,7 +198,9 @@ class ApiInstance:
         self.completed_total = 0  # written by the backend only
         self.reaped_total = 0     # written by the reaper only
         self.on_submit = None  # backend hook: fn(instance)
-        self.audit: Optional[SpscAudit] = None
+        self.executor_id = executor_id
+        self.producer = None
+        self.reaper = None
         self._next_request_id = 0
 
     # -- producer side -------------------------------------------------------
@@ -239,6 +220,9 @@ class ApiInstance:
             return PushResult.QUEUE_FULL
         if self._completion_headroom() < 1:
             return PushResult.QUEUE_FULL
+        executor_id = self.executor_id
+        if executor_id is not None and executor_id() != self.producer:
+            self.producer = self._owner("SQ", "pushes", self.producer)
         if req.request_id is None:
             req.request_id = self._next_request_id
             self._next_request_id += 1
@@ -249,8 +233,6 @@ class ApiInstance:
         self.accepted_total += 1
         pushed = sq.try_push(req)
         assert pushed  # single producer + the checks above make full impossible
-        if self.audit is not None:
-            self.audit.record_push()
         hook = self.on_submit
         if hook is not None:
             hook(self)
@@ -264,13 +246,21 @@ class ApiInstance:
             raise ValueError("max_completions must be >= 1")
         out = self.cq.try_pop_many(max_completions)
         if out:
-            if self.audit is not None:
-                self.audit.record_reap()
+            executor_id = self.executor_id
+            if executor_id is not None and executor_id() != self.reaper:
+                self.reaper = self._owner("CQ", "reaps", self.reaper)
             inflight = self.inflight
             for c in out:
                 del inflight[c.request_id]
             self.reaped_total += len(out)
         return out
+
+    def _owner(self, side: str, verb: str, owner):
+        who = self.executor_id()
+        if owner is not None:
+            raise RuntimeError(f"{side} {self.instance_id}: {who!r} {verb} "
+                               f"after {owner!r}")
+        return who
 
     # -- backend side --------------------------------------------------------
 

@@ -244,7 +244,7 @@ class Runtime:
                 self.error = exc
 
     def executor_id(self):
-        """Identity of the currently running executor, for SPSC audits."""
+        """The running actor's name; owned rings check it per push and reap."""
         if self.mode == "wall":
-            return threading.get_ident()
+            return threading.current_thread().name
         return self.current_executor

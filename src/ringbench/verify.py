@@ -38,7 +38,7 @@ class CheckResult:
 def _ring_config_invariants(cfg: ExperimentConfig) -> CheckResult:
     r = cfg.architecture.ring
     try:
-        ApiInstance(r.sq_capacity, r.cq_capacity)
+        r.validate()
     except ValueError as exc:
         return CheckResult("ring_config_invariants", False, str(exc))
     return CheckResult("ring_config_invariants", True,
@@ -189,8 +189,7 @@ def _exactly_once(cfg) -> CheckResult:
 def _shared_nothing_isolation(cfg) -> CheckResult:
     wl = RequestWorkload(op_count=8000, queue_depth=8)
     r = run_shared_nothing(wl, 4, device_cfg=DeviceConfig(
-        service_time_ns=20 * US, jitter_frac=0.0, parallelism=64), seed=13,
-        audit=True)
+        service_time_ns=20 * US, jitter_frac=0.0, parallelism=64), seed=13)
     good = r.cross_thread_msgs == 0 and r.conservation_holds()
     return CheckResult("shared_nothing_isolation", good,
                        f"cross_thread_msgs={r.cross_thread_msgs}")

@@ -180,26 +180,27 @@ def _exactly_once_corpus(seed, total_ios, ios_per_task=8):
 _C4_DCFG = DeviceConfig(service_time_ns=20 * US, jitter_frac=0.0,
                         parallelism=64)
 _C4_RUNNERS = {
-    "shared_nothing": lambda wl, scheme, seed: run_shared_nothing(
+    "shared_nothing": lambda wl, scheme, seed, results: run_shared_nothing(
         wl, 4, scheme, device_cfg=_C4_DCFG, costs=ZERO_COSTS, seed=seed,
-        sched_jitter_ns=300),
-    "direct_access": lambda wl, scheme, seed: run_direct_access(
+        sched_jitter_ns=300, results_out=results),
+    "direct_access": lambda wl, scheme, seed, results: run_direct_access(
         wl, 4, 2, scheme, device_cfg=_C4_DCFG, costs=ZERO_COSTS, seed=seed,
-        sched_jitter_ns=300),
-    "static_pool": lambda wl, scheme, seed: run_static_pool(
+        sched_jitter_ns=300, results_out=results),
+    "static_pool": lambda wl, scheme, seed, results: run_static_pool(
         wl, 4, 2, scheme, device_cfg=_C4_DCFG, costs=ZERO_COSTS, seed=seed,
-        sched_jitter_ns=300),
-    "dynamic_pool": lambda wl, scheme, seed: run_dynamic_pool(
+        sched_jitter_ns=300, results_out=results),
+    "dynamic_pool": lambda wl, scheme, seed, results: run_dynamic_pool(
         wl, 4, 2, scheme=scheme, device_cfg=_C4_DCFG, costs=ZERO_COSTS,
-        seed=seed, sched_jitter_ns=300),
+        seed=seed, sched_jitter_ns=300, results_out=results),
 }
 _C4_T0 = []
-_C4_CORPASES = {}
+_C4_CORPASES = {}  # seed -> (specs, interpret_task's final states)
 
 
 class TestCriterion4ExactlyOnce:
     """10^5 requests x 4 architectures x 3 schemes x 5 seeds: every handle
-    Done exactly once, conservation in every report; < 10 min total."""
+    Done exactly once, conservation in every report, final task states
+    equal to ``interpret_task``; < 10 min total."""
 
     REQUESTS = 100_000
     SEEDS = (0, 1, 2, 3, 4)
@@ -209,20 +210,25 @@ class TestCriterion4ExactlyOnce:
     def test_matrix(self, arch, scheme):
         if not _C4_T0:
             _C4_T0.append(time.time())
-        geo = Geometry(_C4_DCFG.block_size, _C4_DCFG.capacity_bytes)
         for seed in self.SEEDS:
             if seed not in _C4_CORPASES:
-                _C4_CORPASES[seed] = _exactly_once_corpus(seed, self.REQUESTS)
-            specs = _C4_CORPASES[seed]
+                geo = Geometry(_C4_DCFG.block_size, _C4_DCFG.capacity_bytes)
+                specs = _exactly_once_corpus(seed, self.REQUESTS)
+                _C4_CORPASES[seed] = (specs, {
+                    s.task_id: interpret_task(s, geo) for s in specs})
+            specs, oracle = _C4_CORPASES[seed]
             results = {}
             wl = TaskWorkload(specs=list(specs), max_live_per_worker=4)
-            report = _C4_RUNNERS[arch](wl, scheme, seed)
+            report = _C4_RUNNERS[arch](wl, scheme, seed, results)
             # handle completion slots are written exactly once (asserted in
             # RequestHandle.complete); the report must reconcile
             assert report.submitted == self.REQUESTS, \
                 f"{arch}/{scheme}/seed{seed}: submitted {report.submitted}"
             assert report.completed_ok == self.REQUESTS
             assert report.conservation_holds()
+            assert results == oracle, \
+                f"{arch}/{scheme}/seed{seed}: final states differ from " \
+                f"interpret_task"
 
     def test_budget(self):
         assert _C4_T0, "matrix must run first"
@@ -267,10 +273,10 @@ class TestCriterion6SharedNothingIsolationScaling:
                             parallelism=64)  # P >= 4x single-thread demand
         one = run_shared_nothing(
             RequestWorkload(op_count=20_000, queue_depth=8), 1,
-            device_cfg=dcfg, seed=6, audit=True)
+            device_cfg=dcfg, seed=6)
         four = run_shared_nothing(
             RequestWorkload(op_count=80_000, queue_depth=8), 4,
-            device_cfg=dcfg, seed=6, audit=True)
+            device_cfg=dcfg, seed=6)
         assert one.cross_thread_msgs == 0
         assert four.cross_thread_msgs == 0
         assert four.iops == pytest.approx(4 * one.iops, rel=0.05), \

@@ -4,11 +4,11 @@ import sys
 
 import pytest
 
-from ringbench.arch import (ArrivalWorkload, RequestWorkload, RingConfig,
-                            TaskWorkload, THREADING_PAIR,
-                            WorkloadNotPartitionable, run_direct_access,
-                            run_dynamic_pool, run_shared_nothing,
-                            run_static_pool)
+from ringbench.arch import (ArrivalWorkload, ControllerConfig,
+                            RequestWorkload, RingConfig, TaskWorkload,
+                            THREADING_PAIR, WorkloadNotPartitionable,
+                            run_direct_access, run_dynamic_pool,
+                            run_shared_nothing, run_static_pool)
 from ringbench.arch import common, driver
 from ringbench.arch.common import HandleFactory
 from ringbench.arch.driver import drive
@@ -84,7 +84,7 @@ class TestSharedNothing:
 
     def test_spsc_audit_clean(self):
         wl = RequestWorkload(op_count=4000, queue_depth=8)
-        run_shared_nothing(wl, 3, device_cfg=FAST_DEV, seed=4, audit=True)
+        run_shared_nothing(wl, 3, device_cfg=FAST_DEV, seed=4)
 
     def test_single_task_throughput_bounded_by_single_instance_max(self):
         # a sequential task cannot beat the measured qd=1 rate of one instance
@@ -418,3 +418,52 @@ class TestExecutors:
         [collectors] = seen
         assert len(collectors) == expect
         assert len(set(collectors)) == expect
+
+
+class TestRingOwnership:
+    """Every ring outside direct access enforces its own single producer
+    and single reaper; after a run each side's owner is the actor the
+    architecture gives it (in wall mode, the actor's thread)."""
+
+    SPECS = generate_corpus(13, 16, max_steps=4)
+    # a burst on small rings makes the controller activate all 3 instances
+    ARRIVALS = ArrivalWorkload(phases=[(MS, 20_000), (MS, 4_000_000)])
+    ARRIVAL_KW = {"controller": ControllerConfig(window_ns=100 * US),
+                  "ring": RingConfig(sq_capacity=4, cq_capacity=8)}
+    PAIR = {"threading_mode": THREADING_PAIR}
+
+    def io(i):
+        return f"io-{i}", f"io-{i}"
+
+    def io_pair(i):
+        return f"io-{i}-submit", f"io-{i}-reap"
+
+    @pytest.mark.parametrize("fn,args,kw,owners", [
+        (run_shared_nothing, (3,), {}, lambda i: (f"worker-{i}",) * 2),
+        (run_direct_access, (3, 2), {}, lambda i: (None, None)),
+        (run_static_pool, (3, 2), {}, io),
+        (run_static_pool, (3, 2), PAIR, io_pair),
+        (run_dynamic_pool, (3, 2), {}, io),
+        (run_dynamic_pool, (0, 3), ARRIVAL_KW, io),
+        (run_static_pool, (3, 2), {"mode": "wall"}, io),
+        (run_static_pool, (3, 2), {"mode": "wall", **PAIR}, io_pair),
+    ], ids=["shared_nothing", "direct_access", "static_pool",
+            "static_pool-pair", "dynamic_pool", "arrivals",
+            "static_pool-wall", "static_pool-pair-wall"])
+    def test_each_side_owned_by_its_actor(self, monkeypatch, fn, args, kw,
+                                          owners):
+        rings = []
+        attach = SimDevice.attach
+
+        def recording_attach(device, inst, *a, **kw):
+            rings.append(inst)
+            return attach(device, inst, *a, **kw)
+
+        monkeypatch.setattr(SimDevice, "attach", recording_attach)
+        wl = (self.ARRIVALS if kw is self.ARRIVAL_KW
+              else TaskWorkload(specs=list(self.SPECS)))
+        r = fn(wl, *args, device_cfg=FAST_DEV, seed=7, **kw)
+        assert r.conservation_holds()
+        assert [inst.instance_id for inst in rings] == list(range(args[-1]))
+        for i, inst in enumerate(rings):
+            assert (inst.producer, inst.reaper) == owners(i), i

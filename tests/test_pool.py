@@ -8,7 +8,7 @@ import pytest
 
 import ringbench.arch.pool as pool_module
 from ringbench.arch import (ArrivalWorkload, ControllerConfig,
-                            EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS,
+                            EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS, ExecCosts,
                             POLICY_LEAST_LOADED, PoolShutdown,
                             RequestWorkload, RingConfig, TaskWorkload,
                             THREADING_PAIR, TimeoutExceeded, handle_poll,
@@ -164,6 +164,23 @@ class TestPairThreading:
         # refilling between inline callbacks must not push from the reaper
         self.assert_exactly_once(self.run_pair(
             callback_cost_ns=500, exec_mode=EXEC_INLINE_CALLBACKS))
+
+    def test_reaper_that_pushes_is_named(self, monkeypatch):
+        # a reap actor that also refills the SQ is a second producer: the
+        # ring names it at its first push instead of finishing clean
+        reap_pass = pool_module.IoPool._reap_pass
+
+        def refilling_reap_pass(pool, unit, ectx):
+            reaped = yield from reap_pass(pool, unit, ectx)
+            if reaped:
+                yield from pool._submit_pass(unit, ectx)
+            return reaped
+
+        monkeypatch.setattr(pool_module.IoPool, "_reap_pass",
+                            refilling_reap_pass)
+        with pytest.raises(RuntimeError, match=r"SQ (\d): 'io-\1-reap' "
+                                               r"pushes after 'io-\1-submit'"):
+            self.run_pair(ring=RingConfig(4, 8))
 
 
 class TestLittleLawThroughPool:
@@ -434,6 +451,39 @@ class TestDynamicPool:
             run_dynamic_pool(workload(), 2, 2, scheme="full",
                              controller=ControllerConfig(window_ns=MS),
                              device_cfg=FAST, seed=1)
+
+
+class TestInputsValidated:
+    """Costs, rings and the controller validate themselves: a library call
+    with a bad value fails at once with a ``ValueError`` that starts with
+    the field, instead of crashing, hanging or running on it."""
+
+    @pytest.mark.parametrize("kw,field", [
+        ({"costs": ExecCosts(submit_cost_ns=-1)}, "submit_cost_ns"),
+        ({"ring": RingConfig(idle_timeout_ns=-5)}, "idle_timeout_ns"),
+        ({"ring": RingConfig(idle_timeout_ns=0)}, "idle_timeout_ns"),
+        ({"controller": ControllerConfig(low_water=0.8, high_water=0.5)},
+         "low_water"),
+        ({"controller": ControllerConfig(window_ns=0)}, "window_ns"),
+        ({"controller": ControllerConfig(min_active=3)}, "min_active"),
+    ], ids=["negative-cost", "negative-idle-timeout", "zero-idle-timeout",
+            "low-above-high-water", "zero-window", "min-active-above-k"])
+    def test_rejected_naming_the_field(self, monkeypatch, kw, field):
+        # a zero window re-arms the controller at the same instant forever:
+        # count calendar steps so that a hang fails instead of hanging
+        step = VirtualClock.step
+        steps = [0]
+
+        def counted_step(clock):
+            steps[0] += 1
+            if steps[0] > 100_000:
+                pytest.fail("not rejected within 100 000 events")
+            return step(clock)
+
+        monkeypatch.setattr(VirtualClock, "step", counted_step)
+        with pytest.raises(ValueError, match=f"^{field} "):
+            run_dynamic_pool(ArrivalWorkload(phases=[(MS, 20_000)]), 0, 2,
+                             device_cfg=FAST, seed=1, **kw)
 
 
 class TestArrivalSchedule:

@@ -255,6 +255,73 @@ class TestCqReap:
         assert sorted(reaped) == list(range(total))
 
 
+class TestRingOwnership:
+    """Given an executor identity, an instance enforces its own single
+    producer and single reaper."""
+
+    @staticmethod
+    def owned(running):
+        inst = ApiInstance(sq_capacity=8, cq_capacity=8,
+                           executor_id=lambda: running[0])
+        inst.instance_id = 3
+        return inst
+
+    @staticmethod
+    def complete_one(inst):
+        assert inst.sq_push(nop()) == PushResult.ACCEPTED
+        req = inst.sq.try_pop()
+        inst.deliver_completion(Completion(
+            req.request_id, 0, CompletionStatus.OK, 0, 0))
+
+    def test_second_pusher_is_named(self):
+        running = ["w0"]
+        inst = self.owned(running)
+        inst.sq_push(nop())
+        running[0] = "w1"
+        with pytest.raises(RuntimeError,
+                           match="SQ 3: 'w1' pushes after 'w0'"):
+            inst.sq_push(nop())
+        assert inst.producer == "w0" and inst.accepted_total == 1
+
+    def test_second_reaper_is_named(self):
+        running = ["w0"]
+        inst = self.owned(running)
+        self.complete_one(inst)
+        self.complete_one(inst)
+        running[0] = "reaper"
+        assert len(inst.cq_reap(1)) == 1
+        running[0] = "w0"
+        with pytest.raises(RuntimeError,
+                           match="CQ 3: 'w0' reaps after 'reaper'"):
+            inst.cq_reap(1)
+        assert inst.reaper == "reaper"
+
+    def test_one_executor_on_both_sides_passes(self):
+        inst = self.owned(["w0"])
+        for _ in range(3):
+            self.complete_one(inst)
+            assert len(inst.cq_reap(8)) == 1
+        assert inst.producer == inst.reaper == "w0"
+        assert inst.quiescent_conservation_holds()
+
+    def test_refused_push_and_empty_reap_claim_nothing(self):
+        running = ["w0"]
+        inst = self.owned(running)
+        assert inst.cq_reap(8) == []
+        for _ in range(8):
+            inst.sq_push(nop())
+        running[0] = "w1"
+        assert inst.sq_push(nop()) == PushResult.QUEUE_FULL
+        assert (inst.producer, inst.reaper) == ("w0", None)
+
+    def test_no_executor_id_means_no_check(self):
+        inst = ApiInstance(sq_capacity=8, cq_capacity=8)
+        for _ in range(3):
+            self.complete_one(inst)
+            inst.cq_reap(8)
+        assert inst.producer is None and inst.reaper is None
+
+
 class TestFaultedRequests:
     """The ERROR path through the device: ``fault_plan`` marks requests
     independently; nothing else fails, and nothing is ever CANCELED."""
