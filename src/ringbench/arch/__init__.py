@@ -4,11 +4,11 @@ from .common import (ArrivalWorkload, ExecCosts, PoolShutdown, RequestHandle,
                      RequestWorkload, RingConfig, TaskWorkload,
                      TimeoutExceeded, WorkloadNotPartitionable, handle_poll)
 from .direct_access import run_direct_access
-from .driver import (EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS,
-                     POLICY_LEAST_LOADED, POLICY_ROUND_ROBIN, THREADING_PAIR,
-                     THREADING_SINGLE, RunOptions)
-from .pool import (ControllerConfig, IoPool, open_pool, run_dynamic_pool,
-                   run_static_pool)
+from .driver import RunOptions
+from .pool import (EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS,
+                   POLICY_LEAST_LOADED, POLICY_ROUND_ROBIN, THREADING_PAIR,
+                   THREADING_SINGLE, ControllerConfig, IoPool, open_pool,
+                   run_dynamic_pool, run_static_pool)
 from .shared_nothing import run_shared_nothing
 
 __all__ = [

@@ -100,6 +100,10 @@ class RequestWorkload:
     queue_depth: int = 32
     callback_cost_ns: int = 0
 
+    def __post_init__(self):
+        if self.queue_depth < 1:
+            raise ValueError("queue_depth must be >= 1")
+
 
 @dataclass
 class TaskWorkload:

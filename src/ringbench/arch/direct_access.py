@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..ring import PushResult
 from .common import deliver_completion
-from .driver import RunContext, RunOptions
+from .driver import RunContext, RunOptions, check_sizes
 
 
 class _SharedInstance:
@@ -78,6 +78,7 @@ def run_direct_access(workload, n_workers: int, m_instances: int,
 
     Takes the ``RunOptions`` keywords.
     """
+    check_sizes(n_workers=n_workers, m_instances=m_instances)
     ctx = RunContext("direct_access", workload, RunOptions(**kw))
     rt = ctx.rt
     wake_all = rt.signal()  # completions may matter to any worker

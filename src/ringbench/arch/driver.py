@@ -23,24 +23,11 @@ from .common import (ExecCosts, HandleFactory, RingConfig, TaskWorkload,
                      request_stream, request_worker_loop, shard_specs,
                      task_worker_loop)
 
-EXEC_IO_THREADS = "io_threads"
-EXEC_INLINE_CALLBACKS = "inline_callbacks"
-EXEC_MODES = (EXEC_IO_THREADS, EXEC_INLINE_CALLBACKS)
-
-POLICY_ROUND_ROBIN = "round_robin"
-POLICY_LEAST_LOADED = "least_loaded"
-POLICIES = (POLICY_ROUND_ROBIN, POLICY_LEAST_LOADED)
-
-THREADING_SINGLE = "single_thread"
-THREADING_PAIR = "submit_reap_pair"
-THREADING_MODES = (THREADING_SINGLE, THREADING_PAIR)
-
 
 @dataclass
 class RunOptions:
-    """The keywords every runner accepts. The pool knobs (``exec_mode``,
-    ``policy``, ``inbox_capacity``, ``threading_mode``) have no effect on
-    shared-nothing and direct access."""
+    """The keywords every runner accepts. The pool knobs are keywords of
+    the pool runners alone."""
 
     device_cfg: DeviceConfig = None
     ring: RingConfig = None
@@ -51,10 +38,13 @@ class RunOptions:
     sched_jitter_ns: int = 0
     results_out: dict = None
     keep_completion_times: bool = False
-    exec_mode: str = EXEC_IO_THREADS
-    policy: str = POLICY_ROUND_ROBIN
-    inbox_capacity: int = 1024
-    threading_mode: str = THREADING_SINGLE
+
+
+def check_sizes(**sizes) -> None:
+    """Raise a ``ValueError`` naming the first run size below 1."""
+    for name, n in sizes.items():
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1")
 
 
 class RunContext:

@@ -24,9 +24,19 @@ from ..metrics import MetricsCollector
 from ..ring import PushResult
 from .common import (ArrivalWorkload, ExecContext, PoolShutdown,
                      TimeoutExceeded, deliver_completion, request_stream)
-from .driver import (EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS, EXEC_MODES,
-                     POLICIES, POLICY_ROUND_ROBIN, THREADING_MODES,
-                     THREADING_PAIR, RunContext, RunOptions, drive)
+from .driver import RunContext, RunOptions, check_sizes, drive
+
+EXEC_IO_THREADS = "io_threads"
+EXEC_INLINE_CALLBACKS = "inline_callbacks"
+EXEC_MODES = (EXEC_IO_THREADS, EXEC_INLINE_CALLBACKS)
+
+POLICY_ROUND_ROBIN = "round_robin"
+POLICY_LEAST_LOADED = "least_loaded"
+POLICIES = (POLICY_ROUND_ROBIN, POLICY_LEAST_LOADED)
+
+THREADING_SINGLE = "single_thread"
+THREADING_PAIR = "submit_reap_pair"
+THREADING_MODES = (THREADING_SINGLE, THREADING_PAIR)
 
 
 @dataclass
@@ -106,29 +116,25 @@ class IoInstanceUnit:
 
 
 class IoPool:
-    """Dispatch layer plus k I/O-instance actors over one run's device.
-
-    ``exec_mode``, ``policy``, ``inbox_capacity`` and ``threading_mode``
-    come from the run's options.
-    """
+    """Dispatch layer plus k I/O-instance actors over one run's device."""
 
     def __init__(self, ctx: RunContext, k_instances: int,
-                 controller: ControllerConfig = None):
-        opts = ctx.opts
-        if opts.exec_mode not in EXEC_MODES:
-            raise ValueError(f"unknown exec mode {opts.exec_mode!r}")
-        if opts.policy not in POLICIES:
-            raise ValueError(f"unknown dispatch policy {opts.policy!r}")
-        if opts.threading_mode not in THREADING_MODES:
-            raise ValueError(f"unknown threading mode {opts.threading_mode!r}")
+                 controller: ControllerConfig = None,
+                 policy: str = POLICY_ROUND_ROBIN, inbox_capacity: int = 1024,
+                 threading_mode: str = THREADING_SINGLE):
+        check_sizes(k_instances=k_instances, inbox_capacity=inbox_capacity)
+        if policy not in POLICIES:
+            raise ValueError(f"unknown dispatch policy {policy!r}")
+        if threading_mode not in THREADING_MODES:
+            raise ValueError(f"unknown threading mode {threading_mode!r}")
         if controller is not None:
             controller.validate(k_instances)
         rt = self.rt = ctx.rt
         self.ctx = ctx
         self.k = k_instances
-        self.policy = opts.policy
+        self.policy = policy
         self.controller_cfg = controller
-        self.threading_mode = opts.threading_mode
+        self.threading_mode = threading_mode
         self.stopping = False
         self.active_count = k_instances
         self.timeline = [(rt.now(), k_instances)]
@@ -139,7 +145,7 @@ class IoPool:
         self.instances = []
         for i in range(k_instances):
             unit = IoInstanceUnit(i, ctx.ring.build(rt.executor_id),
-                                  opts.inbox_capacity, rt)
+                                  inbox_capacity, rt)
             if self.threading_mode == THREADING_PAIR:
                 unit.reap_signal = rt.signal()
             ctx.device.attach(unit.inst,
@@ -410,16 +416,26 @@ class IoPool:
             timeline=self.timeline)
 
 
+def _pool_args(kw: dict) -> tuple:
+    """Split a pool runner's keywords into ``IoPool``'s knobs and the
+    ``RunOptions``."""
+    knobs = {k: kw.pop(k) for k in ("policy", "inbox_capacity",
+                                    "threading_mode") if k in kw}
+    return knobs, RunOptions(**kw)
+
+
 def open_pool(k_instances: int, *, controller: ControllerConfig = None,
               **kw) -> IoPool:
     """Stand up a live pool for direct pool_submit/handle use.
 
-    Takes the ``RunOptions`` keywords. Callers submit with
-    ``pool.pool_submit`` and finish with ``pool.drain_and_shutdown()``,
-    which returns the final report.
+    Takes the ``RunOptions`` keywords and ``policy``, ``inbox_capacity``
+    and ``threading_mode``. Callers submit with ``pool.pool_submit`` and
+    finish with ``pool.drain_and_shutdown()``, which returns the final
+    report.
     """
-    pool = IoPool(RunContext("pool", None, RunOptions(**kw)), k_instances,
-                  controller)
+    knobs, opts = _pool_args(kw)
+    pool = IoPool(RunContext("pool", None, opts), k_instances, controller,
+                  **knobs)
     if controller is not None:
         pool.rt.spawn(pool.controller_actor(), "controller")
     pool.ctx.start_device()
@@ -427,11 +443,16 @@ def open_pool(k_instances: int, *, controller: ControllerConfig = None,
 
 
 def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
-              opts: RunOptions):
+              exec_mode, kw):
+    is_arrival = isinstance(workload, ArrivalWorkload)
+    if not is_arrival:
+        check_sizes(n_workers=n_workers)
+    if exec_mode not in EXEC_MODES:
+        raise ValueError(f"unknown exec mode {exec_mode!r}")
+    knobs, opts = _pool_args(kw)
     ctx = RunContext(arch, workload, opts)
     rt = ctx.rt
-    is_arrival = isinstance(workload, ArrivalWorkload)
-    pool = IoPool(ctx, k_instances, controller)
+    pool = IoPool(ctx, k_instances, controller, **knobs)
     if controller is not None:
         pool.active_count = controller.min_active if is_arrival else k_instances
         pool.timeline[0] = (rt.now(), pool.active_count)
@@ -439,7 +460,7 @@ def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
 
     # inline callbacks run on the reaping I/O-instance actor
     inline = getattr(workload, "callback_cost_ns", 0) \
-        if opts.exec_mode == EXEC_INLINE_CALLBACKS else 0
+        if exec_mode == EXEC_INLINE_CALLBACKS else 0
     if is_arrival:
         gen = _arrival_actor(pool, workload, pool.exec_context(), inline)
         worker_actors = [rt.spawn(gen, "arrivals")]
@@ -490,10 +511,10 @@ def run_static_pool(workload, n_workers: int, k_instances: int,
                     **kw):
     """N workers submitting through the dispatch layer to k I/O instances.
 
-    Takes the ``RunOptions`` keywords.
+    Takes the ``open_pool`` keywords but ``controller``.
     """
     return _run_pool("static_pool", workload, n_workers, k_instances, scheme,
-                     None, RunOptions(exec_mode=exec_mode, **kw))
+                     None, exec_mode, kw)
 
 
 def run_dynamic_pool(workload, n_workers: int, k_instances: int,
@@ -502,8 +523,7 @@ def run_dynamic_pool(workload, n_workers: int, k_instances: int,
                      exec_mode: str = EXEC_IO_THREADS, **kw):
     """The static pool plus a controller scaling the active instances.
 
-    Takes the ``RunOptions`` keywords.
+    Takes the ``open_pool`` keywords.
     """
     return _run_pool("dynamic_pool", workload, n_workers, k_instances,
-                     scheme, controller or ControllerConfig(),
-                     RunOptions(exec_mode=exec_mode, **kw))
+                     scheme, controller or ControllerConfig(), exec_mode, kw)

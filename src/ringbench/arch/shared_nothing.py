@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..ring import PushResult
 from .common import TaskWorkload, check_partitionable, deliver_completion
-from .driver import RunContext, RunOptions
+from .driver import RunContext, RunOptions, check_sizes
 
 
 class _SnHooks:
@@ -46,6 +46,7 @@ def run_shared_nothing(workload, n_threads: int, scheme: str = "full", **kw):
 
     Takes the ``RunOptions`` keywords.
     """
+    check_sizes(n_threads=n_threads)
     if isinstance(workload, TaskWorkload):
         check_partitionable(workload, n_threads)
     ctx = RunContext("shared_nothing", workload, RunOptions(**kw))

@@ -55,21 +55,22 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int = None,
     a = cfg.architecture
     kw = dict(device_cfg=cfg.device, ring=a.ring, costs=a.costs,
               mode=cfg.mode, seed=seed, run_id=run_id,
-              keep_completion_times=keep_completion_times,
-              exec_mode=a.exec_mode, policy=a.dispatch_policy,
-              inbox_capacity=a.inbox_capacity,
-              threading_mode=a.instance_threading)
+              keep_completion_times=keep_completion_times)
+    pool = dict(exec_mode=a.exec_mode, policy=a.dispatch_policy,
+                inbox_capacity=a.inbox_capacity,
+                threading_mode=a.instance_threading)
     runners = {
-        "shared_nothing": (run_shared_nothing, (a.n_workers,)),
-        "direct_access": (run_direct_access, (a.n_workers, a.m_instances)),
-        "static_pool": (run_static_pool, (a.n_workers, a.k_instances)),
+        "shared_nothing": (run_shared_nothing, (a.n_workers,), {}),
+        "direct_access": (run_direct_access, (a.n_workers, a.m_instances),
+                          {}),
+        "static_pool": (run_static_pool, (a.n_workers, a.k_instances), pool),
         "dynamic_pool": (run_dynamic_pool,
-                         (a.n_workers, a.k_instances, a.controller)),
+                         (a.n_workers, a.k_instances, a.controller), pool),
     }
     if a.kind not in runners:
         raise ConfigInvalid("architecture.kind", f"unknown kind {a.kind!r}")
-    runner, sizes = runners[a.kind]
-    return runner(workload, *sizes, scheme=cfg.scheme, **kw)
+    runner, sizes, knobs = runners[a.kind]
+    return runner(workload, *sizes, scheme=cfg.scheme, **knobs, **kw)
 
 
 def _point_seed(base: int, a: int, b: int) -> int:

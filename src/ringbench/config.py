@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .arch.common import ExecCosts, RingConfig
-from .arch.driver import EXEC_MODES, POLICIES, THREADING_MODES
+from .arch.pool import EXEC_MODES, POLICIES, THREADING_MODES
 from .arch.pool import ControllerConfig
 from .device import DeviceConfig, PollConfig
 

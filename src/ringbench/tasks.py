@@ -143,6 +143,18 @@ def interpret_task(spec: TaskSpec, geometry: Geometry) -> int:
     return state
 
 
+def oracle_states(specs, geometry: Geometry) -> dict:
+    """task_id -> ``interpret_task``'s final state, for every spec."""
+    return {s.task_id: interpret_task(s, geometry) for s in specs}
+
+
+def io_count(specs) -> int:
+    """The I/Os a run of the specs submits, nested sub-tasks' included."""
+    return sum(io_count((step.spec,)) if isinstance(step, NestedStep)
+               else isinstance(step, IoStep)
+               for spec in specs for step in spec.steps)
+
+
 # -- tasklets -----------------------------------------------------------------
 
 KIND_COMPUTE = "compute"

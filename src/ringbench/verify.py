@@ -6,6 +6,7 @@ pass. Failures are reported, never thrown.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -17,7 +18,7 @@ from .config import ConfigInvalid, ExperimentConfig, parse, serialize
 from .device import DeviceConfig, PollConfig, SimDevice, VirtualClock, \
     steady_state_iops
 from .ring import ApiInstance, CompletionStatus, IoRequest, OpKind, RingQueue
-from .tasks import Geometry, generate_corpus, interpret_task
+from .tasks import Geometry, generate_corpus, io_count, oracle_states
 
 US = 1_000
 MS = 1_000_000
@@ -35,60 +36,112 @@ class CheckResult:
         return f"CHECK {self.name} {status}{detail}"
 
 
-def _ring_config_invariants(cfg: ExperimentConfig) -> CheckResult:
-    r = cfg.architecture.ring
+def run_violations(report, expected_ops: int, results: dict = None,
+                   oracle: dict = None) -> list:
+    """The run contract: each request completed OK exactly once, the
+    report reconciles, ``expected_ops`` completed and, given an
+    ``oracle``, ``results`` equals it. Returns the broken rules, named."""
+    failed = []
+    if report.submitted != report.completed_ok:
+        failed.append(f"submitted {report.submitted} != completed_ok "
+                      f"{report.completed_ok}")
+    if report.errored or report.canceled:
+        failed.append(f"errored {report.errored}, canceled {report.canceled}")
+    if not report.conservation_holds():
+        failed.append("conservation does not hold")
+    if report.completed_ok != expected_ops:
+        failed.append(f"completed_ok {report.completed_ok} != expected "
+                      f"{expected_ops}")
+    if oracle is not None and results != oracle:
+        results = results or {}
+        wrong = sorted(t for t in set(oracle) | set(results)
+                       if results.get(t) != oracle.get(t))
+        failed.append(f"{len(wrong)} task states differ from interpret_task "
+                      f"(first: task {wrong[0]})")
+    return failed
+
+
+def spsc_violations(n: int, capacity: int, push_batch: int,
+                    pop_batch: int) -> list:
+    """Stream ``n`` items through a ``RingQueue`` from a producer thread to
+    a consumer thread in batches of up to ``push_batch``/``pop_batch``,
+    under a short switch interval; names any stall, loss, duplication or
+    reordering."""
+    q = RingQueue(capacity)
+    out = []
+    pushed_all = threading.Event()
+
+    def producer():
+        i = 0
+        items = list(range(n))
+        while i < n:
+            pushed = q.try_push_many(items[i:i + push_batch])
+            i += pushed
+            if not pushed:
+                time.sleep(0)
+        pushed_all.set()
+
+    def consumer():
+        # an empty queue after the last push ends the stream: a lost item
+        # shows as a short count, not as a stall
+        while len(out) < n:
+            batch = q.try_pop_many(pop_batch)
+            if batch:
+                out.extend(batch)
+            elif pushed_all.is_set() and not len(q):
+                return
+            else:
+                time.sleep(0)
+
+    prev = sys.getswitchinterval()
+    sys.setswitchinterval(5e-5)
     try:
-        r.validate()
-    except ValueError as exc:
-        return CheckResult("ring_config_invariants", False, str(exc))
-    return CheckResult("ring_config_invariants", True,
-                       f"sq={r.sq_capacity} cq={r.cq_capacity}")
+        threads = [threading.Thread(target=producer, daemon=True),
+                   threading.Thread(target=consumer, daemon=True)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(prev)
+    if any(t.is_alive() for t in threads):
+        return [f"stalled after {len(out)} of {n} items"]
+    if len(out) != n:
+        return [f"{len(out)} items out for {n} in: loss or duplication"]
+    if out != list(range(n)):
+        first = next(i for i, x in enumerate(out) if x != i)
+        return [f"order broken at item {first}"]
+    return []
+
+
+def scheme_violations(specs, device_cfg: DeviceConfig, seed: int,
+                      runners) -> list:
+    """Run the specs under every scheme on each ``(runner, sizes)`` pair;
+    every run must keep the run contract with ``interpret_task``'s states,
+    so the states are bit-identical across schemes and architectures."""
+    oracle = oracle_states(specs, Geometry(device_cfg.block_size,
+                                           device_cfg.capacity_bytes))
+    ios = io_count(specs)
+    failed = []
+    for scheme in ("full", "callback", "coroutine"):
+        for runner, sizes in runners:
+            results = {}
+            report = runner(TaskWorkload(specs=list(specs)), *sizes,
+                            scheme=scheme, device_cfg=device_cfg, seed=seed,
+                            results_out=results)
+            failed += [f"{runner.__name__}/{scheme}: {v}" for v in
+                       run_violations(report, ios, results, oracle)]
+    return failed
+
+
+def _result(name: str, failed: list, passed: str) -> CheckResult:
+    return CheckResult(name, not failed, "; ".join(failed) or passed)
 
 
 def _spsc_order(cfg) -> CheckResult:
-    prev = None
-    try:
-        import sys
-        prev = sys.getswitchinterval()
-        sys.setswitchinterval(5e-5)
-        for seed in (1, 2):
-            n = 100_000
-            q = RingQueue(256)
-            out = []
-
-            def producer():
-                i = 0
-                items = list(range(n))
-                while i < n:
-                    pushed = q.try_push_many(items[i:i + 256])
-                    i += pushed
-                    if not pushed:
-                        time.sleep(0)
-
-            def consumer():
-                got = 0
-                while got < n:
-                    batch = q.try_pop_many(512)
-                    if batch:
-                        out.extend(batch)
-                        got += len(batch)
-                    else:
-                        time.sleep(0)
-
-            t1 = threading.Thread(target=producer)
-            t2 = threading.Thread(target=consumer)
-            t1.start(); t2.start()
-            t1.join(30); t2.join(30)
-            if t1.is_alive() or t2.is_alive():
-                return CheckResult("spsc_order", False, "stress timed out")
-            if out != list(range(n)):
-                return CheckResult("spsc_order", False,
-                                   f"loss/dup/reorder at seed {seed}")
-        return CheckResult("spsc_order", True, "2x100k items, FIFO exact")
-    finally:
-        if prev is not None:
-            import sys
-            sys.setswitchinterval(prev)
+    failed = [v for _ in range(2)
+              for v in spsc_violations(100_000, 256, 256, 512)]
+    return _result("spsc_order", failed, "2x100k items, FIFO exact")
 
 
 def _fault_conservation(cfg) -> CheckResult:
@@ -149,20 +202,11 @@ def _littles_law(cfg) -> CheckResult:
 def _scheme_equivalence(cfg) -> CheckResult:
     dev = DeviceConfig(service_time_ns=5 * US, jitter_frac=0.0,
                        parallelism=32)
-    specs = generate_corpus(23, 24)
-    geo = Geometry(dev.block_size, dev.capacity_bytes)
-    expect = {s.task_id: interpret_task(s, geo) for s in specs}
-    for scheme in ("full", "callback", "coroutine"):
-        for fn, args in ((run_shared_nothing, (2,)),
-                         (run_static_pool, (2, 2))):
-            results = {}
-            fn(TaskWorkload(specs=list(specs)), *args, scheme=scheme,
-               device_cfg=dev, seed=7, results_out=results)
-            if results != expect:
-                return CheckResult("scheme_equivalence", False,
-                                   f"{fn.__name__}/{scheme} diverged")
-    return CheckResult("scheme_equivalence", True,
-                       "24 tasks x 3 schemes x 2 architectures")
+    failed = scheme_violations(generate_corpus(23, 24), dev, 7,
+                               ((run_shared_nothing, (2,)),
+                                (run_static_pool, (2, 2))))
+    return _result("scheme_equivalence", failed,
+                   "24 tasks x 3 schemes x 2 architectures")
 
 
 def _exactly_once(cfg) -> CheckResult:
@@ -177,22 +221,19 @@ def _exactly_once(cfg) -> CheckResult:
                 wl, 2, 2, device_cfg=dev, seed=9)),
             ("dynamic_pool", lambda: run_dynamic_pool(
                 wl, 2, 2, device_cfg=dev, seed=9)))
-    for name, fn in runs:
-        r = fn()
-        if not (r.conservation_holds() and r.completed_ok == wl.op_count):
-            return CheckResult("exactly_once", False,
-                               f"{name}: submitted={r.submitted} "
-                               f"ok={r.completed_ok}")
-    return CheckResult("exactly_once", True, "4 architectures, 1500 ops each")
+    failed = [f"{name}: {v}" for name, fn in runs
+              for v in run_violations(fn(), wl.op_count)]
+    return _result("exactly_once", failed, "4 architectures, 1500 ops each")
 
 
 def _shared_nothing_isolation(cfg) -> CheckResult:
     wl = RequestWorkload(op_count=8000, queue_depth=8)
     r = run_shared_nothing(wl, 4, device_cfg=DeviceConfig(
         service_time_ns=20 * US, jitter_frac=0.0, parallelism=64), seed=13)
-    good = r.cross_thread_msgs == 0 and r.conservation_holds()
-    return CheckResult("shared_nothing_isolation", good,
-                       f"cross_thread_msgs={r.cross_thread_msgs}")
+    failed = run_violations(r, wl.op_count)
+    if r.cross_thread_msgs:
+        failed.append(f"cross_thread_msgs {r.cross_thread_msgs} != 0")
+    return _result("shared_nothing_isolation", failed, "cross_thread_msgs=0")
 
 
 def _dynamic_pool_rules(cfg) -> CheckResult:
@@ -210,10 +251,14 @@ def _dynamic_pool_rules(cfg) -> CheckResult:
     hysteresis = all(abs(b[1] - a[1]) <= 1 for a, b in zip(tl, tl[1:]))
     scaled = min(n for _, n in tl) < max(n for _, n in tl)
     saved = dyn.poll_busy_ns_total() < stat.poll_busy_ns_total()
-    good = hysteresis and scaled and saved and dyn.conservation_holds()
-    return CheckResult("dynamic_pool_rules", good,
-                       f"hysteresis={hysteresis} scaled={scaled} "
-                       f"poll_busy_saved={saved}")
+    failed = [f"{name}: {v}" for name, r in (("dynamic", dyn),
+                                              ("static", stat))
+              for v in run_violations(r, wl.total_ops())]
+    failed += [f"{rule} does not hold" for rule, held in (
+        ("hysteresis", hysteresis), ("scaling", scaled),
+        ("poll busy saving", saved)) if not held]
+    return _result("dynamic_pool_rules", failed,
+                   "hysteresis, scaling and poll busy saving hold")
 
 
 def _poll_timeout(cfg) -> CheckResult:
@@ -243,7 +288,6 @@ def _config_round_trip(cfg) -> CheckResult:
 
 
 CHECKS = (
-    _ring_config_invariants,
     _config_round_trip,
     _spsc_order,
     _fault_conservation,
@@ -260,7 +304,6 @@ CHECKS = (
 def cmd_verify(cfg: ExperimentConfig = None, out=None) -> int:
     """Run every check; print one line each plus a summary. Returns the
     number of failures (0 means exit code 0)."""
-    import sys
     out = out or sys.stdout
     cfg = cfg or ExperimentConfig()
     failures = 0

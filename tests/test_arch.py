@@ -14,13 +14,16 @@ from ringbench.arch.common import HandleFactory
 from ringbench.arch.driver import drive
 from ringbench.device import DeviceConfig, SimDevice
 from ringbench.runtime import Runtime
-from ringbench.tasks import Geometry, generate_corpus, interpret_task
+from ringbench.tasks import (Geometry, generate_corpus, io_count,
+                             oracle_states)
+from ringbench.verify import run_violations, scheme_violations
 
 US = 1_000
 MS = 1_000_000
 
 FAST_DEV = DeviceConfig(service_time_ns=2 * US, jitter_frac=0.0,
                         parallelism=64)
+GEO = Geometry(FAST_DEV.block_size, FAST_DEV.capacity_bytes)
 
 
 # each runner with the sizes the cross-architecture tests give it
@@ -33,18 +36,13 @@ RUNNERS = {
 SCHEMES = ("full", "callback", "coroutine")
 
 
-def oracle_states(specs, dcfg):
-    geo = Geometry(dcfg.block_size, dcfg.capacity_bytes)
-    return {s.task_id: interpret_task(s, geo) for s in specs}
-
-
 class TestSharedNothing:
     def test_single_thread_equals_baseline(self):
         wl = RequestWorkload(op_count=5000, op_kind="seq_read", queue_depth=8)
         a = run_shared_nothing(wl, 1, device_cfg=FAST_DEV, seed=1)
         b = run_shared_nothing(wl, 1, device_cfg=FAST_DEV, seed=1)
         assert a.iops == b.iops
-        assert a.conservation_holds()
+        assert run_violations(a, 5000) == []
 
     def test_four_threads_scale_within_5_percent(self):
         # P=64 >= 4x single-thread demand; per-thread qd fixed at 8
@@ -78,9 +76,10 @@ class TestSharedNothing:
         # 0 and 2 share a shard under 2 workers
         wl = TaskWorkload(specs=specs, dependencies=[(0, 2)])
         results = {}
-        run_shared_nothing(wl, 2, device_cfg=FAST_DEV, seed=1,
-                           results_out=results)
-        assert len(results) == 8
+        r = run_shared_nothing(wl, 2, device_cfg=FAST_DEV, seed=1,
+                               results_out=results)
+        assert run_violations(r, io_count(specs), results,
+                              oracle_states(specs, GEO)) == []
 
     def test_spsc_audit_clean(self):
         wl = RequestWorkload(op_count=4000, queue_depth=8)
@@ -106,8 +105,7 @@ class TestSharedNothing:
         wl = RequestWorkload(op_count=1200, op_kind="nop", queue_depth=8)
         r = run_shared_nothing(wl, 2, device_cfg=FAST_DEV, mode="wall",
                                seed=6)
-        assert r.conservation_holds()
-        assert r.completed_ok == 1200
+        assert run_violations(r, 1200) == []
         assert r.cross_thread_msgs == 0
 
 
@@ -116,7 +114,7 @@ class TestDirectAccess:
         wl = RequestWorkload(op_count=3000, queue_depth=8)
         r = run_direct_access(wl, 1, 1, device_cfg=FAST_DEV, seed=1)
         assert r.contention_events == 0
-        assert r.conservation_holds()
+        assert run_violations(r, 3000) == []
 
     def test_contention_with_shared_instance(self):
         wl = RequestWorkload(op_count=20_000, queue_depth=32)
@@ -139,25 +137,58 @@ class TestDirectAccess:
         wl = RequestWorkload(op_count=64, queue_depth=64)
         r = run_direct_access(wl, 2, 1, device_cfg=slow, ring=ring, seed=3)
         assert r.sq_full_retries > 0
-        assert r.conservation_holds()
+        assert run_violations(r, 64) == []
 
     def test_task_schemes_match_oracle(self):
-        specs = generate_corpus(8, 30)
-        expect = oracle_states(specs, FAST_DEV)
-        for scheme in ("full", "callback", "coroutine"):
-            results = {}
-            r = run_direct_access(TaskWorkload(specs=list(specs)), 3, 2,
-                                  scheme=scheme, device_cfg=FAST_DEV, seed=4,
-                                  results_out=results)
-            assert results == expect, scheme
-            assert r.conservation_holds()
+        assert scheme_violations(generate_corpus(8, 30), FAST_DEV, 4,
+                                 ((run_direct_access, (3, 2)),)) == []
 
     def test_wall_mode_conserves(self):
         wl = RequestWorkload(op_count=1000, op_kind="nop", queue_depth=8)
         r = run_direct_access(wl, 3, 2, device_cfg=FAST_DEV, mode="wall",
                               seed=5)
-        assert r.conservation_holds()
-        assert r.completed_ok == 1000
+        assert run_violations(r, 1000) == []
+
+
+def requests_50():
+    return RequestWorkload(op_count=50, queue_depth=4)
+
+
+class TestRunArguments:
+    """Each runner takes its own sizes and knobs: a size below 1 raises a
+    ``ValueError`` that starts with the argument's name, and a pool knob
+    given to shared-nothing or direct access is a ``TypeError``."""
+
+    @pytest.mark.parametrize("call,arg", [
+        (lambda: run_shared_nothing(requests_50(), 0), "n_threads"),
+        (lambda: run_direct_access(requests_50(), 0, 1), "n_workers"),
+        (lambda: run_direct_access(requests_50(), 1, 0), "m_instances"),
+        (lambda: run_static_pool(requests_50(), 0, 1), "n_workers"),
+        (lambda: run_static_pool(TaskWorkload(specs=generate_corpus(1, 4)),
+                                 0, 1), "n_workers"),
+        (lambda: run_static_pool(requests_50(), 1, 0), "k_instances"),
+        (lambda: run_dynamic_pool(requests_50(), 1, 0), "k_instances"),
+        (lambda: run_static_pool(requests_50(), 1, 1, inbox_capacity=0),
+         "inbox_capacity"),
+        (lambda: RequestWorkload(op_count=50, queue_depth=0), "queue_depth"),
+    ], ids=["shared_nothing-threads", "direct_access-workers",
+            "direct_access-instances", "static_pool-workers",
+            "static_pool-task-workers", "static_pool-instances",
+            "dynamic_pool-instances", "inbox_capacity", "queue_depth"])
+    def test_size_below_one_rejected(self, call, arg):
+        with pytest.raises(ValueError, match=f"^{arg} "):
+            call()
+
+    @pytest.mark.parametrize("knob", [
+        {"exec_mode": "io_threads"}, {"policy": "round_robin"},
+        {"inbox_capacity": 8}, {"threading_mode": THREADING_PAIR}],
+        ids=["exec_mode", "policy", "inbox_capacity", "threading_mode"])
+    @pytest.mark.parametrize("fn,args", [
+        (run_shared_nothing, (1,)), (run_direct_access, (1, 1))],
+        ids=["shared_nothing", "direct_access"])
+    def test_pool_knob_rejected(self, fn, args, knob):
+        with pytest.raises(TypeError, match=list(knob)[0]):
+            fn(requests_50(), *args, device_cfg=FAST_DEV, **knob)
 
 
 class TestRunPredicate:
@@ -229,19 +260,19 @@ class TestBouncedTaskSubmissions:
         pytest.param(run_direct_access, (4, 2), id="direct_access")])
     def test_retries_reach_oracle_states(self, fn, args, capacity):
         specs = generate_corpus(5, 120)
-        expect = oracle_states(specs, FAST_DEV)
+        expect = oracle_states(specs, GEO)
         ring = RingConfig(sq_capacity=capacity, cq_capacity=capacity)
         for scheme in SCHEMES:
             results = {}
             r = fn(TaskWorkload(specs=list(specs)), *args, scheme=scheme,
                    device_cfg=FAST_DEV, ring=ring, seed=1,
                    sched_jitter_ns=300, results_out=results)
-            assert results == expect, scheme
+            assert run_violations(r, io_count(specs), results, expect) \
+                == [], scheme
             assert r.sq_full_retries > 0, scheme
             if fn is run_direct_access:
                 # a reaping worker hands others' bounced tasks back
                 assert r.cross_thread_msgs > 0, scheme
-            assert r.conservation_holds()
 
 
 class TestPlacementInstrumentation:
@@ -308,27 +339,19 @@ class TestSchemeEquivalence:
     @pytest.mark.parametrize("arch,extra", [
         (arch, args) for arch, (_, args) in RUNNERS.items()])
     def test_final_states_bit_identical_across_schemes(self, arch, extra):
-        specs = generate_corpus(31, 40)
-        expect = oracle_states(specs, FAST_DEV)
-        fn = RUNNERS[arch][0]
-        outcomes = []
-        for scheme in SCHEMES:
-            results = {}
-            fn(TaskWorkload(specs=list(specs)), *extra, scheme=scheme,
-               device_cfg=FAST_DEV, seed=11, results_out=results)
-            outcomes.append(results)
-        assert outcomes[0] == outcomes[1] == outcomes[2] == expect
+        assert scheme_violations(generate_corpus(31, 40), FAST_DEV, 11,
+                                 ((RUNNERS[arch][0], extra),)) == []
 
     def test_interleave_jitter_does_not_change_states(self):
         specs = generate_corpus(32, 25)
-        expect = oracle_states(specs, FAST_DEV)
+        expect = oracle_states(specs, GEO)
         for jitter_seed in (1, 2, 3):
             results = {}
-            run_static_pool(TaskWorkload(specs=list(specs)), 2, 2,
-                            scheme="full", device_cfg=FAST_DEV,
-                            seed=jitter_seed, sched_jitter_ns=400,
-                            results_out=results)
-            assert results == expect
+            r = run_static_pool(TaskWorkload(specs=list(specs)), 2, 2,
+                                scheme="full", device_cfg=FAST_DEV,
+                                seed=jitter_seed, sched_jitter_ns=400,
+                                results_out=results)
+            assert run_violations(r, io_count(specs), results, expect) == []
 
 
 class TestHandleRegistry:
@@ -355,13 +378,14 @@ class TestHandleRegistry:
         ring = RingConfig(sq_capacity=1, cq_capacity=1)
         specs = generate_corpus(9, 24, max_steps=6)
         results = {}
-        fn(TaskWorkload(specs=specs), *args, scheme="callback",
-           device_cfg=FAST_DEV, ring=ring, mode=mode, seed=2,
-           results_out=results)
-        assert results == oracle_states(specs, FAST_DEV)
+        r = fn(TaskWorkload(specs=specs), *args, scheme="callback",
+               device_cfg=FAST_DEV, ring=ring, mode=mode, seed=2,
+               results_out=results)
+        assert run_violations(r, io_count(specs), results,
+                              oracle_states(specs, GEO)) == []
         r = fn(RequestWorkload(op_count=300, op_kind="nop", queue_depth=8),
                *args, device_cfg=FAST_DEV, ring=ring, mode=mode, seed=3)
-        assert r.completed_ok == 300
+        assert run_violations(r, 300) == []
         assert len(factories) == 2
         assert [f._live for f in factories] == [{}, {}]
 
@@ -379,7 +403,7 @@ class TestHandleRegistry:
                    device_cfg=FAST_DEV, ring=ring, mode="wall", seed=4)
         finally:
             sys.setswitchinterval(prev)
-        assert r.completed_ok == 4000 and r.conservation_holds()
+        assert run_violations(r, 4000) == []
         assert factories[0]._live == {}
 
 
@@ -410,11 +434,12 @@ class TestExecutors:
             return report(ctx, *a, **kw)
 
         monkeypatch.setattr(driver.RunContext, "report", counting_report)
-        wl = (TaskWorkload(specs=list(self.SPECS)) if workload == "tasks"
-              else self.ARRIVALS)
+        tasks = workload == "tasks"
+        wl = TaskWorkload(specs=list(self.SPECS)) if tasks else self.ARRIVALS
         kw = {"threading_mode": threading} if threading else {}
         r = fn(wl, *args, device_cfg=FAST_DEV, seed=5, **kw)
-        assert r.conservation_holds()
+        assert run_violations(r, io_count(self.SPECS) if tasks
+                              else self.ARRIVALS.total_ops()) == []
         [collectors] = seen
         assert len(collectors) == expect
         assert len(set(collectors)) == expect
@@ -460,10 +485,12 @@ class TestRingOwnership:
             return attach(device, inst, *a, **kw)
 
         monkeypatch.setattr(SimDevice, "attach", recording_attach)
-        wl = (self.ARRIVALS if kw is self.ARRIVAL_KW
-              else TaskWorkload(specs=list(self.SPECS)))
+        arrivals = kw is self.ARRIVAL_KW
+        wl = self.ARRIVALS if arrivals \
+            else TaskWorkload(specs=list(self.SPECS))
         r = fn(wl, *args, device_cfg=FAST_DEV, seed=7, **kw)
-        assert r.conservation_holds()
+        assert run_violations(r, self.ARRIVALS.total_ops() if arrivals
+                              else io_count(self.SPECS)) == []
         assert [inst.instance_id for inst in rings] == list(range(args[-1]))
         for i, inst in enumerate(rings):
             assert (inst.producer, inst.reaper) == owners(i), i

@@ -17,12 +17,14 @@ from ringbench.arch.common import HANDLE_DONE, HANDLE_QUEUED
 from ringbench.device import (DeviceConfig, PollConfig, SimDevice,
                               VirtualClock, steady_state_iops)
 from ringbench.ring import CompletionStatus, IoRequest, OpKind
-from ringbench.tasks import Geometry, generate_corpus, interpret_task
+from ringbench.tasks import Geometry, generate_corpus, io_count, oracle_states
+from ringbench.verify import run_violations, scheme_violations
 
 US = 1_000
 MS = 1_000_000
 
 FAST = DeviceConfig(service_time_ns=2 * US, jitter_frac=0.0, parallelism=64)
+GEO = Geometry(FAST.block_size, FAST.capacity_bytes)
 
 
 class TestHandles:
@@ -33,7 +35,7 @@ class TestHandles:
         report = pool.drain_and_shutdown()
         assert handle_poll(h) == HANDLE_DONE
         assert h.completion.status == CompletionStatus.OK
-        assert report.conservation_holds()
+        assert run_violations(report, 1) == []
 
     def test_poll_is_side_effect_free(self):
         pool = open_pool(1, device_cfg=FAST)
@@ -66,16 +68,14 @@ class TestHandles:
         assert all(h.status == HANDLE_DONE for h in handles)
         ids = [h.completion.request_id for h in handles]
         assert len(ids) == 5000
-        assert report.completed_ok == 5000
+        assert run_violations(report, 5000) == []
 
     def test_160k_handles_from_16_submitters(self):
         # 16 submitters x 10k requests: every handle Done, no loss, no dup
         wl = RequestWorkload(op_count=160_000, op_kind="nop",
                              queue_depth=64)
         r = run_static_pool(wl, 16, 4, device_cfg=FAST, seed=12)
-        assert r.submitted == 160_000
-        assert r.completed_ok == 160_000
-        assert r.conservation_holds()
+        assert run_violations(r, 160_000) == []
 
     def test_many_pollers_do_not_change_device_iops(self):
         # 100 in-flight handles polled by 1 vs by 100 workers: within 2%.
@@ -100,7 +100,7 @@ class TestDispatchLayer:
         assert len(pool.overflow) > 0  # inbox (4) and rings are tiny
         report = pool.drain_and_shutdown()
         assert all(h.status == HANDLE_DONE for h in handles)
-        assert report.completed_ok == 200
+        assert run_violations(report, 200) == []
         times = [h.completion.complete_time for h in handles]
         assert times == sorted(times)  # FIFO through inbox + overflow
 
@@ -108,14 +108,13 @@ class TestDispatchLayer:
         wl = RequestWorkload(op_count=20_000, queue_depth=64)
         r = run_static_pool(wl, 4, 4, device_cfg=FAST, seed=6,
                             policy=POLICY_LEAST_LOADED)
-        assert r.conservation_holds()
+        assert run_violations(r, 20_000) == []
 
     def test_pair_threading_mode(self):
         wl = RequestWorkload(op_count=10_000, queue_depth=32)
         r = run_static_pool(wl, 2, 2, device_cfg=FAST, seed=7,
                             threading_mode=THREADING_PAIR)
-        assert r.conservation_holds()
-        assert r.completed_ok == 10_000
+        assert run_violations(r, 10_000) == []
 
     @pytest.mark.parametrize("knob", [{"policy": "leastloaded"},
                                       {"threading_mode": "pair"},
@@ -128,13 +127,12 @@ class TestDispatchLayer:
 
     def test_task_workloads_supported_in_pair_mode(self):
         specs = generate_corpus(41, 20)
-        geo = Geometry(FAST.block_size, FAST.capacity_bytes)
-        expect = {s.task_id: interpret_task(s, geo) for s in specs}
         results = {}
-        run_static_pool(TaskWorkload(specs=specs), 2, 2, scheme="full",
-                        device_cfg=FAST, seed=8, results_out=results,
-                        threading_mode=THREADING_PAIR)
-        assert results == expect
+        r = run_static_pool(TaskWorkload(specs=specs), 2, 2, scheme="full",
+                            device_cfg=FAST, seed=8, results_out=results,
+                            threading_mode=THREADING_PAIR)
+        assert run_violations(r, io_count(specs), results,
+                              oracle_states(specs, GEO)) == []
 
 
 class TestPairThreading:
@@ -151,9 +149,7 @@ class TestPairThreading:
                                device_cfg=self.DEV, seed=1, **kw)
 
     def assert_exactly_once(self, r):
-        assert r.submitted == 3000
-        assert r.completed_ok == 3000
-        assert r.conservation_holds()
+        assert run_violations(r, 3000) == []
 
     def test_reap_wakes_push_stalled_on_cq_headroom(self):
         # a 4/8 ring under qd 64 keeps the push waiting for CQ headroom,
@@ -223,8 +219,7 @@ class TestDrainAndShutdown:
     def test_zero_inflight_immediate(self):
         pool = open_pool(2, device_cfg=FAST)
         report = pool.drain_and_shutdown()
-        assert report.submitted == 0
-        assert report.conservation_holds()
+        assert run_violations(report, 0) == []
 
     def test_deadline_zero_with_inflight_reports_abandoned(self):
         slow = DeviceConfig(service_time_ns=10 * MS, jitter_frac=0.0,
@@ -242,9 +237,7 @@ class TestDrainAndShutdown:
                    for _ in range(2000)]
         report = pool.drain_and_shutdown()
         assert all(h.status == HANDLE_DONE for h in handles)
-        assert report.submitted == 2000
-        assert report.completed_ok == 2000
-        assert report.conservation_holds()
+        assert run_violations(report, 2000) == []
 
 
 class TestCrossWorkerDependencies:
@@ -258,36 +251,33 @@ class TestCrossWorkerDependencies:
         # 0 -> 3 and 2 -> 1 each cross the two workers' shards: a deferred
         # task must wake when the other worker finishes its prerequisite
         specs = generate_corpus(5, 8)
-        geo = Geometry(FAST.block_size, FAST.capacity_bytes)
-        expect = {s.task_id: interpret_task(s, geo) for s in specs}
         results = {}
         r = runner(TaskWorkload(specs=specs, dependencies=[(0, 3), (2, 1)]),
                    2, 2, scheme=scheme, device_cfg=FAST, seed=1,
                    results_out=results)
-        assert results == expect
-        assert r.conservation_holds()
+        assert run_violations(r, io_count(specs), results,
+                              oracle_states(specs, GEO)) == []
 
 
 class TestWallMode:
     def test_static_pool_wall_requests_and_tasks(self):
         wl = RequestWorkload(op_count=1200, op_kind="nop", queue_depth=16)
         r = run_static_pool(wl, 2, 2, device_cfg=FAST, mode="wall", seed=21)
-        assert r.conservation_holds() and r.completed_ok == 1200
+        assert run_violations(r, 1200) == []
         specs = generate_corpus(61, 16, max_steps=8)
-        geo = Geometry(FAST.block_size, FAST.capacity_bytes)
-        expect = {s.task_id: interpret_task(s, geo) for s in specs}
+        expect = oracle_states(specs, GEO)
         for scheme in ("full", "callback", "coroutine"):
             results = {}
             r = run_static_pool(TaskWorkload(specs=list(specs)), 2, 2,
                                 scheme=scheme, device_cfg=FAST, mode="wall",
                                 seed=22, results_out=results)
-            assert results == expect, scheme
-            assert r.conservation_holds()
+            assert run_violations(r, io_count(specs), results, expect) \
+                == [], scheme
 
     def test_dynamic_pool_wall(self):
         wl = RequestWorkload(op_count=1000, op_kind="nop", queue_depth=8)
         r = run_dynamic_pool(wl, 2, 2, device_cfg=FAST, mode="wall", seed=23)
-        assert r.conservation_holds() and r.completed_ok == 1000
+        assert run_violations(r, 1000) == []
 
     @staticmethod
     def assert_run_fails_fast(match):
@@ -342,7 +332,7 @@ class TestWallMode:
         report = pool.drain_and_shutdown()
         assert handle_poll(h) == HANDLE_DONE
         assert h.completion.status == CompletionStatus.OK
-        assert report.completed_ok == 1
+        assert run_violations(report, 1) == []
 
 
 class TestDynamicPool:
@@ -357,19 +347,21 @@ class TestDynamicPool:
         wl = ArrivalWorkload(phases=phases or
                              [(50 * MS, 5_000), (50 * MS, 100_000)] * 3)
         if dynamic:
-            return run_dynamic_pool(wl, 0, 4, controller=self.CTRL,
-                                    device_cfg=self.DCFG, ring=self.RING,
-                                    seed=seed, keep_completion_times=True)
-        return run_static_pool(wl, 0, 4, device_cfg=self.DCFG,
-                               ring=self.RING, seed=seed,
-                               keep_completion_times=True)
+            r = run_dynamic_pool(wl, 0, 4, controller=self.CTRL,
+                                 device_cfg=self.DCFG, ring=self.RING,
+                                 seed=seed, keep_completion_times=True)
+        else:
+            r = run_static_pool(wl, 0, 4, device_cfg=self.DCFG,
+                                ring=self.RING, seed=seed,
+                                keep_completion_times=True)
+        assert run_violations(r, wl.total_ops()) == []
+        return r
 
     def test_square_wave_shrinks_and_regrows(self):
         r = self.run_square_wave(dynamic=True)
         counts = [n for _, n in r.active_instance_timeline]
         assert min(counts) == 1
         assert max(counts) >= 3
-        assert r.conservation_holds()
 
     def test_hysteresis_one_step_per_window(self):
         r = self.run_square_wave(dynamic=True)
@@ -411,21 +403,14 @@ class TestDynamicPool:
         assert all(n == 4 for n in counts)
 
     def test_skip_rule_enforced(self):
-        # the run itself asserts zero deliveries to inactive instances
-        r = self.run_square_wave(dynamic=True, seed=15)
-        assert r.conservation_holds()
+        # the run itself asserts zero deliveries to inactive instances;
+        # run_square_wave checks the run contract
+        self.run_square_wave(dynamic=True, seed=15)
 
     def test_scheme_matrix_on_dynamic_pool(self):
         specs = generate_corpus(51, 24)
-        geo = Geometry(FAST.block_size, FAST.capacity_bytes)
-        expect = {s.task_id: interpret_task(s, geo) for s in specs}
-        for scheme in ("full", "callback", "coroutine"):
-            results = {}
-            r = run_dynamic_pool(TaskWorkload(specs=list(specs)), 2, 2,
-                                 scheme=scheme, device_cfg=FAST, seed=16,
-                                 results_out=results)
-            assert results == expect
-            assert r.conservation_holds()
+        assert scheme_violations(specs, FAST, 16,
+                                 ((run_dynamic_pool, (2, 2)),)) == []
 
     @pytest.mark.parametrize("workload", [
         pytest.param(lambda: RequestWorkload(op_count=40, op_kind="nop",
@@ -497,8 +482,8 @@ class TestArrivalSchedule:
     def test_total_ops_equals_submitted(self, phases, ops):
         wl = ArrivalWorkload(phases=phases)
         r = run_dynamic_pool(wl, 0, 2, device_cfg=FAST, seed=3)
-        assert wl.total_ops() == r.submitted == ops
-        assert r.conservation_holds()
+        assert wl.total_ops() == ops
+        assert run_violations(r, ops) == []
 
     def test_rate_above_one_per_ns_rejected(self):
         with pytest.raises(ValueError, match="1e9"):
