@@ -101,8 +101,11 @@ class RequestWorkload:
     callback_cost_ns: int = 0
 
     def __post_init__(self):
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
+        for name in ("block_size", "queue_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.callback_cost_ns < 0:
+            raise ValueError("callback_cost_ns must be >= 0")
 
 
 @dataclass
@@ -112,6 +115,10 @@ class TaskWorkload:
     specs: list
     dependencies: list = field(default_factory=list)  # (before_id, after_id)
     max_live_per_worker: int = 8
+
+    def __post_init__(self):
+        if self.max_live_per_worker < 1:
+            raise ValueError("max_live_per_worker must be >= 1")
 
 
 @dataclass

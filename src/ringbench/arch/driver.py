@@ -18,8 +18,8 @@ from ..device import DeviceConfig, SimDevice, WallDeviceThread, \
 from ..metrics import MetricsCollector
 from ..runtime import Runtime
 from ..tasks import Geometry
-from .common import (ExecCosts, HandleFactory, RingConfig, TaskWorkload,
-                     Worker, deps_map, per_instance_stats,
+from .common import (ArrivalWorkload, ExecCosts, HandleFactory, RingConfig,
+                     TaskWorkload, Worker, deps_map, per_instance_stats,
                      request_stream, request_worker_loop, shard_specs,
                      task_worker_loop)
 
@@ -70,7 +70,8 @@ class RunContext:
                                 getattr(workload, "op_kind", None))
         self.geometry = Geometry(dcfg.block_size, dcfg.capacity_bytes)
         self.rt = Runtime(opts.mode, opts.seed, opts.sched_jitter_ns)
-        self.device = SimDevice(dcfg, self.rt.clock, seed=opts.seed)
+        self.device = self.rt.device = SimDevice(dcfg, self.rt.clock,
+                                                 seed=opts.seed)
         self.collector = MetricsCollector(
             self.run_id, keep_completion_times=opts.keep_completion_times)
         self.device.completion_listener = self.collector.on_completion
@@ -93,6 +94,9 @@ class RunContext:
         inline on the reaping executor.
         """
         workload = self.workload
+        if isinstance(workload, ArrivalWorkload):
+            raise ValueError("workload must be a request or task "
+                             "workload: an ArrivalWorkload runs on the pools")
         is_tasks = isinstance(workload, TaskWorkload)
         if is_tasks:
             shards = shard_specs(workload, n)
@@ -160,10 +164,10 @@ def drive(rt, done_pred, on_done=None, max_events: int = 500_000_000,
     a stop broadcast that lets service actors exit) and lets the actors
     finish. Virtual: steps the calendar, then drains the remaining events;
     an idle calendar with the predicate still false is a deadlock and
-    raises with that diagnosis. Wall: polls the predicate, then joins every
-    actor. The first error, an actor's own or the run's (a timeout, a
-    raising predicate), is raised at once and stops every actor at its
-    next yield.
+    raises with that diagnosis, naming the parked actors and the rings.
+    Wall: polls the predicate, then joins every actor. The first error, an
+    actor's own or the run's (a timeout, a raising predicate), is raised at
+    once and stops every actor at its next yield.
     """
     virtual = rt.mode == "virtual"
     n = 0
@@ -171,8 +175,7 @@ def drive(rt, done_pred, on_done=None, max_events: int = 500_000_000,
         step = rt.clock.step
         while not done_pred():
             if not step():
-                raise RuntimeError(
-                    "virtual run deadlocked: calendar idle before completion")
+                raise RuntimeError(_deadlock(rt))
             n += 1
             if n >= max_events:
                 raise RuntimeError(f"event budget exhausted after {n} events")
@@ -200,6 +203,19 @@ def drive(rt, done_pred, on_done=None, max_events: int = 500_000_000,
             rt.fail(RuntimeError(f"actor {actor.name} failed to finish"))
         if rt.error is not None:
             raise rt.error
+
+
+def _deadlock(rt) -> str:
+    """What an idle calendar leaves stuck: every live actor, each parked on
+    a signal, and each ring's SQ and CQ depths and the requests it accepted
+    that have not completed."""
+    parked = ", ".join(a.name for a in rt.actors if not a.done)
+    rings = "".join(
+        f"; ring {st.inst.instance_id}: sq {len(st.inst.sq)}, cq "
+        f"{len(st.inst.cq)}, in flight {st.inst.pending_completion_count()}"
+        for st in (rt.device.instances if rt.device else ()))
+    return ("virtual run deadlocked: calendar idle before completion; "
+            f"parked: {parked}{rings}")
 
 
 def finalize_report(collector, rt, device, inbox_peaks=None, timeline=(),

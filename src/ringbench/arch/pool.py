@@ -458,13 +458,13 @@ def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
         pool.timeline[0] = (rt.now(), pool.active_count)
         rt.spawn(pool.controller_actor(), "controller")
 
-    # inline callbacks run on the reaping I/O-instance actor
-    inline = getattr(workload, "callback_cost_ns", 0) \
-        if exec_mode == EXEC_INLINE_CALLBACKS else 0
     if is_arrival:
-        gen = _arrival_actor(pool, workload, pool.exec_context(), inline)
+        gen = _arrival_actor(pool, workload, pool.exec_context())
         worker_actors = [rt.spawn(gen, "arrivals")]
     else:
+        # inline callbacks run on the reaping I/O-instance actor
+        inline = getattr(workload, "callback_cost_ns", 0) \
+            if exec_mode == EXEC_INLINE_CALLBACKS else 0
         # I/O-instance actors reap; workers only poll handles
         worker_actors = ctx.spawn_workers(
             n_workers, scheme,
@@ -483,7 +483,7 @@ def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
 
 
 def _arrival_actor(pool: IoPool, workload: ArrivalWorkload,
-                   ectx: ExecContext, inline_cost: int):
+                   ectx: ExecContext):
     next_req = request_stream(workload, ectx.geometry, pool.ctx.seed, 0)
     rt = ectx.rt
     start = rt.now()
@@ -494,9 +494,7 @@ def _arrival_actor(pool: IoPool, workload: ArrivalWorkload,
             if delay > 0:
                 yield delay
             req = next_req()
-            handle = ectx.new_handle(req)
-            handle.inline_cost_ns = inline_cost
-            yield from ectx.submit(req, handle)
+            yield from ectx.submit(req, ectx.new_handle(req))
             ectx.collector.on_submit()
         start += duration_ns
         if not count:

@@ -116,6 +116,7 @@ def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir) -> str:
     if cfg.workload.kind != "requests":
         raise ConfigInvalid("workload.kind", "sweep-callback needs a "
                             "request workload")
+    dev = effective_config(cfg.device, "rand_read")
     reports, extra = [], []
     for exec_mode in ("inline_callbacks", "io_threads"):
         for cost in cost_list:
@@ -130,7 +131,9 @@ def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir) -> str:
                     point, seed=_point_seed(cfg.seed, cost, run),
                     run_id=f"{exec_mode}-c{cost}-run{run}")
                 reports.append(report)
-                oracle = consumer_rate_oracle(point, cost)
+                oracle = consumer_rate_oracle(dev, a.costs,
+                                              cfg.workload.queue_depth,
+                                              a.k_instances, cost)
                 extra.append((exec_mode, cost, run, repr(oracle)))
     path = os.path.join(out_dir, "sweep_callback.csv")
     write_summary_csv(path, reports,
@@ -140,18 +143,16 @@ def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir) -> str:
     return path
 
 
-def consumer_rate_oracle(cfg: ExperimentConfig, cost_ns: int) -> float:
+def consumer_rate_oracle(device_cfg, costs, queue_depth: int,
+                         k_instances: int, cost_ns: int) -> float:
     """Closed-form ceiling for inline execution: the reaping thread pays
     callback + reap + submit per op, across k instances, capped by the
-    device."""
-    a = cfg.architecture
-    dev = effective_config(cfg.device, "rand_read")
-    per_op = cost_ns + a.costs.reap_cost_ns + a.costs.submit_cost_ns
-    device_rate = steady_state_iops(dev, cfg.workload.queue_depth)
+    device (``device_cfg`` as the run sees it, see ``effective_config``)."""
+    per_op = cost_ns + costs.reap_cost_ns + costs.submit_cost_ns
+    device_rate = steady_state_iops(device_cfg, queue_depth)
     if per_op <= 0:
         return device_rate
-    consumer_rate = a.k_instances * 1e9 / per_op
-    return min(device_rate, consumer_rate)
+    return min(device_rate, k_instances * 1e9 / per_op)
 
 
 def cmd_scaling_trace(cfg: ExperimentConfig, out_dir) -> tuple:

@@ -201,6 +201,7 @@ class Runtime:
         self.clock = VirtualClock() if mode == "virtual" else WallClock()
         self.actors = []
         self.live = 0  # virtual actors whose generator has not ended
+        self.device = None  # the run's device: a deadlock names its rings
         self.error = None  # wall mode: the run's first error, see fail()
         self._error_lock = threading.Lock()
         self.current_executor = "main"

@@ -10,14 +10,16 @@ import sys
 import threading
 import time
 
-from .arch import (RequestWorkload, TaskWorkload, run_direct_access,
-                   run_dynamic_pool, run_shared_nothing, run_static_pool)
-from .arch.pool import ControllerConfig
-from .arch.common import RingConfig
+from .arch import (ArrivalWorkload, ControllerConfig, ExecCosts,
+                   RequestWorkload, RingConfig, TaskWorkload,
+                   run_direct_access, run_dynamic_pool, run_shared_nothing,
+                   run_static_pool)
+from .bench import consumer_rate_oracle, phase_counts
 from .config import ConfigInvalid, ExperimentConfig, parse, serialize
 from .device import DeviceConfig, PollConfig, SimDevice, VirtualClock, \
     steady_state_iops
-from .ring import ApiInstance, CompletionStatus, IoRequest, OpKind, RingQueue
+from .ring import (ApiInstance, CompletionStatus, IoRequest, OpKind,
+                   PushResult, RingQueue)
 from .tasks import Geometry, generate_corpus, io_count, oracle_states
 
 US = 1_000
@@ -134,6 +136,140 @@ def scheme_violations(specs, device_cfg: DeviceConfig, seed: int,
     return failed
 
 
+def littles_law_violations(device_cfg: DeviceConfig, iops_by_qd: dict,
+                           tol: float) -> list:
+    """Little's law at zero jitter, on IOPS by queue depth: each depth is
+    within ``tol`` of ``steady_state_iops``, IOPS never falls as the depth
+    grows, and from ``parallelism`` on it is flat within ``tol``."""
+    qds = sorted(iops_by_qd)
+    failed = []
+    for qd in qds:
+        got, want = iops_by_qd[qd], steady_state_iops(device_cfg, qd)
+        if abs(got - want) > tol * want:
+            failed.append(f"qd={qd} got {got:.0f} want {want:.0f}")
+    failed += [f"IOPS falls from qd={a} to qd={b}"
+               for a, b in zip(qds, qds[1:]) if iops_by_qd[b] < iops_by_qd[a]]
+    flat = [iops_by_qd[qd] for qd in qds if qd >= device_cfg.parallelism]
+    if flat and max(flat) - min(flat) > tol * min(flat):
+        failed.append(f"not flat from qd={device_cfg.parallelism} on: "
+                      f"{min(flat):.0f} to {max(flat):.0f}")
+    return failed
+
+
+def callback_collapse_violations(device_cfg: DeviceConfig, costs: ExecCosts,
+                                 qd: int, k: int, inline: dict,
+                                 io_threads: dict) -> list:
+    """Inline callbacks collapse to the consumer rate, on IOPS by callback
+    cost: inline IOPS is at most 1.10 x ``consumer_rate_oracle`` and,
+    where the callback cost rather than the device bounds the oracle,
+    within 10% of it; with I/O threads IOPS stays within 5% of the
+    cheapest cost's."""
+    device_rate = steady_state_iops(device_cfg, qd)
+    failed = []
+    for cost, got in sorted(inline.items()):
+        oracle = consumer_rate_oracle(device_cfg, costs, qd, k, cost)
+        if got > 1.10 * oracle or (oracle < device_rate
+                                   and abs(got - oracle) > 0.10 * oracle):
+            failed.append(f"inline cost {cost} ns: {got:.0f} IOPS vs oracle "
+                          f"{oracle:.0f}")
+    if io_threads:
+        base = io_threads[min(io_threads)]
+        failed += [f"io_threads cost {cost} ns: {got:.0f} IOPS vs "
+                   f"{base:.0f} at cost {min(io_threads)} ns"
+                   for cost, got in sorted(io_threads.items())
+                   if abs(got - base) > 0.05 * base]
+    return failed
+
+
+def isolation_violations(runs, tol: float = 0.05) -> list:
+    """Shared-nothing isolation, on ``(n_threads, report)`` pairs: no run
+    sends a cross-thread message and, given a one-thread run, n threads
+    reach n x its IOPS within ``tol``."""
+    failed = [f"{n} threads: cross_thread_msgs {r.cross_thread_msgs} != 0"
+              for n, r in runs if r.cross_thread_msgs]
+    one = next((r.iops for n, r in runs if n == 1), None)
+    if one is not None:
+        failed += [f"{n} threads: {r.iops:.0f} IOPS vs {n} x {one:.0f}"
+                   for n, r in runs if abs(r.iops - n * one) > tol * n * one]
+    return failed
+
+
+def dynamic_pool_violations(dyn, stat, phases, window_ns: int) -> list:
+    """The dynamic pool's rules on a run of ``phases``: each controller
+    step moves the active count by at most 1, a window or more after the
+    last, and the count shrinks to 1 and grows to at least k - 1. Given
+    the static pool's run (``stat``) on the same load and seed, the
+    dynamic pool's poll busy time is lower and, where completion times
+    were kept, each peak phase's completions are within 5% of it."""
+    tl = dyn.active_instance_timeline
+    failed = []
+    for (ta, na), (tb, nb) in zip(tl, tl[1:]):
+        if abs(nb - na) > 1:
+            failed.append(f"step of {nb - na} instances at {tb} ns")
+        if tb - ta < window_ns:
+            failed.append(f"two steps within one window at {tb} ns")
+    k = len(dyn.per_instance)
+    low, high = min(n for _, n in tl), max(n for _, n in tl)
+    if low != 1 or high < k - 1:
+        failed.append(f"active instances span {low}..{high} of {k}, not "
+                      f"1..{k - 1} or more")
+    if stat is None:
+        return failed
+    if dyn.poll_busy_ns_total() >= stat.poll_busy_ns_total():
+        failed.append(f"poll busy {dyn.poll_busy_ns_total()} ns not below "
+                      f"static {stat.poll_busy_ns_total()} ns")
+    if dyn.completion_times is not None:
+        peak = max(rate for _, rate in phases)
+        dc, sc = phase_counts(dyn, phases), phase_counts(stat, phases)
+        failed += [f"peak phase {i}: {dc[i]} completions vs static {sc[i]}"
+                   for i, (_, rate) in enumerate(phases)
+                   if rate == peak and abs(dc[i] - sc[i]) > 0.05 * sc[i]]
+    return failed
+
+
+def poll_gap_violations(device_cfg: DeviceConfig, gap_ns: int,
+                        count: int) -> list:
+    """Submit ``count`` NOPs ``gap_ns`` apart to a fresh instance with a
+    1 ms poll idle timeout. Below the timeout its poll thread never
+    sleeps and is busy for the whole window. At or above it, the thread
+    sleeps exactly one timeout after each submission it saw, the first at
+    once and each later one a wakeup after it was made, and is busy at
+    most count x (timeout + wakeup)."""
+    clock = VirtualClock()
+    dev = SimDevice(device_cfg, clock, seed=1)
+    inst = ApiInstance(64, 128, sq_poll_idle_timeout=MS)
+    dev.attach(inst)
+    poll = dev.instances[0].poll
+    sleeps = []
+    dev.trace = lambda t, kind, i, r: (kind == "poll_sleep"
+                                       and sleeps.append(t))
+    for n in range(count):
+        clock.run_until(n * gap_ns)
+        if inst.sq_push(IoRequest(OpKind.NOP), clock.now) \
+                != PushResult.ACCEPTED:
+            return [f"submission {n} refused"]
+        inst.cq_reap(64)
+    timeout = inst.sq_poll_idle_timeout
+    if gap_ns < timeout:
+        end = (count - 1) * gap_ns
+        clock.run_until(end)
+        dev.finalize(end)
+        failed = [f"slept {poll.sleeps} times"] if poll.sleeps else []
+        if poll.busy_ns != end:
+            failed.append(f"busy {poll.busy_ns} of {end} ns")
+        return failed
+    clock.run_until_idle()
+    dev.finalize(clock.now)
+    wakeup = device_cfg.poll.wakeup_cost_ns
+    want = [timeout] + [n * gap_ns + wakeup + timeout
+                        for n in range(1, count)]
+    failed = [] if sleeps == want else [f"slept at {sleeps}, not {want}"]
+    bound = count * (timeout + wakeup)
+    if poll.busy_ns > bound:
+        failed.append(f"busy {poll.busy_ns} ns above {bound}")
+    return failed
+
+
 def _result(name: str, failed: list, passed: str) -> CheckResult:
     return CheckResult(name, not failed, "; ".join(failed) or passed)
 
@@ -189,14 +325,29 @@ def _device_determinism(cfg) -> CheckResult:
 def _littles_law(cfg) -> CheckResult:
     dev = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
                        parallelism=16)
-    for qd in (1, 8, 32):
-        wl = RequestWorkload(op_count=20_000, queue_depth=qd)
-        r = run_shared_nothing(wl, 1, device_cfg=dev, seed=5)
-        want = steady_state_iops(dev, qd)
-        if abs(r.iops - want) / want > 0.01:
-            return CheckResult("littles_law", False,
-                               f"qd={qd} got {r.iops:.0f} want {want:.0f}")
-    return CheckResult("littles_law", True, "qd in {1,8,32} within 1%")
+    iops = {qd: run_shared_nothing(RequestWorkload(op_count=20_000,
+                                                   queue_depth=qd), 1,
+                                   device_cfg=dev, seed=5).iops
+            for qd in (1, 8, 32)}
+    return _result("littles_law", littles_law_violations(dev, iops, 0.01),
+                   "qd in {1,8,32} within 1%")
+
+
+def _callback_collapse(cfg) -> CheckResult:
+    dev = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
+                       parallelism=64)
+    costs = ExecCosts()
+    runs = {}
+    for mode, n_workers, ops in (("inline_callbacks", 4, 600),
+                                 ("io_threads", 16, 2000)):
+        runs[mode] = {c: run_static_pool(
+            RequestWorkload(op_count=ops, op_kind="rand_read",
+                            queue_depth=16, callback_cost_ns=c),
+            n_workers, 1, exec_mode=mode, device_cfg=dev, costs=costs,
+            seed=3).iops for c in (0, 10 * US, 100 * US)}
+    return _result("callback_collapse", callback_collapse_violations(
+        dev, costs, 16, 1, runs["inline_callbacks"], runs["io_threads"]),
+        "inline at the consumer rate, io_threads flat")
 
 
 def _scheme_equivalence(cfg) -> CheckResult:
@@ -230,52 +381,36 @@ def _shared_nothing_isolation(cfg) -> CheckResult:
     wl = RequestWorkload(op_count=8000, queue_depth=8)
     r = run_shared_nothing(wl, 4, device_cfg=DeviceConfig(
         service_time_ns=20 * US, jitter_frac=0.0, parallelism=64), seed=13)
-    failed = run_violations(r, wl.op_count)
-    if r.cross_thread_msgs:
-        failed.append(f"cross_thread_msgs {r.cross_thread_msgs} != 0")
-    return _result("shared_nothing_isolation", failed, "cross_thread_msgs=0")
+    return _result("shared_nothing_isolation",
+                   run_violations(r, wl.op_count)
+                   + isolation_violations([(4, r)]), "cross_thread_msgs=0")
 
 
 def _dynamic_pool_rules(cfg) -> CheckResult:
-    from .arch import ArrivalWorkload
     dev = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
                        parallelism=64, submission_cpu_cost_ns=20 * US,
                        poll=PollConfig(wakeup_cost_ns=5 * US))
     ring = RingConfig(sq_capacity=16, cq_capacity=32)
     ctrl = ControllerConfig(window_ns=5 * MS)
-    wl = ArrivalWorkload(phases=[(40 * MS, 4_000), (40 * MS, 90_000)] * 2)
+    phases = [(40 * MS, 4_000), (40 * MS, 90_000)] * 2
+    wl = ArrivalWorkload(phases=phases)
     dyn = run_dynamic_pool(wl, 0, 4, controller=ctrl, device_cfg=dev,
-                           ring=ring, seed=17)
-    stat = run_static_pool(wl, 0, 4, device_cfg=dev, ring=ring, seed=17)
-    tl = dyn.active_instance_timeline
-    hysteresis = all(abs(b[1] - a[1]) <= 1 for a, b in zip(tl, tl[1:]))
-    scaled = min(n for _, n in tl) < max(n for _, n in tl)
-    saved = dyn.poll_busy_ns_total() < stat.poll_busy_ns_total()
+                           ring=ring, seed=17, keep_completion_times=True)
+    stat = run_static_pool(wl, 0, 4, device_cfg=dev, ring=ring, seed=17,
+                           keep_completion_times=True)
     failed = [f"{name}: {v}" for name, r in (("dynamic", dyn),
                                               ("static", stat))
               for v in run_violations(r, wl.total_ops())]
-    failed += [f"{rule} does not hold" for rule, held in (
-        ("hysteresis", hysteresis), ("scaling", scaled),
-        ("poll busy saving", saved)) if not held]
+    failed += dynamic_pool_violations(dyn, stat, phases, ctrl.window_ns)
     return _result("dynamic_pool_rules", failed,
-                   "hysteresis, scaling and poll busy saving hold")
+                   "steps, scaling, poll busy saving and peak phases hold")
 
 
 def _poll_timeout(cfg) -> CheckResult:
-    clock = VirtualClock()
-    dev = SimDevice(DeviceConfig(
-        service_time_ns=10 * US, jitter_frac=0.0,
-        poll=PollConfig(wakeup_cost_ns=5 * US)),
-        clock, seed=1)
-    inst = ApiInstance(64, 128)
-    dev.attach(inst)
-    sleeps = []
-    dev.trace = lambda t, kind, i, r: (kind == "poll_sleep"
-                                       and sleeps.append(t))
-    inst.sq_push(IoRequest(OpKind.NOP), clock.now)
-    clock.run_until(5 * MS)
-    good = sleeps == [MS]
-    return CheckResult("poll_timeout", good, f"slept at {sleeps}")
+    dev = DeviceConfig(service_time_ns=10 * US, jitter_frac=0.0,
+                       poll=PollConfig(wakeup_cost_ns=5 * US))
+    return _result("poll_timeout", poll_gap_violations(dev, 2 * MS, 1),
+                   f"asleep {MS} ns after the one submission")
 
 
 def _config_round_trip(cfg) -> CheckResult:
@@ -293,6 +428,7 @@ CHECKS = (
     _fault_conservation,
     _device_determinism,
     _littles_law,
+    _callback_collapse,
     _scheme_equivalence,
     _exactly_once,
     _shared_nothing_isolation,

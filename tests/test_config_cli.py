@@ -12,6 +12,9 @@ from ringbench.bench import (cmd_scaling_trace, cmd_sweep_callback,
 from ringbench.cli import main
 from ringbench.config import (ConfigInvalid, ExperimentConfig, defaults,
                               from_dict, parse, serialize, to_dict)
+from ringbench.device import effective_config, steady_state_iops
+from ringbench.verify import (callback_collapse_violations,
+                              dynamic_pool_violations, littles_law_violations)
 
 MS = 1_000_000
 
@@ -111,12 +114,12 @@ class TestSweepQd:
         import csv
         rows = list(csv.DictReader(open(path)))
         assert [int(r["qd"]) for r in rows] == [1, 4, 16, 64]
+        dev = effective_config(cfg.device, cfg.workload.op_kind)
         for r in rows:
-            got = float(r["iops"])
-            want = float(r["little_law_iops"])
-            assert abs(got - want) / want < 0.01
-        iops = [float(r["iops"]) for r in rows]
-        assert iops == sorted(iops)
+            assert float(r["little_law_iops"]) == steady_state_iops(
+                dev, int(r["qd"]))
+        iops = {int(r["qd"]): float(r["iops"]) for r in rows}
+        assert littles_law_violations(dev, iops, 0.01) == []
 
     def test_preconditioning_run_excluded(self, tmp_path):
         cfg = small_config()
@@ -175,13 +178,15 @@ class TestSweepCallback:
         # zero cost: both modes equal within 5%
         assert by[("inline_callbacks", 0)] == pytest.approx(
             by[("io_threads", 0)], rel=0.05)
-        # large cost collapses inline mode toward the oracle
-        oracle = float(next(r["oracle_iops"] for r in rows
-                            if r["exec_mode"] == "inline_callbacks"
-                            and int(r["callback_cost_ns"]) == 100_000))
-        assert by[("inline_callbacks", 100_000)] <= oracle * 1.10
-        assert by[("inline_callbacks", 100_000)] == pytest.approx(oracle,
-                                                                  rel=0.10)
+        # large cost collapses inline mode toward the oracle column
+        dev = effective_config(cfg.device, "rand_read")
+        costs = cfg.architecture.costs
+        for r in rows:
+            assert float(r["oracle_iops"]) == consumer_rate_oracle(
+                dev, costs, 16, 1, int(r["callback_cost_ns"]))
+        assert callback_collapse_violations(
+            dev, costs, 16, 1,
+            {100_000: by[("inline_callbacks", 100_000)]}, {}) == []
 
     def test_requires_pool_architecture(self, tmp_path):
         with pytest.raises(ConfigInvalid):
@@ -202,11 +207,10 @@ class TestScalingTrace:
                                 [50 * MS, 5000], [50 * MS, 100_000]]})
 
     def test_square_wave_outputs(self, tmp_path):
-        summary, timeline, dyn, stat = cmd_scaling_trace(self.trace_config(),
-                                                         tmp_path)
-        counts = [n for _, n in dyn.active_instance_timeline]
-        assert min(counts) == 1 and max(counts) >= 3  # shrink and regrow
-        assert dyn.poll_busy_ns_total() < stat.poll_busy_ns_total()
+        cfg = self.trace_config()
+        summary, timeline, dyn, stat = cmd_scaling_trace(cfg, tmp_path)
+        assert dynamic_pool_violations(dyn, stat, cfg.workload.phases,
+                                       5 * MS) == []
         lines = open(timeline).read().splitlines()
         assert lines[0] == "time_ns,active_count"
         assert len(lines) > 2
@@ -340,14 +344,14 @@ class TestCli:
 
 class TestOracle:
     def test_consumer_rate_oracle_caps_at_device(self):
+        # 100 us service, 64 slots; 150 + 150 ns reap and submit; 2 instances
         cfg = small_config(**{"architecture.kind": "static_pool"})
-        assert consumer_rate_oracle(cfg, 0) == pytest.approx(
-            min(32, cfg.device.parallelism) * 1e9 / cfg.device.service_time_ns)
-        slow = consumer_rate_oracle(cfg, 1_000_000)
-        assert slow == pytest.approx(
-            cfg.architecture.k_instances * 1e9
-            / (1_000_000 + cfg.architecture.costs.reap_cost_ns
-               + cfg.architecture.costs.submit_cost_ns))
+        a = cfg.architecture
+        assert consumer_rate_oracle(cfg.device, a.costs, 32, a.k_instances,
+                                    0) == pytest.approx(320_000)
+        slow = consumer_rate_oracle(cfg.device, a.costs, 32, a.k_instances,
+                                    1_000_000)
+        assert slow == pytest.approx(2e9 / 1_000_300)
 
 
 class TestConsoleScript:

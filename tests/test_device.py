@@ -10,6 +10,7 @@ from ringbench.device import (DeviceConfig, POLL_ASLEEP, PollConfig,
                               WallDeviceThread, effective_config,
                               steady_state_iops)
 from ringbench.ring import ApiInstance, IoRequest, OpKind, PushResult
+from ringbench.verify import littles_law_violations, poll_gap_violations
 
 US = 1_000
 MS = 1_000_000
@@ -122,16 +123,17 @@ class TestThroughputModel:
         # one simulated second, zero jitter: within 1% of min(qd, P)/S
         cfg = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
                            parallelism=16)
+        assert steady_state_iops(cfg, qd) == expect
         count = closed_loop_count(cfg, qd, 1_000_000_000)
-        assert count == pytest.approx(expect, rel=0.01)
+        assert littles_law_violations(cfg, {qd: count}, 0.01) == []
 
     def test_monotone_then_flat(self):
+        # completions in 100 ms, as IOPS
         cfg = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
                            parallelism=16)
-        counts = [closed_loop_count(cfg, qd, 100 * MS)
-                  for qd in (1, 2, 4, 8, 16, 32)]
-        assert counts == sorted(counts)
-        assert counts[-1] == pytest.approx(counts[-2], rel=0.01)
+        iops = {qd: 10 * closed_loop_count(cfg, qd, 100 * MS)
+                for qd in (1, 2, 4, 8, 16, 32)}
+        assert littles_law_violations(cfg, iops, 0.01) == []
 
     def test_throughput_never_exceeds_ceiling(self):
         cfg = DeviceConfig(service_time_ns=50 * US, jitter_frac=0.2,
@@ -161,29 +163,14 @@ class TestDeterminism:
 
 class TestPollThreadModel:
     def test_steady_submissions_never_sleep(self):
-        # gaps of 0.5 ms against a 1 ms timeout: busy the whole window
-        clock, dev, inst = make(idle_timeout=MS)
-        poll = dev.instances[0].poll
-        end = 100 * MS
-        t = 0
-        while t <= end:
-            clock.run_until(t)
-            inst.sq_push(IoRequest(OpKind.NOP), clock.now)
-            t += MS // 2
-        clock.run_until(end)
-        dev.finalize(end)
-        assert poll.sleeps == 0
-        assert poll.busy_ns == end
-        assert poll.busy_ns / end > 0.99
+        # gaps of 0.5 ms against a 1 ms timeout: busy the whole 100 ms
+        assert poll_gap_violations(DeviceConfig(jitter_frac=0.0), MS // 2,
+                                   201) == []
 
     def test_sleeps_after_exactly_idle_timeout(self):
-        clock, dev, inst = make(idle_timeout=MS)
-        events = []
-        dev.trace = lambda t, kind, i, r: events.append((t, kind))
-        inst.sq_push(IoRequest(OpKind.NOP), clock.now)
-        clock.run_until(5 * MS)
-        sleeps = [t for t, kind in events if kind == "poll_sleep"]
-        assert sleeps == [MS]  # last activity at t=0, asleep at exactly 1 ms
+        # last activity at t=0, asleep at exactly 1 ms
+        assert poll_gap_violations(DeviceConfig(jitter_frac=0.0), 2 * MS,
+                                   1) == []
 
     def test_wakeup_costs_are_charged_and_delay_consumption(self):
         cfg = DeviceConfig(service_time_ns=10 * US, jitter_frac=0.0,
@@ -200,21 +187,6 @@ class TestPollThreadModel:
         # second op waits for the 5us wake before its 10us service
         assert comps[1] == 4 * MS + 5 * US + 10 * US
         assert poll.wakeups == 1
-
-    def test_gap_cycles_bound_busy_time(self):
-        # all gaps > timeout: busy <= count * (timeout + wakeup)
-        cfg = DeviceConfig(service_time_ns=10 * US, jitter_frac=0.0,
-                           poll=PollConfig(wakeup_cost_ns=5 * US))
-        clock, dev, inst = make(cfg, idle_timeout=MS)
-        poll = dev.instances[0].poll
-        count = 20
-        for k in range(count):
-            clock.run_until(k * 2 * MS)
-            inst.sq_push(IoRequest(OpKind.NOP), clock.now)
-        clock.run_until_idle()
-        dev.finalize(clock.now)
-        assert poll.busy_ns <= count * (MS + 5 * US)
-        assert poll.sleeps == count
 
     def test_late_wall_idle_check_does_not_strand_a_submission(self):
         # the device thread starts after the first idle check was due and

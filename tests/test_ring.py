@@ -8,6 +8,7 @@ import pytest
 from ringbench.device import DeviceConfig, SimDevice, VirtualClock
 from ringbench.ring import (ApiInstance, Completion, CompletionStatus,
                             IoRequest, OpKind, PushResult, RingQueue)
+from ringbench.verify import spsc_violations
 
 
 def nop():
@@ -76,51 +77,15 @@ def fast_thread_switching():
     sys.setswitchinterval(prev)
 
 
-def spsc_stress(seed: int, n: int):
-    """Push 0..n-1 through a ring against a concurrent consumer."""
-    import time
-    rng = random.Random(seed)
-    capacity = 2 ** rng.randint(2, 10)
-    q = RingQueue(capacity)
-    consumed = []
-    max_batch = rng.randint(1, 512)
-
-    def producer():
-        i = 0
-        items = list(range(n))
-        while i < n:
-            pushed = q.try_push_many(items[i:i + 256])
-            i += pushed
-            if not pushed:
-                time.sleep(0)  # full: hand the GIL to the consumer
-
-    def consumer():
-        got = 0
-        while got < n:
-            batch = q.try_pop_many(max_batch)
-            if batch:
-                consumed.append(batch)
-                got += len(batch)
-            else:
-                time.sleep(0)
-
-    t1 = threading.Thread(target=producer)
-    t2 = threading.Thread(target=consumer)
-    t1.start(); t2.start()
-    t1.join(60); t2.join(60)
-    assert not t1.is_alive() and not t2.is_alive()
-    flat = [x for b in consumed for x in b]
-    return flat
-
-
 class TestSpscThreads:
     """The produced sequence must equal the consumed sequence exactly."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_concurrent_fifo_no_loss_no_dup(self, seed,
-                                            fast_thread_switching):
-        n = 30_000
-        assert spsc_stress(seed, n) == list(range(n))
+    def test_concurrent_fifo_no_loss_no_dup(self, seed):
+        rng = random.Random(seed)
+        capacity = 2 ** rng.randint(2, 10)
+        pop_batch = rng.randint(1, 512)
+        assert spsc_violations(30_000, capacity, 256, pop_batch) == []
 
 
 class TestSqPush:
