@@ -101,9 +101,10 @@ class RequestWorkload:
     callback_cost_ns: int = 0
 
     def __post_init__(self):
-        for name in ("block_size", "queue_depth"):
+        for name in ("op_count", "block_size", "queue_depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        _check_op_kind(self.op_kind)
         if self.callback_cost_ns < 0:
             raise ValueError("callback_cost_ns must be >= 0")
 
@@ -130,8 +131,18 @@ class ArrivalWorkload:
     block_size: int = 4096
 
     def __post_init__(self):
-        if any(rate > 1e9 for _, rate in self.phases):
-            raise ValueError("arrival rates above 1e9/s (one per ns)")
+        if not self.phases:
+            raise ValueError("phases must hold at least one "
+                             "(duration_ns, rate) phase")
+        for i, (duration_ns, rate) in enumerate(self.phases):
+            if duration_ns <= 0:
+                raise ValueError(f"phases[{i}] duration must be > 0")
+            if not 0 <= rate <= 1e9:  # at most one arrival per ns
+                raise ValueError(f"phases[{i}] rate must be in [0, 1e9] "
+                                 f"ops/s")
+        _check_op_kind(self.op_kind)
+        if self.block_size < 1:
+            raise ValueError("block_size must be >= 1")
 
     @staticmethod
     def phase_schedule(duration_ns, rate) -> tuple:
@@ -143,6 +154,15 @@ class ArrivalWorkload:
     def total_ops(self) -> int:
         return sum(self.phase_schedule(dur, rate)[1]
                    for dur, rate in self.phases)
+
+
+# the op kinds request_stream makes requests for
+OP_KINDS = ("seq_read", "rand_read", "write_mix", "nop")
+
+
+def _check_op_kind(op_kind: str) -> None:
+    if op_kind not in OP_KINDS:
+        raise ValueError(f"op_kind must be one of {OP_KINDS}")
 
 
 def request_stream(workload, geometry: Geometry, seed: int, shard: int):
@@ -270,19 +290,19 @@ class Worker(ExecContext):
 # -- task engine --------------------------------------------------------------------
 
 
+# the partitioning schemes start_task runs a task under
+SCHEMES = ("full", "callback", "coroutine")
+
+
 def start_task(spec: TaskSpec, scheme: str, owner: Worker,
                geometry: Geometry) -> tuple:
-    """Create the LiveTask and its entry item for the given scheme."""
+    """Create the LiveTask and its entry item for one of ``SCHEMES``."""
     if scheme == "coroutine":
         task = LiveTask(spec, None, spec.initial_state, owner)
         task.frame = make_coroutine(spec, geometry)
         return task, ("frame", task)
-    if scheme == "full":
-        units = partition_full(spec)
-    elif scheme == "callback":
-        units = partition_callback(spec)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    units = partition_full(spec) if scheme == "full" \
+        else partition_callback(spec)
     task = LiveTask(spec, units, spec.initial_state, owner)
     return task, ("unit", task, 0)
 

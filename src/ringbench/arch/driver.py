@@ -18,10 +18,10 @@ from ..device import DeviceConfig, SimDevice, WallDeviceThread, \
 from ..metrics import MetricsCollector
 from ..runtime import Runtime
 from ..tasks import Geometry
-from .common import (ArrivalWorkload, ExecCosts, HandleFactory, RingConfig,
-                     TaskWorkload, Worker, deps_map, per_instance_stats,
-                     request_stream, request_worker_loop, shard_specs,
-                     task_worker_loop)
+from .common import (SCHEMES, ArrivalWorkload, ExecCosts, HandleFactory,
+                     RingConfig, TaskWorkload, Worker, deps_map,
+                     per_instance_stats, request_stream, request_worker_loop,
+                     shard_specs, task_worker_loop)
 
 
 @dataclass
@@ -97,6 +97,8 @@ class RunContext:
         if isinstance(workload, ArrivalWorkload):
             raise ValueError("workload must be a request or task "
                              "workload: an ArrivalWorkload runs on the pools")
+        if scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}")
         is_tasks = isinstance(workload, TaskWorkload)
         if is_tasks:
             shards = shard_specs(workload, n)

@@ -2,15 +2,16 @@
 
 Workers submit to a dispatch layer and poll the handle they get back; each
 I/O instance is a dedicated actor (or submit/reap actor pair) exclusively
-owning one ring instance, which enforces that ownership. The dynamic
-variant adds a scaling controller that widens or narrows the active prefix
-of instances by at most one per window; starved instances drain, their
-poll threads time out, and the actors park.
+owning one ring instance, which enforces that ownership. Both threading
+modes run one instance loop; a pair splits its submit and reap passes over
+two actors. The dynamic variant adds a scaling controller that widens or
+narrows the active prefix of instances by at most one per window; starved
+instances drain, their poll threads time out, and the actors park.
 
 This module supplies the pool units and their actors, the dispatch layer,
 the worker hooks that submit through it, the controller, and the report
-extras (inbox peaks, the active-instance timeline, the skip-rule check);
-the run assembly is ``driver.RunContext``.
+extras (inbox peaks, the active-instance timeline); the run assembly is
+``driver.RunContext``.
 """
 
 from __future__ import annotations
@@ -140,7 +141,6 @@ class IoPool:
         self.timeline = [(rt.now(), k_instances)]
         self.overflow = deque()
         self.pending = LoadMeter(locked=(rt.mode == "wall"))
-        self.skip_violations = 0
         self._rr = itertools.count()
         self.instances = []
         for i in range(k_instances):
@@ -164,7 +164,9 @@ class IoPool:
 
     def _deliver_to_inbox(self, unit: IoInstanceUnit, entry) -> None:
         if unit.index >= self.active_count:
-            self.skip_violations += 1  # must never happen; counted, asserted
+            raise RuntimeError(
+                f"dispatch delivered to inactive instance {unit.index} "
+                f"(active {self.active_count} of {self.k})")
         unit.inbox.append(entry)
         depth = len(unit.inbox)
         if depth > unit.inbox_peak:
@@ -173,23 +175,21 @@ class IoPool:
 
     def _dispatch(self, req, handle) -> None:
         self.pending.change(1, self.rt.now())
-        if self.overflow:
-            # earlier parked requests go first
-            self.overflow.append((req, handle))
-            self._drain_overflow()
-            return
-        unit = self.instances[self._pick()]
-        if len(unit.inbox) >= unit.inbox_capacity:
-            self.overflow.append((req, handle))
-            return
-        self._deliver_to_inbox(unit, (req, handle))
+        # earlier parked requests go first
+        self.overflow.append((req, handle))
+        self._drain_overflow()
 
     def _drain_overflow(self) -> None:
-        while self.overflow:
+        overflow = self.overflow
+        while overflow:
             unit = self.instances[self._pick()]
             if len(unit.inbox) >= unit.inbox_capacity:
                 return
-            self._deliver_to_inbox(unit, self.overflow.popleft())
+            try:
+                entry = overflow.popleft()
+            except IndexError:
+                return  # wall mode: another thread's drain emptied it
+            self._deliver_to_inbox(unit, entry)
 
     def exec_context(self) -> ExecContext:
         """A new executor for a pool actor; it submits through the
@@ -245,6 +245,9 @@ class IoPool:
         return progressed
 
     def _reap_pass(self, unit: IoInstanceUnit, ectx: ExecContext):
+        """Deliver reaped completions; generator returning progress. The
+        SQ's producer refills between long inline callbacks and after the
+        reap; in pair threading that is the submit actor, so it is woken."""
         costs = ectx.costs
         comps = unit.inst.cq_reap(64)
         if not comps:
@@ -254,81 +257,60 @@ class IoPool:
         handles = ectx.new_handle
         meter = self.pending
         now = self.rt.now
+        pair = unit.reap_signal is not None
         for c in comps:
             handle = handles.pop(c)
             meter.change(-1, now())
             yield from deliver_completion(handle, c, ectx)
             if handle.inline_cost_ns and (unit.inbox or unit.pending_sub):
-                # a long inline callback must not starve the SQ: refill
-                # between callbacks like any sane event loop; in pair
-                # threading the submit actor is the SQ's only producer
-                if unit.reap_signal is not None:
+                if pair:
                     unit.signal.notify()
                 else:
                     yield from self._submit_pass(unit, ectx)
+        if pair and unit.pending_sub is not None:
+            unit.signal.notify()
         return True
 
-    def _unit_drained(self, unit: IoInstanceUnit) -> bool:
-        return (not unit.inbox and unit.pending_sub is None
-                and unit.inst.pending_completion_count() == 0
-                and not len(unit.inst.cq))
+    def _unit_drained(self, unit: IoInstanceUnit, reaps: bool) -> bool:
+        """Nothing left to submit and, for a reaping actor, to reap."""
+        if unit.inbox or unit.pending_sub is not None:
+            return False
+        return not reaps or (unit.inst.pending_completion_count() == 0
+                             and not len(unit.inst.cq))
 
-    def _io_actor_single(self, unit: IoInstanceUnit, ectx: ExecContext):
+    def _io_actor(self, unit: IoInstanceUnit, ectx: ExecContext,
+                  submits: bool = True, reaps: bool = True):
+        """An I/O-instance actor; a pair's reaper parks on
+        ``unit.reap_signal``."""
+        signal = unit.signal if submits else unit.reap_signal
         while True:
-            sig_version = unit.signal.version  # park guard: see Signal docs
-            active = unit.index < self.active_count
-            submitted = yield from self._submit_pass(unit, ectx)
-            reaped = yield from self._reap_pass(unit, ectx)
-            if active and self.overflow and not unit.inbox:
+            sig_version = signal.version  # park guard: see Signal docs
+            submitted = submits and (yield from self._submit_pass(unit, ectx))
+            reaped = reaps and (yield from self._reap_pass(unit, ectx))
+            if submits and self.overflow and not unit.inbox \
+                    and unit.index < self.active_count:
                 self._drain_overflow()
-            if not (submitted or reaped):
-                if self.stopping and self._unit_drained(unit) and (
-                        not self.overflow or unit.index >= self.active_count):
-                    return
-                if unit.signal.version == sig_version:
-                    yield unit.signal
-
-    def _io_actor_submit(self, unit: IoInstanceUnit, ectx: ExecContext):
-        while True:
-            sig_version = unit.signal.version
-            submitted = yield from self._submit_pass(unit, ectx)
-            if unit.index < self.active_count and self.overflow \
-                    and not unit.inbox:
-                self._drain_overflow()
+                if not reaps:
+                    continue  # a reaping actor may park; a submitter retries
+            if submitted or reaped:
                 continue
-            if not submitted:
-                if self.stopping and not unit.inbox \
-                        and unit.pending_sub is None and (
-                            not self.overflow
-                            or unit.index >= self.active_count):
-                    return
-                if unit.signal.version == sig_version:
-                    yield unit.signal
-
-    def _io_actor_reap(self, unit: IoInstanceUnit, ectx: ExecContext):
-        while True:
-            sig_version = unit.reap_signal.version
-            reaped = yield from self._reap_pass(unit, ectx)
-            if reaped:
-                if unit.pending_sub is not None:
-                    # the reap freed CQ headroom a stalled push waits for
-                    unit.signal.notify()
-                continue
-            if self.stopping and self._unit_drained(unit):
+            if self.stopping and self._unit_drained(unit, reaps) and (
+                    not submits or not self.overflow
+                    or unit.index >= self.active_count):
                 return
-            if unit.reap_signal.version == sig_version:
-                yield unit.reap_signal
+            if signal.version == sig_version:
+                yield signal
 
     def _spawn_instance_actors(self) -> None:
+        # (name suffix, submits, reaps) of each actor an instance runs
+        roles = ((("-submit", True, False), ("-reap", False, True))
+                 if self.threading_mode == THREADING_PAIR
+                 else (("", True, True),))
         for unit in self.instances:
-            if self.threading_mode == THREADING_PAIR:
-                self.rt.spawn(self._io_actor_submit(unit, self.exec_context()),
-                              f"io-{unit.index}-submit")
-                self.rt.spawn(self._io_actor_reap(unit, self.exec_context()),
-                              f"io-{unit.index}-reap")
-            else:
-                self.rt.spawn(self._io_actor_single(unit, self.exec_context()),
-                              f"io-{unit.index}")
+            for suffix, submits, reaps in roles:
+                self.rt.spawn(self._io_actor(unit, self.exec_context(),
+                                             submits, reaps),
+                              f"io-{unit.index}{suffix}")
 
     # -- scaling controller ---------------------------------------------------------
 
@@ -371,9 +353,8 @@ class IoPool:
     # -- shutdown ---------------------------------------------------------------------
 
     def drained(self) -> bool:
-        if self.overflow or self.pending.level != 0:
-            return False
-        return all(self._unit_drained(u) for u in self.instances)
+        # a dispatch raises the meter and the request's reap lowers it
+        return self.pending.level == 0
 
     def abandoned_count(self) -> int:
         return self.pending.level
@@ -472,13 +453,9 @@ def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
             inline_cb_cost=inline)
 
     def workers_done():
-        if pool.pending.level != 0:  # cheap guard on the per-event hot path
-            return False
-        return all(a.done for a in worker_actors) and pool.drained()
+        return pool.pending.level == 0 and all(a.done for a in worker_actors)
 
     ctx.run(workers_done, pool.request_stop)
-    assert pool.skip_violations == 0, \
-        "dispatch delivered to an inactive instance"
     return pool.report()
 
 

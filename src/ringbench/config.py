@@ -10,15 +10,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-from .arch.common import ExecCosts, RingConfig
+from .arch.common import OP_KINDS, SCHEMES, ExecCosts, RingConfig
 from .arch.pool import EXEC_MODES, POLICIES, THREADING_MODES
 from .arch.pool import ControllerConfig
 from .device import DeviceConfig, PollConfig
 
 ARCHITECTURES = ("shared_nothing", "direct_access", "static_pool",
                  "dynamic_pool")
-SCHEMES = ("full", "callback", "coroutine")
-OP_KINDS = ("seq_read", "rand_read", "write_mix", "nop")
 BACKENDS = ("sim", "native")
 
 

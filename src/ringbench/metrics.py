@@ -138,25 +138,22 @@ class MetricsReport:
                 repr(util_mean), inbox_peak, len(per)]
 
 
+# the counters a collector sums over executors and reports as they are
+SUMMED_COUNTERS = ("submitted", "completed_ok", "errored", "canceled",
+                   "contention_events", "cross_thread_msgs",
+                   "sq_full_retries", "tasklet_respawns", "coroutine_resumes")
+
+
 class MetricsCollector:
     """Per-executor accumulation; no shared mutable state during a run."""
 
-    __slots__ = ("run_id", "submitted", "errored", "canceled", "completed_ok",
-                 "contention_events", "cross_thread_msgs", "sq_full_retries",
-                 "tasklet_respawns", "coroutine_resumes", "frame_bytes_peak",
-                 "hist", "completion_times", "last_completion_ns")
+    __slots__ = ("run_id", *SUMMED_COUNTERS, "frame_bytes_peak", "hist",
+                 "completion_times", "last_completion_ns")
 
     def __init__(self, run_id: str, keep_completion_times: bool = False):
         self.run_id = run_id
-        self.submitted = 0
-        self.completed_ok = 0
-        self.errored = 0
-        self.canceled = 0
-        self.contention_events = 0
-        self.cross_thread_msgs = 0
-        self.sq_full_retries = 0
-        self.tasklet_respawns = 0
-        self.coroutine_resumes = 0
+        for name in SUMMED_COUNTERS:
+            setattr(self, name, 0)
         self.frame_bytes_peak = 0
         self.hist = LatencyHistogram()
         self.completion_times = [] if keep_completion_times else None
@@ -183,15 +180,8 @@ class MetricsCollector:
         if other.run_id != self.run_id:
             raise IncompatibleWindows(
                 f"collector {other.run_id!r} does not match {self.run_id!r}")
-        self.submitted += other.submitted
-        self.completed_ok += other.completed_ok
-        self.errored += other.errored
-        self.canceled += other.canceled
-        self.contention_events += other.contention_events
-        self.cross_thread_msgs += other.cross_thread_msgs
-        self.sq_full_retries += other.sq_full_retries
-        self.tasklet_respawns += other.tasklet_respawns
-        self.coroutine_resumes += other.coroutine_resumes
+        for name in SUMMED_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.frame_bytes_peak = max(self.frame_bytes_peak,
                                     other.frame_bytes_peak)
         self.hist.merge(other.hist)
@@ -204,20 +194,14 @@ class MetricsCollector:
                  timeline=()) -> MetricsReport:
         iops = self.completed_ok * 1e9 / elapsed_ns if elapsed_ns else 0.0
         return MetricsReport(
-            run_id=self.run_id, elapsed_ns=elapsed_ns,
-            submitted=self.submitted, completed_ok=self.completed_ok,
-            errored=self.errored, canceled=self.canceled, iops=iops,
+            run_id=self.run_id, elapsed_ns=elapsed_ns, iops=iops,
             lat_p50_ns=self.hist.quantile(0.50),
             lat_p99_ns=self.hist.quantile(0.99),
             lat_max_ns=self.hist.max_ns,
-            contention_events=self.contention_events,
-            cross_thread_msgs=self.cross_thread_msgs,
-            sq_full_retries=self.sq_full_retries,
-            tasklet_respawns=self.tasklet_respawns,
-            coroutine_resumes=self.coroutine_resumes,
             frame_bytes_peak=self.frame_bytes_peak,
             per_instance=list(per_instance),
-            active_instance_timeline=list(timeline), histogram=self.hist)
+            active_instance_timeline=list(timeline), histogram=self.hist,
+            **{name: getattr(self, name) for name in SUMMED_COUNTERS})
 
 
 def write_summary_csv(path, reports, extra_columns=(), extra_values=None):

@@ -236,7 +236,7 @@ class TestCriterion7DynamicPoolEfficiency:
                                keep_completion_times=True)
         assert dynamic_pool_violations(dyn, stat, phases,
                                        ctrl.window_ns) == []
-        # the skip rule (zero deliveries to inactive instances) is asserted
+        # the skip rule (zero deliveries to inactive instances) raises
         # inside the pool run itself; reaching here means it held
         assert run_violations(dyn, wl.total_ops()) == []
         assert run_violations(stat, wl.total_ops()) == []

@@ -1,5 +1,6 @@
 """Shared-nothing and direct-access architecture behavior."""
 
+import re
 import sys
 
 import pytest
@@ -148,7 +149,8 @@ def arrivals():
 
 class TestRunArguments:
     """Each runner takes its own sizes and knobs: a size below 1, a
-    negative callback cost or an arrival workload off the pools raises a
+    negative callback cost, an unknown op kind or scheme, an arrival phase
+    that cannot run or an arrival workload off the pools raises a
     ``ValueError`` that starts with the argument's or field's name, and a
     pool knob given to shared-nothing or direct access is a
     ``TypeError``."""
@@ -171,14 +173,33 @@ class TestRunArguments:
                               max_live_per_worker=0), "max_live_per_worker"),
         (lambda: run_shared_nothing(arrivals(), 1), "workload"),
         (lambda: run_direct_access(arrivals(), 1, 1), "workload"),
+        (lambda: RequestWorkload(op_count=0), "op_count"),
+        (lambda: RequestWorkload(op_count=-3), "op_count"),
+        (lambda: RequestWorkload(op_kind="bogus"), "op_kind"),
+        (lambda: ArrivalWorkload(phases=[(MS, 20_000)], op_kind="bogus"),
+         "op_kind"),
+        (lambda: ArrivalWorkload(phases=[(MS, 20_000)], block_size=0),
+         "block_size"),
+        (lambda: ArrivalWorkload(phases=[]), "phases"),
+        (lambda: ArrivalWorkload(phases=[(-MS, 20_000)]), "phases[0]"),
+        (lambda: ArrivalWorkload(phases=[(MS, 20_000), (MS, -5)]),
+         "phases[1]"),
+        (lambda: run_shared_nothing(RequestWorkload(op_count=10), 1,
+                                    scheme="bogus"), "scheme"),
+        (lambda: run_static_pool(TaskWorkload(specs=generate_corpus(1, 4)),
+                                 1, 1, scheme="bogus"), "scheme"),
     ], ids=["shared_nothing-threads", "direct_access-workers",
             "direct_access-instances", "static_pool-workers",
             "static_pool-task-workers", "static_pool-instances",
             "dynamic_pool-instances", "inbox_capacity", "queue_depth",
             "block_size", "negative-callback-cost", "max_live_per_worker",
-            "shared_nothing-arrivals", "direct_access-arrivals"])
+            "shared_nothing-arrivals", "direct_access-arrivals",
+            "op_count-zero", "op_count-negative", "op_kind",
+            "arrival-op_kind", "arrival-block_size", "no-phases",
+            "negative-duration", "negative-rate", "shared_nothing-scheme",
+            "static_pool-task-scheme"])
     def test_size_below_one_rejected(self, call, arg):
-        with pytest.raises(ValueError, match=f"^{arg} "):
+        with pytest.raises(ValueError, match=f"^{re.escape(arg)} "):
             call()
 
     @pytest.mark.parametrize("knob", [

@@ -1,6 +1,7 @@
 """Byte-level pins of small seeded runs: every architecture on requests and
-on tasks under each scheme, arrivals on the dynamic pool, and the static
-pool's submit/reap actor pairs.
+on tasks under each scheme, arrivals on the dynamic pool, and the pool's
+forks: submit/reap actor pairs on both pools, small inboxes that park
+requests in the overflow queue, and the least-loaded dispatch policy.
 
 Device jitter and scheduling jitter are both on, so a change in the order
 in which a run spawns actors or draws random numbers shows up as a
@@ -14,10 +15,11 @@ import hashlib
 import pytest
 
 from ringbench.arch import (ArrivalWorkload, ControllerConfig,
-                            EXEC_INLINE_CALLBACKS, RequestWorkload,
-                            RingConfig, TaskWorkload, THREADING_PAIR,
-                            run_direct_access, run_dynamic_pool,
-                            run_shared_nothing, run_static_pool)
+                            EXEC_INLINE_CALLBACKS, POLICY_LEAST_LOADED,
+                            RequestWorkload, RingConfig, TaskWorkload,
+                            THREADING_PAIR, run_direct_access,
+                            run_dynamic_pool, run_shared_nothing,
+                            run_static_pool)
 from ringbench.device import DeviceConfig, VirtualClock
 from ringbench.metrics import write_summary_csv
 from ringbench.tasks import generate_corpus
@@ -30,14 +32,26 @@ ARRIVALS_DEV = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.1,
                            submission_cpu_cost_ns=20 * US)
 JITTER = dict(device_cfg=DEV, seed=3, sched_jitter_ns=500)
 
-RUNS = {
-    "shared_nothing": lambda wl, **kw: run_shared_nothing(wl, 2, **kw),
-    "direct_access": lambda wl, **kw: run_direct_access(wl, 3, 2, **kw),
-    "static_pool": lambda wl, **kw: run_static_pool(wl, 3, 2, **kw),
-    "dynamic_pool": lambda wl, **kw: run_dynamic_pool(wl, 3, 2, **kw),
-    "static_pool_pair": lambda wl, **kw: run_static_pool(
-        wl, 3, 2, threading_mode=THREADING_PAIR, **kw),
-}
+
+def shared_nothing(wl, **kw):
+    return run_shared_nothing(wl, 2, **kw)
+
+
+def direct_access(wl, **kw):
+    return run_direct_access(wl, 3, 2, **kw)
+
+
+def static_pool(wl, **kw):
+    return run_static_pool(wl, 3, 2, **kw)
+
+
+def dynamic_pool(wl, **kw):
+    return run_dynamic_pool(wl, 3, 2, **kw)
+
+
+def arrivals_pool(wl, **kw):
+    return run_dynamic_pool(wl, 0, 4, controller=ControllerConfig(
+        window_ns=MS), **kw)
 
 
 def requests():
@@ -47,6 +61,77 @@ def requests():
 
 def tasks():
     return TaskWorkload(specs=generate_corpus(19, 40))
+
+
+def arrivals():
+    return ArrivalWorkload(phases=[(5 * MS, 5_000), (5 * MS, 100_000)] * 2)
+
+
+PAIR = dict(threading_mode=THREADING_PAIR)
+# a 2/2 ring makes pushes wait for CQ headroom that only a reap frees
+RING_2_2 = dict(ring=RingConfig(2, 2))
+# a per-entry submission cost makes the high phase need more than one
+# instance, so the controller scales both ways
+ARRIVALS = dict(ring=RingConfig(sq_capacity=16, cq_capacity=32),
+                device_cfg=ARRIVALS_DEV)
+
+# case -> (runner, workload, keywords on top of JITTER)
+CASES = {
+    "shared_nothing-requests": (shared_nothing, requests, {}),
+    "shared_nothing-tasks-full": (shared_nothing, tasks, {"scheme": "full"}),
+    "shared_nothing-tasks-callback": (shared_nothing, tasks,
+                                      {"scheme": "callback"}),
+    "shared_nothing-tasks-coroutine": (shared_nothing, tasks,
+                                       {"scheme": "coroutine"}),
+    "direct_access-requests": (direct_access, requests, {}),
+    "direct_access-tasks-full": (direct_access, tasks, {"scheme": "full"}),
+    "direct_access-tasks-callback": (direct_access, tasks,
+                                     {"scheme": "callback"}),
+    "direct_access-tasks-coroutine": (direct_access, tasks,
+                                      {"scheme": "coroutine"}),
+    "static_pool-requests": (static_pool, requests, {}),
+    "static_pool-tasks-full": (static_pool, tasks, {"scheme": "full"}),
+    "static_pool-tasks-callback": (static_pool, tasks,
+                                   {"scheme": "callback"}),
+    "static_pool-tasks-coroutine": (static_pool, tasks,
+                                    {"scheme": "coroutine"}),
+    "dynamic_pool-requests": (dynamic_pool, requests, {}),
+    "dynamic_pool-tasks-full": (dynamic_pool, tasks, {"scheme": "full"}),
+    "dynamic_pool-tasks-callback": (dynamic_pool, tasks,
+                                    {"scheme": "callback"}),
+    "dynamic_pool-tasks-coroutine": (dynamic_pool, tasks,
+                                     {"scheme": "coroutine"}),
+    "dynamic_pool-arrivals": (arrivals_pool, arrivals, ARRIVALS),
+    "static_pool_pair-requests": (static_pool, requests,
+                                  dict(PAIR, **RING_2_2)),
+    "static_pool_pair-inline_requests": (
+        static_pool, requests, dict(PAIR, exec_mode=EXEC_INLINE_CALLBACKS)),
+    "static_pool_pair-tasks-callback": (static_pool, tasks,
+                                        dict(PAIR, scheme="callback")),
+    "dynamic_pool_pair-requests": (dynamic_pool, requests,
+                                   dict(PAIR, **RING_2_2)),
+    "dynamic_pool_pair-tasks-full": (dynamic_pool, tasks,
+                                     dict(PAIR, scheme="full")),
+    "dynamic_pool_pair-tasks-callback": (dynamic_pool, tasks,
+                                         dict(PAIR, scheme="callback")),
+    # small inboxes park requests in the overflow queue
+    "static_pool_inbox2-requests": (static_pool, requests,
+                                    {"inbox_capacity": 2}),
+    "static_pool_pair_inbox2-requests": (
+        static_pool, requests, dict(PAIR, inbox_capacity=2, **RING_2_2)),
+    "static_pool_least_loaded_inbox2-requests": (
+        static_pool, requests,
+        {"policy": POLICY_LEAST_LOADED, "inbox_capacity": 2}),
+    "dynamic_pool_inbox1-tasks-coroutine": (
+        dynamic_pool, tasks, {"inbox_capacity": 1, "scheme": "coroutine"}),
+    # after a drain that filled no inbox of its own, a single actor parks
+    # and a pair's submit actor drains again: each case moves if its actor
+    # takes the other's rule
+    "dynamic_pool_inbox1-arrivals": (
+        arrivals_pool, arrivals, dict(inbox_capacity=1, **ARRIVALS)),
+    "dynamic_pool_pair_inbox1-arrivals": (
+        arrivals_pool, arrivals, dict(PAIR, inbox_capacity=1, **ARRIVALS)),
+}
 
 
 def csv_digest(report, tmp_path) -> str:
@@ -96,6 +181,24 @@ GOLDEN = {
         "5fe9b003fac335ff02bed26a0e083f3b00c6d300115aa41348fdf51aa0b6d31f",
     "static_pool_pair-tasks-callback":
         "740380a96fbb92f42c73ae4a46cdf5219d10f4acf9c3aa26744122c6910cc465",
+    "dynamic_pool_pair-requests":
+        "ba90febe76aa534fb95e80319d968bc1d55f4946d2fa06e0d537be67678206bb",
+    "dynamic_pool_pair-tasks-full":
+        "278fc80c3fabf5eeadbf5cf51d157e4928f9ed82d206797ede26cf10521e4102",
+    "dynamic_pool_pair-tasks-callback":
+        "ea4e48266b6ce8ca33fa3088c8cfb4fbb9abc91f33df13bdac9bc7d9f187d0af",
+    "static_pool_inbox2-requests":
+        "5c5602a4219d85c40745bcabc5904c4d467481ac891343997341125352d6774b",
+    "static_pool_pair_inbox2-requests":
+        "795c9ad1419fdb328236353784513fdab9b8e8eb5239b01039f4b7bd93f20ccd",
+    "static_pool_least_loaded_inbox2-requests":
+        "db101b94effb0d7127d7469f8310956a0d36be23717481fc516684096e8fd84a",
+    "dynamic_pool_inbox1-tasks-coroutine":
+        "6fc739876fb5200d23a8c8f2780e742bc5da51be638fe2d88175d61724c94283",
+    "dynamic_pool_inbox1-arrivals":
+        "37f5e867359433396be9dc0329660ffeb72240b03eedc8dd5db9e9752b6a2df8",
+    "dynamic_pool_pair_inbox1-arrivals":
+        "79de19ca61d0a42756bd2161c3fec81aa8ddc447a45fd7771fb6882effe2ec62",
 }
 
 
@@ -122,28 +225,20 @@ EVENTS = {
     "static_pool_pair-requests": 35510,
     "static_pool_pair-inline_requests": 28854,
     "static_pool_pair-tasks-callback": 1456,
+    "dynamic_pool_pair-requests": 35447,
+    "dynamic_pool_pair-tasks-full": 2649,
+    "dynamic_pool_pair-tasks-callback": 1443,
+    "static_pool_inbox2-requests": 27749,
+    "static_pool_pair_inbox2-requests": 35426,
+    "static_pool_least_loaded_inbox2-requests": 26463,
+    "dynamic_pool_inbox1-tasks-coroutine": 2052,
+    "dynamic_pool_inbox1-arrivals": 10412,
+    "dynamic_pool_pair_inbox1-arrivals": 10514,
 }
 
 def run_case(case: str):
-    arch, kind, *scheme = case.split("-")
-    if kind == "arrivals":
-        # a per-entry submission cost makes the high phase need more than
-        # one instance, so the controller scales both ways
-        wl = ArrivalWorkload(phases=[(5 * MS, 5_000), (5 * MS, 100_000)] * 2)
-        return run_dynamic_pool(
-            wl, 0, 4, controller=ControllerConfig(window_ns=MS),
-            ring=RingConfig(sq_capacity=16, cq_capacity=32),
-            **dict(JITTER, device_cfg=ARRIVALS_DEV))
-    if kind == "requests":
-        if arch == "static_pool_pair":
-            # a 2/2 ring makes pushes wait for CQ headroom that only a
-            # reap frees
-            return RUNS[arch](requests(), ring=RingConfig(2, 2), **JITTER)
-        return RUNS[arch](requests(), **JITTER)
-    if kind == "inline_requests":
-        return RUNS[arch](requests(), exec_mode=EXEC_INLINE_CALLBACKS,
-                          **JITTER)
-    return RUNS[arch](tasks(), scheme=scheme[0], **JITTER)
+    run, workload, kw = CASES[case]
+    return run(workload(), **dict(JITTER, **kw))
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))

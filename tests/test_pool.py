@@ -1,6 +1,7 @@
 """Static/dynamic pool behavior: dispatch, handles, scaling, shutdown."""
 
 import itertools
+import sys
 import threading
 import time
 
@@ -104,6 +105,23 @@ class TestDispatchLayer:
         assert run_violations(report, 200) == []
         times = [h.completion.complete_time for h in handles]
         assert times == sorted(times)  # FIFO through inbox + overflow
+
+    def test_drain_tolerates_overflow_emptied_meanwhile(self, monkeypatch):
+        # in wall mode another thread's drain can take the last parked
+        # request between this drain's check and its pop; the other
+        # thread then delivers it
+        pool = open_pool(1, device_cfg=FAST)
+        taken = []
+
+        def racing_pick(p):
+            taken.append(p.overflow.popleft())
+            return 0
+
+        monkeypatch.setattr(pool_module.IoPool, "_pick", racing_pick)
+        pool.pool_submit(IoRequest(OpKind.NOP))
+        monkeypatch.undo()
+        pool._deliver_to_inbox(pool.instances[0], taken.pop())
+        assert run_violations(pool.drain_and_shutdown(), 1) == []
 
     def test_least_loaded_policy_balances(self):
         wl = RequestWorkload(op_count=20_000, queue_depth=64)
@@ -313,6 +331,30 @@ class TestWallMode:
         monkeypatch.setattr(SimDevice, "_deliver", fail_50th)
         self.assert_run_fails_fast("delivery 50 failed")
 
+    def test_concurrent_submitters_share_the_overflow(self):
+        # 8 threads dispatch into 2-entry inboxes, so drains race on the
+        # overflow queue; every request must still complete exactly once
+        pool = open_pool(3, device_cfg=FAST, mode="wall", inbox_capacity=2,
+                         ring=RingConfig(sq_capacity=4, cq_capacity=8))
+
+        def submit():
+            for _ in range(500):
+                pool.pool_submit(IoRequest(OpKind.NOP))
+
+        threads = [threading.Thread(target=submit) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        report = pool.drain_and_shutdown(deadline_ns=60_000_000_000)
+        assert run_violations(report, 4000) == []
+
     def test_drain_and_shutdown_wall(self):
         pool = open_pool(1, device_cfg=FAST, mode="wall")
         h = pool.pool_submit(IoRequest(OpKind.NOP))
@@ -366,9 +408,31 @@ class TestDynamicPool:
         assert all(n == 4 for n in counts)
 
     def test_skip_rule_enforced(self):
-        # the run itself asserts zero deliveries to inactive instances;
+        # a delivery to an inactive instance raises at once;
         # run_square_wave checks the run contract
         self.run_square_wave(dynamic=True, seed=15)
+
+    def arrivals_from_one_active(self):
+        run_dynamic_pool(ArrivalWorkload(phases=self.PHASES[:2]), 0, 4,
+                         controller=self.CTRL, device_cfg=self.DCFG,
+                         ring=self.RING, seed=15)
+
+    def live_pool_shrunk_to_one(self):
+        pool = open_pool(4, controller=self.CTRL, device_cfg=FAST)
+        for n in (3, 2, 1):
+            pool.set_active(n)
+        pool.pool_submit(IoRequest(OpKind.NOP))
+        pool.drain_and_shutdown()
+
+    @pytest.mark.parametrize("run", ["arrivals_from_one_active",
+                                     "live_pool_shrunk_to_one"])
+    def test_delivery_to_inactive_instance_raises(self, monkeypatch, run):
+        # a broken policy that always picks the last of 4 instances
+        monkeypatch.setattr(pool_module.IoPool, "_pick", lambda p: p.k - 1)
+        with pytest.raises(RuntimeError, match=(
+                r"^dispatch delivered to inactive instance 3 "
+                r"\(active 1 of 4\)$")):
+            getattr(self, run)()
 
     def test_scheme_matrix_on_dynamic_pool(self):
         specs = generate_corpus(51, 24)
