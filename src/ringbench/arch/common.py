@@ -1,10 +1,11 @@
 """Machinery shared by the four execution architectures.
 
-Two workload drivers exist: a lean closed-loop request driver (queue-depth
-benchmarks) and a task engine that executes partitioned TaskSpecs under any
-scheme. Both are actor generators that take from an architecture only the
-worker (an ``ExecContext`` with its submission path) and a reap callable;
-each architecture supplies only those and its parking signal.
+Three workload drivers exist: a lean closed-loop request driver
+(queue-depth benchmarks), an open-loop arrival driver, and a task engine
+that executes partitioned TaskSpecs under any scheme. All are actor
+generators that take from an architecture only the worker (an
+``ExecContext`` with its submission path) and, where it reaps, a reap
+callable; each architecture supplies only those and its parking signal.
 
 Placement rules the engine enforces:
 
@@ -577,6 +578,30 @@ def request_worker_loop(worker: Worker, reap, shard_ops: int, qd: int,
         if not progressed and done < shard_ops \
                 and worker.signal.version == sig_version:
             yield worker.signal
+
+
+def arrival_loop(worker: Worker, workload: ArrivalWorkload, n: int,
+                 next_request):
+    """Open-loop arrival driver: worker i of n issues arrivals i, i+n, ...
+    of each phase at their scheduled times. Another executor reaps."""
+    rt = worker.rt
+    start = rt.now()
+    for duration_ns, rate in workload.phases:
+        gap, count = workload.phase_schedule(duration_ns, rate)
+        mine = range(worker.index, count, n)
+        for i in mine:
+            delay = start + i * gap - rt.now()
+            if delay > 0:
+                yield delay
+            req = next_request()
+            yield from worker.submit(req, worker.new_handle(req))
+            worker.collector.on_submit()
+        start += duration_ns
+        if not mine:
+            # a phase without arrivals of its own still takes its time
+            delay = start - rt.now()
+            if delay > 0:
+                yield delay
 
 
 def task_worker_loop(worker: Worker, reap, shard_specs, scheme: str,

@@ -13,13 +13,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..device import DeviceConfig, SimDevice, WallDeviceThread, \
-    effective_config
+from ..device import DeviceConfig, SimDevice, WallDeviceThread
 from ..metrics import MetricsCollector
 from ..runtime import Runtime
 from ..tasks import Geometry
 from .common import (SCHEMES, ArrivalWorkload, ExecCosts, HandleFactory,
-                     RingConfig, TaskWorkload, Worker, deps_map,
+                     RingConfig, TaskWorkload, Worker, arrival_loop, deps_map,
                      per_instance_stats, request_stream, request_worker_loop,
                      shard_specs, task_worker_loop)
 
@@ -65,9 +64,7 @@ class RunContext:
         self.costs.validate()
         self.seed = opts.seed
         self.run_id = opts.run_id or f"{arch}-{opts.seed}"
-        # task workloads and a bare pool have no op kind to adjust for
-        dcfg = effective_config(opts.device_cfg or DeviceConfig(),
-                                getattr(workload, "op_kind", None))
+        dcfg = opts.device_cfg or DeviceConfig()
         self.geometry = Geometry(dcfg.block_size, dcfg.capacity_bytes)
         self.rt = Runtime(opts.mode, opts.seed, opts.sched_jitter_ns)
         self.device = self.rt.device = SimDevice(dcfg, self.rt.clock,
@@ -91,14 +88,13 @@ class RunContext:
         executor reaps. A request workload's queue depth is split over the
         workers unless ``qd_per_worker``. Its callback cost runs on the
         worker after replenishment, unless ``inline_cb_cost`` charges it
-        inline on the reaping executor.
+        inline on the reaping executor. An arrival workload's arrivals are
+        dealt over the workers in turn; it needs workers that do not reap.
         """
         workload = self.workload
-        if isinstance(workload, ArrivalWorkload):
-            raise ValueError("workload must be a request or task "
-                             "workload: an ArrivalWorkload runs on the pools")
         if scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
+        is_arrivals = isinstance(workload, ArrivalWorkload)
         is_tasks = isinstance(workload, TaskWorkload)
         if is_tasks:
             shards = shard_specs(workload, n)
@@ -108,7 +104,14 @@ class RunContext:
         for i in range(n):
             worker = Worker(i, self)
             worker.submit, reap = wire(worker)
-            if is_tasks:
+            if is_arrivals:
+                if reap is not None:
+                    raise ValueError(
+                        "workload must be a request or task workload: an "
+                        "ArrivalWorkload runs on the pools")
+                gen = arrival_loop(worker, workload, n, request_stream(
+                    workload, self.geometry, self.seed, i))
+            elif is_tasks:
                 gen = task_worker_loop(worker, reap, shards[i], scheme,
                                        workload, deps)
             else:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from ..metrics import MetricsCollector
 from ..ring import PushResult
 from .common import (ArrivalWorkload, ExecContext, PoolShutdown,
-                     TimeoutExceeded, deliver_completion, request_stream)
+                     TimeoutExceeded, deliver_completion)
 from .driver import RunContext, RunOptions, check_sizes, drive
 
 EXEC_IO_THREADS = "io_threads"
@@ -191,13 +191,6 @@ class IoPool:
                 return  # wall mode: another thread's drain emptied it
             self._deliver_to_inbox(unit, entry)
 
-    def exec_context(self) -> ExecContext:
-        """A new executor for a pool actor; it submits through the
-        dispatch layer."""
-        ectx = ExecContext(self.ctx)
-        ectx.submit = self.submitter_for(ectx.collector)
-        return ectx
-
     def submitter_for(self, collector: MetricsCollector):
         """Generator-style submit hook bound to the executor's collector."""
         costs = self.ctx.costs
@@ -308,8 +301,10 @@ class IoPool:
                  else (("", True, True),))
         for unit in self.instances:
             for suffix, submits, reaps in roles:
-                self.rt.spawn(self._io_actor(unit, self.exec_context(),
-                                             submits, reaps),
+                # an I/O actor submits a follow-up through the dispatch layer
+                ectx = ExecContext(self.ctx)
+                ectx.submit = self.submitter_for(ectx.collector)
+                self.rt.spawn(self._io_actor(unit, ectx, submits, reaps),
                               f"io-{unit.index}{suffix}")
 
     # -- scaling controller ---------------------------------------------------------
@@ -425,9 +420,7 @@ def open_pool(k_instances: int, *, controller: ControllerConfig = None,
 
 def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
               exec_mode, kw):
-    is_arrival = isinstance(workload, ArrivalWorkload)
-    if not is_arrival:
-        check_sizes(n_workers=n_workers)
+    check_sizes(n_workers=n_workers)
     if exec_mode not in EXEC_MODES:
         raise ValueError(f"unknown exec mode {exec_mode!r}")
     knobs, opts = _pool_args(kw)
@@ -435,50 +428,26 @@ def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
     rt = ctx.rt
     pool = IoPool(ctx, k_instances, controller, **knobs)
     if controller is not None:
-        pool.active_count = controller.min_active if is_arrival else k_instances
-        pool.timeline[0] = (rt.now(), pool.active_count)
+        if isinstance(workload, ArrivalWorkload):
+            # open-loop load starts on the fewest instances
+            pool.active_count = controller.min_active
+            pool.timeline[0] = (rt.now(), pool.active_count)
         rt.spawn(pool.controller_actor(), "controller")
 
-    if is_arrival:
-        gen = _arrival_actor(pool, workload, pool.exec_context())
-        worker_actors = [rt.spawn(gen, "arrivals")]
-    else:
-        # inline callbacks run on the reaping I/O-instance actor
-        inline = getattr(workload, "callback_cost_ns", 0) \
-            if exec_mode == EXEC_INLINE_CALLBACKS else 0
-        # I/O-instance actors reap; workers only poll handles
-        worker_actors = ctx.spawn_workers(
-            n_workers, scheme,
-            lambda worker: (pool.submitter_for(worker.collector), None),
-            inline_cb_cost=inline)
+    # inline callbacks run on the reaping I/O-instance actor
+    inline = getattr(workload, "callback_cost_ns", 0) \
+        if exec_mode == EXEC_INLINE_CALLBACKS else 0
+    # I/O-instance actors reap; workers only poll handles
+    worker_actors = ctx.spawn_workers(
+        n_workers, scheme,
+        lambda worker: (pool.submitter_for(worker.collector), None),
+        inline_cb_cost=inline)
 
     def workers_done():
         return pool.pending.level == 0 and all(a.done for a in worker_actors)
 
     ctx.run(workers_done, pool.request_stop)
     return pool.report()
-
-
-def _arrival_actor(pool: IoPool, workload: ArrivalWorkload,
-                   ectx: ExecContext):
-    next_req = request_stream(workload, ectx.geometry, pool.ctx.seed, 0)
-    rt = ectx.rt
-    start = rt.now()
-    for duration_ns, rate in workload.phases:
-        gap, count = workload.phase_schedule(duration_ns, rate)
-        for i in range(count):
-            delay = start + i * gap - rt.now()
-            if delay > 0:
-                yield delay
-            req = next_req()
-            yield from ectx.submit(req, ectx.new_handle(req))
-            ectx.collector.on_submit()
-        start += duration_ns
-        if not count:
-            # a phase without arrivals still takes its time
-            delay = start - rt.now()
-            if delay > 0:
-                yield delay
 
 
 def run_static_pool(workload, n_workers: int, k_instances: int,

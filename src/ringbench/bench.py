@@ -12,33 +12,11 @@ from __future__ import annotations
 import os
 from dataclasses import replace
 
-from .arch import (ArrivalWorkload, RequestWorkload, TaskWorkload,
-                   run_direct_access, run_dynamic_pool, run_shared_nothing,
+from .arch import (run_direct_access, run_dynamic_pool, run_shared_nothing,
                    run_static_pool)
-from .config import ConfigInvalid, ExperimentConfig
-from .device import effective_config, steady_state_iops
+from .config import ConfigInvalid, ExperimentConfig, build_workload
+from .device import steady_state_iops
 from .metrics import MetricsReport, write_summary_csv
-from .tasks import generate_corpus, read_corpus
-
-
-def build_workload(cfg: ExperimentConfig, seed: int):
-    w = cfg.workload
-    if w.kind == "requests":
-        return RequestWorkload(op_count=w.op_count, op_kind=w.op_kind,
-                               block_size=w.block_size,
-                               queue_depth=w.queue_depth,
-                               callback_cost_ns=w.callback_cost_ns)
-    if w.kind == "tasks":
-        if w.corpus_path:
-            specs = read_corpus(w.corpus_path)
-        else:
-            specs = generate_corpus(seed, w.task_count,
-                                    max_steps=w.task_max_steps)
-        return TaskWorkload(specs=specs)
-    if w.kind == "arrivals":
-        return ArrivalWorkload(phases=[tuple(p) for p in w.phases],
-                               op_kind=w.op_kind, block_size=w.block_size)
-    raise ConfigInvalid("workload.kind", f"unknown kind {w.kind!r}")
 
 
 def run_experiment(cfg: ExperimentConfig, *, seed: int = None,
@@ -82,14 +60,13 @@ def cmd_sweep_qd(cfg: ExperimentConfig, qd_list, out_dir) -> str:
     if cfg.workload.kind != "requests":
         raise ConfigInvalid("workload.kind", "sweep-qd needs a request "
                             "workload")
+    if any(qd < 1 for qd in qd_list):
+        raise ConfigInvalid("qd_list", "queue depths must be >= 1")
     reports, extra = [], []
     for qd in qd_list:
-        if qd < 1:
-            raise ConfigInvalid("qd_list", f"queue depth {qd} must be >= 1")
-        dev_eff = effective_config(cfg.device, cfg.workload.op_kind)
-        prediction = steady_state_iops(dev_eff, qd)
+        prediction = steady_state_iops(cfg.device, qd)
+        point = replace(cfg, workload=replace(cfg.workload, queue_depth=qd))
         for run in range(1, cfg.runs + 1):
-            point = replace_workload_qd(cfg, qd)
             report = run_experiment(point, seed=_point_seed(cfg.seed, qd, run),
                                     run_id=f"qd{qd}-run{run}")
             reports.append(report)
@@ -99,11 +76,6 @@ def cmd_sweep_qd(cfg: ExperimentConfig, qd_list, out_dir) -> str:
                       extra_columns=("qd", "run", "little_law_iops"),
                       extra_values=extra)
     return path
-
-
-def replace_workload_qd(cfg: ExperimentConfig, qd: int) -> ExperimentConfig:
-    w = replace(cfg.workload, queue_depth=qd)
-    return replace(cfg, workload=w)
 
 
 def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir) -> str:
@@ -116,12 +88,11 @@ def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir) -> str:
     if cfg.workload.kind != "requests":
         raise ConfigInvalid("workload.kind", "sweep-callback needs a "
                             "request workload")
-    dev = effective_config(cfg.device, "rand_read")
+    if any(cost < 0 for cost in cost_list):
+        raise ConfigInvalid("cost_list", "costs must be >= 0 ns")
     reports, extra = [], []
     for exec_mode in ("inline_callbacks", "io_threads"):
         for cost in cost_list:
-            if cost < 0:
-                raise ConfigInvalid("cost_list", "costs must be >= 0 ns")
             for run in range(1, cfg.runs + 1):
                 w = replace(cfg.workload, op_kind="rand_read",
                             callback_cost_ns=cost)
@@ -131,7 +102,7 @@ def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir) -> str:
                     point, seed=_point_seed(cfg.seed, cost, run),
                     run_id=f"{exec_mode}-c{cost}-run{run}")
                 reports.append(report)
-                oracle = consumer_rate_oracle(dev, a.costs,
+                oracle = consumer_rate_oracle(cfg.device, a.costs,
                                               cfg.workload.queue_depth,
                                               a.k_instances, cost)
                 extra.append((exec_mode, cost, run, repr(oracle)))
@@ -147,7 +118,7 @@ def consumer_rate_oracle(device_cfg, costs, queue_depth: int,
                          k_instances: int, cost_ns: int) -> float:
     """Closed-form ceiling for inline execution: the reaping thread pays
     callback + reap + submit per op, across k instances, capped by the
-    device (``device_cfg`` as the run sees it, see ``effective_config``)."""
+    device."""
     per_op = cost_ns + costs.reap_cost_ns + costs.submit_cost_ns
     device_rate = steady_state_iops(device_cfg, queue_depth)
     if per_op <= 0:

@@ -8,12 +8,14 @@ is the identity, which the verify suite checks.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .arch.common import OP_KINDS, SCHEMES, ExecCosts, RingConfig
-from .arch.pool import EXEC_MODES, POLICIES, THREADING_MODES
-from .arch.pool import ControllerConfig
+from .arch.common import (SCHEMES, ArrivalWorkload, ExecCosts, RequestWorkload,
+                          RingConfig, TaskWorkload)
+from .arch.driver import check_sizes
+from .arch.pool import EXEC_MODES, POLICIES, THREADING_MODES, ControllerConfig
 from .device import DeviceConfig, PollConfig
+from .tasks import generate_corpus, read_corpus
 
 ARCHITECTURES = ("shared_nothing", "direct_access", "static_pool",
                  "dynamic_pool")
@@ -95,6 +97,14 @@ def to_dict(cfg: ExperimentConfig) -> dict:
     return asdict(cfg)
 
 
+def _fits(value, kind: type) -> bool:
+    """Whether a leaf value has its field's type: a float field also takes
+    an int, and only a bool field takes a bool."""
+    if kind is bool or isinstance(value, bool):
+        return type(value) is kind
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigInvalid(path or "<root>", f"expected an object, got "
@@ -102,14 +112,20 @@ def _build(cls, data: dict, path: str):
     known = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
+        where = f"{path}.{key}" if path else key
         if key not in known:
-            raise ConfigInvalid(f"{path}.{key}" if path else key,
-                                "unknown field")
+            raise ConfigInvalid(where, "unknown field")
         sub = _NESTED.get(key)
         if sub is not None:
-            kwargs[key] = _build(sub, value, f"{path}.{key}" if path else key)
-        else:
-            kwargs[key] = value
+            kwargs[key] = _build(sub, value, where)
+            continue
+        f = known[key]
+        kind = type(f.default_factory() if f.default is MISSING
+                    else f.default)
+        if not _fits(value, kind):
+            raise ConfigInvalid(where, f"must be {kind.__name__}, got "
+                                f"{type(value).__name__}")
+        kwargs[key] = value
     return cls(**kwargs)
 
 
@@ -141,27 +157,50 @@ def _check(cond: bool, path: str, message: str) -> None:
         raise ConfigInvalid(path, message)
 
 
-def _validated(section, path: str, *args) -> None:
-    """Raise a section's ``validate`` error at its field's dotted path."""
+def _validated(check, path: str) -> None:
+    """Raise a ``check()`` error naming a field at its dotted path."""
     try:
-        section.validate(*args)
+        check()
     except ValueError as exc:
         name, _, rule = str(exc).partition(" ")
         raise ConfigInvalid(f"{path}.{name}", rule) from None
 
 
+def build_workload(cfg: ExperimentConfig, seed: int):
+    w = cfg.workload
+    if w.kind == "requests":
+        return RequestWorkload(op_count=w.op_count, op_kind=w.op_kind,
+                               block_size=w.block_size,
+                               queue_depth=w.queue_depth,
+                               callback_cost_ns=w.callback_cost_ns)
+    if w.kind == "tasks":
+        if w.corpus_path:
+            specs = read_corpus(w.corpus_path)
+        else:
+            specs = generate_corpus(seed, w.task_count,
+                                    max_steps=w.task_max_steps)
+        return TaskWorkload(specs=specs)
+    if w.kind == "arrivals":
+        return ArrivalWorkload(phases=[tuple(p) for p in w.phases],
+                               op_kind=w.op_kind, block_size=w.block_size)
+    raise ConfigInvalid("workload.kind", f"unknown kind {w.kind!r}")
+
+
 def validate(cfg: ExperimentConfig) -> None:
+    """The config's own rules; the rest are the runners' and the
+    workloads' own checks, raised at the field's dotted path."""
     _check(cfg.backend in BACKENDS, "backend", f"must be one of {BACKENDS}")
     _check(cfg.scheme in SCHEMES, "scheme", f"must be one of {SCHEMES}")
     _check(cfg.mode in ("virtual", "wall"), "mode", "virtual or wall")
     _check(cfg.runs >= 1, "runs", "must be >= 1")
-    _validated(cfg.device, "device")
+    _validated(cfg.device.validate, "device")
     a = cfg.architecture
     _check(a.kind in ARCHITECTURES, "architecture.kind",
            f"must be one of {ARCHITECTURES}")
-    _check(a.n_workers >= 1, "architecture.n_workers", "must be >= 1")
-    _check(a.m_instances >= 1, "architecture.m_instances", "must be >= 1")
-    _check(a.k_instances >= 1, "architecture.k_instances", "must be >= 1")
+    _validated(lambda: check_sizes(
+        n_workers=a.n_workers, m_instances=a.m_instances,
+        k_instances=a.k_instances, inbox_capacity=a.inbox_capacity),
+        "architecture")
     _check(a.exec_mode in EXEC_MODES, "architecture.exec_mode",
            f"must be one of {EXEC_MODES}")
     _check(a.dispatch_policy in POLICIES, "architecture.dispatch_policy",
@@ -169,35 +208,25 @@ def validate(cfg: ExperimentConfig) -> None:
     _check(a.instance_threading in THREADING_MODES,
            "architecture.instance_threading",
            f"must be one of {THREADING_MODES}")
-    _check(a.inbox_capacity >= 1, "architecture.inbox_capacity", ">= 1")
-    _validated(a.ring, "architecture.ring")
-    _validated(a.costs, "architecture.costs")
+    _validated(a.ring.validate, "architecture.ring")
+    _validated(a.costs.validate, "architecture.costs")
     # only the dynamic pool runs the controller over its k instances
-    _validated(a.controller, "architecture.controller",
-               a.k_instances if a.kind == "dynamic_pool" else None)
+    _validated(lambda: a.controller.validate(
+        a.k_instances if a.kind == "dynamic_pool" else None),
+        "architecture.controller")
     w = cfg.workload
     _check(w.kind in ("requests", "tasks", "arrivals"), "workload.kind",
            "requests | tasks | arrivals")
-    _check(w.op_kind in OP_KINDS, "workload.op_kind",
-           f"must be one of {OP_KINDS}")
-    if w.kind == "requests":
-        _check(w.op_count >= 1, "workload.op_count", "must be >= 1")
-        _check(w.queue_depth >= 1, "workload.queue_depth", "must be >= 1")
+    for i, ph in enumerate(w.phases):
+        _check(isinstance(ph, (list, tuple)) and len(ph) == 2
+               and all(_fits(x, float) for x in ph), f"workload.phases[{i}]",
+               "must be [duration_ns, rate], two numbers")
     if w.kind == "tasks":
         _check(w.task_count >= 1 or bool(w.corpus_path),
                "workload.task_count", "must be >= 1 (or give corpus_path)")
         _check(w.task_max_steps >= 1, "workload.task_max_steps", ">= 1")
-    _check(w.block_size >= 1, "workload.block_size", "must be >= 1")
-    _check(w.callback_cost_ns >= 0, "workload.callback_cost_ns", ">= 0")
-    if w.kind == "arrivals":
-        _check(bool(w.phases), "workload.phases",
-               "arrivals need at least one [duration_ns, rate] phase")
-        for i, ph in enumerate(w.phases):
-            _check(isinstance(ph, (list, tuple)) and len(ph) == 2,
-                   f"workload.phases[{i}]", "must be [duration_ns, rate]")
-            _check(ph[0] > 0, f"workload.phases[{i}]", "duration must be > 0")
-            _check(0 <= ph[1] <= 1e9, f"workload.phases[{i}]",
-                   "rate must be in [0, 1e9] ops/s")
+    else:
+        _validated(lambda: build_workload(cfg, cfg.seed), "workload")
     if cfg.backend == "native":
         _check(bool(cfg.native.path), "native.path",
                "a target file or device is required")

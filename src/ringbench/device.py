@@ -27,7 +27,7 @@ import random
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .ring import ApiInstance, Completion, CompletionStatus
 
@@ -223,8 +223,6 @@ class PollConfig:
 class DeviceConfig:
     """Parameterized device model; defaults are the ``desk-nvme`` preset.
 
-    ``random_read_multiplier`` is applied by experiment builders when the
-    workload is random reads (the device itself treats offsets uniformly).
     ``validate`` raises ``ValueError`` whose message starts with the
     offending field.
     """
@@ -235,7 +233,6 @@ class DeviceConfig:
     capacity_bytes: int = 1 << 30
     block_size: int = 4096
     submission_cpu_cost_ns: int = 0
-    random_read_multiplier: float = 1.0
     poll: PollConfig = field(default_factory=PollConfig)
 
     def validate(self) -> None:
@@ -249,18 +246,8 @@ class DeviceConfig:
             raise ValueError("capacity_bytes must hold at least one block")
         if self.submission_cpu_cost_ns < 0:
             raise ValueError("submission_cpu_cost_ns must be >= 0")
-        if int(self.service_time_ns * self.random_read_multiplier) <= 0:
-            raise ValueError("random_read_multiplier must keep service > 0")
         if self.poll.wakeup_cost_ns < 0:
             raise ValueError("poll.wakeup_cost_ns must be >= 0")
-
-
-def effective_config(cfg: DeviceConfig, op_kind: str) -> DeviceConfig:
-    """Apply the random-read multiplier once: the result's is 1.0."""
-    if op_kind == "rand_read" and cfg.random_read_multiplier != 1.0:
-        return replace(cfg, random_read_multiplier=1.0, service_time_ns=int(
-            cfg.service_time_ns * cfg.random_read_multiplier))
-    return cfg
 
 
 def steady_state_iops(cfg: DeviceConfig, queue_depth: int) -> float:

@@ -394,9 +394,9 @@ def _dynamic_pool_rules(cfg) -> CheckResult:
     ctrl = ControllerConfig(window_ns=5 * MS)
     phases = [(40 * MS, 4_000), (40 * MS, 90_000)] * 2
     wl = ArrivalWorkload(phases=phases)
-    dyn = run_dynamic_pool(wl, 0, 4, controller=ctrl, device_cfg=dev,
+    dyn = run_dynamic_pool(wl, 1, 4, controller=ctrl, device_cfg=dev,
                            ring=ring, seed=17, keep_completion_times=True)
-    stat = run_static_pool(wl, 0, 4, device_cfg=dev, ring=ring, seed=17,
+    stat = run_static_pool(wl, 1, 4, device_cfg=dev, ring=ring, seed=17,
                            keep_completion_times=True)
     failed = [f"{name}: {v}" for name, r in (("dynamic", dyn),
                                               ("static", stat))

@@ -230,9 +230,9 @@ class TestCriterion7DynamicPoolEfficiency:
                                 low_water=0.25)
         phases = [(50 * MS, 5_000), (50 * MS, 100_000)] * 4
         wl = ArrivalWorkload(phases=phases)
-        dyn = run_dynamic_pool(wl, 0, 4, controller=ctrl, device_cfg=dcfg,
+        dyn = run_dynamic_pool(wl, 1, 4, controller=ctrl, device_cfg=dcfg,
                                ring=ring, seed=7, keep_completion_times=True)
-        stat = run_static_pool(wl, 0, 4, device_cfg=dcfg, ring=ring, seed=7,
+        stat = run_static_pool(wl, 1, 4, device_cfg=dcfg, ring=ring, seed=7,
                                keep_completion_times=True)
         assert dynamic_pool_violations(dyn, stat, phases,
                                        ctrl.window_ns) == []

@@ -188,6 +188,8 @@ class TestRunArguments:
                                     scheme="bogus"), "scheme"),
         (lambda: run_static_pool(TaskWorkload(specs=generate_corpus(1, 4)),
                                  1, 1, scheme="bogus"), "scheme"),
+        (lambda: run_dynamic_pool(arrivals(), 0, 2), "n_workers"),
+        (lambda: run_static_pool(arrivals(), 1, 2, scheme="bogus"), "scheme"),
     ], ids=["shared_nothing-threads", "direct_access-workers",
             "direct_access-instances", "static_pool-workers",
             "static_pool-task-workers", "static_pool-instances",
@@ -197,7 +199,8 @@ class TestRunArguments:
             "op_count-zero", "op_count-negative", "op_kind",
             "arrival-op_kind", "arrival-block_size", "no-phases",
             "negative-duration", "negative-rate", "shared_nothing-scheme",
-            "static_pool-task-scheme"])
+            "static_pool-task-scheme", "dynamic_pool-arrival-workers",
+            "static_pool-arrival-scheme"])
     def test_size_below_one_rejected(self, call, arg):
         with pytest.raises(ValueError, match=f"^{re.escape(arg)} "):
             call()
@@ -450,8 +453,8 @@ class TestExecutors:
         (run_direct_access, "tasks", (3, 2), None, 3),
         (run_static_pool, "tasks", (3, 2), None, 3 + 2),
         (run_static_pool, "tasks", (3, 2), THREADING_PAIR, 3 + 2 * 2),
-        (run_dynamic_pool, "arrivals", (0, 3), None, 1 + 3),
-        (run_dynamic_pool, "arrivals", (0, 3), THREADING_PAIR, 1 + 3 * 2),
+        (run_dynamic_pool, "arrivals", (1, 3), None, 1 + 3),
+        (run_dynamic_pool, "arrivals", (1, 3), THREADING_PAIR, 1 + 3 * 2),
     ], ids=["shared_nothing", "direct_access", "static_pool",
             "static_pool-pair", "arrivals", "arrivals-pair"])
     def test_one_executor_per_actor(self, monkeypatch, fn, workload, args,
@@ -499,7 +502,7 @@ class TestRingOwnership:
         (run_static_pool, (3, 2), {}, io),
         (run_static_pool, (3, 2), PAIR, io_pair),
         (run_dynamic_pool, (3, 2), {}, io),
-        (run_dynamic_pool, (0, 3), ARRIVAL_KW, io),
+        (run_dynamic_pool, (1, 3), ARRIVAL_KW, io),
         (run_static_pool, (3, 2), {"mode": "wall"}, io),
         (run_static_pool, (3, 2), {"mode": "wall", **PAIR}, io_pair),
     ], ids=["shared_nothing", "direct_access", "static_pool",

@@ -12,7 +12,7 @@ from ringbench.bench import (cmd_scaling_trace, cmd_sweep_callback,
 from ringbench.cli import main
 from ringbench.config import (ConfigInvalid, ExperimentConfig, defaults,
                               from_dict, parse, serialize, to_dict)
-from ringbench.device import effective_config, steady_state_iops
+from ringbench.device import steady_state_iops
 from ringbench.verify import (callback_collapse_violations,
                               dynamic_pool_violations, littles_law_violations)
 
@@ -84,13 +84,20 @@ class TestConfig:
                 *((f"architecture.costs.{name}", -1, {})
                   for name in COST_FIELDS),
                 ("device.submission_cpu_cost_ns", -1, {}),
-                ("device.random_read_multiplier", 0, {}),
-                ("device.random_read_multiplier", -1, {}),
-                ("device.random_read_multiplier", 1e-6, {}),
                 ("architecture.controller.min_active", 9, dynamic_4),
                 ("architecture.ring.idle_timeout_ns", 0, {}),
                 ("architecture.ring.idle_timeout_ns", -5, {}),
-                ("workload.phases", [[MS, 3e9]], ARRIVALS)):
+                ("workload.phases", [[MS, 3e9]], ARRIVALS),
+                # a leaf takes its field's type
+                ("architecture.n_workers", "4", {}),
+                ("architecture.n_workers", True, {}),
+                ("workload.op_count", 10.5, {}),
+                ("device.jitter_frac", "0.1", {}),
+                ("architecture.ring.sq_poll", 1, {}),
+                ("workload.phases", {}, ARRIVALS),
+                ("workload.phases", [[MS, "5000"]], ARRIVALS),
+                ("workload.phases", [[MS, True]], ARRIVALS),
+                ("workload.phases", [[MS]], ARRIVALS)):
             with pytest.raises(ConfigInvalid) as exc:
                 small_config(**{**context, key: value})
             assert key in str(exc.value), (key, value)
@@ -114,7 +121,7 @@ class TestSweepQd:
         import csv
         rows = list(csv.DictReader(open(path)))
         assert [int(r["qd"]) for r in rows] == [1, 4, 16, 64]
-        dev = effective_config(cfg.device, cfg.workload.op_kind)
+        dev = cfg.device
         for r in rows:
             assert float(r["little_law_iops"]) == steady_state_iops(
                 dev, int(r["qd"]))
@@ -161,6 +168,20 @@ def test_sim_sweeps_run_only_the_measured_runs(monkeypatch, tmp_path, sweep):
     assert run_ids == [f"{p}-run{run}" for p in points for run in (1, 2)]
 
 
+@pytest.mark.parametrize("sweep,values", [("sweep-qd", [4, 0]),
+                                          ("sweep-callback", [0, -1])])
+def test_sweep_list_checked_before_the_first_run(monkeypatch, tmp_path,
+                                                 sweep, values):
+    runs = []
+    monkeypatch.setattr(bench, "run_experiment",
+                        lambda cfg, **kw: runs.append(kw["run_id"]))
+    cfg = small_config(**{"architecture.kind": "static_pool"})
+    command = cmd_sweep_qd if sweep == "sweep-qd" else cmd_sweep_callback
+    with pytest.raises(ConfigInvalid):
+        command(cfg, values, tmp_path)
+    assert runs == []
+
+
 class TestSweepCallback:
     def test_modes_and_oracle_column(self, tmp_path):
         cfg = small_config(**{"architecture.kind": "static_pool",
@@ -179,7 +200,7 @@ class TestSweepCallback:
         assert by[("inline_callbacks", 0)] == pytest.approx(
             by[("io_threads", 0)], rel=0.05)
         # large cost collapses inline mode toward the oracle column
-        dev = effective_config(cfg.device, "rand_read")
+        dev = cfg.device
         costs = cfg.architecture.costs
         for r in rows:
             assert float(r["oracle_iops"]) == consumer_rate_oracle(
@@ -296,8 +317,10 @@ class TestCli:
          "device.poll.idle_timeout_ns: unknown field"),
         ("scaling-trace", {**ARRIVALS, "workload.phases": [[1000, 3e9]]},
          "workload.phases[0]"),
+        ("sweep-qd", {"architecture.n_workers": "4"},
+         "architecture.n_workers: must be int, got str"),
     ], ids=["negative-cost", "ring-timeout", "deleted-poll-timeout",
-            "rate-above-1e9"])
+            "rate-above-1e9", "string-for-int"])
     def test_input_rejected_before_running_is_exit_2(self, tmp_path,
                                                      capsys, command,
                                                      overrides, message):
@@ -340,6 +363,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL" in out
+
+
+    def test_verify_reports_a_wrongly_typed_value(self, tmp_path, capsys):
+        cfg_path = tmp_path / "typed.json"
+        cfg_path.write_text('{"architecture": {"n_workers": "4"}}')
+        rc = main(["verify", "--config", str(cfg_path)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out.splitlines() == [
+            "CHECK config_valid FAIL architecture.n_workers: must be int, "
+            "got str", "VERIFY FAIL checks=1 failures=1"]
 
 
 class TestOracle:

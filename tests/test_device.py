@@ -7,8 +7,7 @@ import pytest
 
 from ringbench.device import (DeviceConfig, POLL_ASLEEP, PollConfig,
                               SimDevice, VirtualClock, WallClock,
-                              WallDeviceThread, effective_config,
-                              steady_state_iops)
+                              WallDeviceThread, steady_state_iops)
 from ringbench.ring import ApiInstance, IoRequest, OpKind, PushResult
 from ringbench.verify import littles_law_violations, poll_gap_violations
 
@@ -234,15 +233,6 @@ class TestConfig:
         assert cfg.parallelism == 64
         assert cfg.jitter_frac == 0.1
         assert cfg.block_size == 4096
-
-    def test_random_read_multiplier(self):
-        cfg = DeviceConfig(service_time_ns=100, random_read_multiplier=1.5)
-        assert effective_config(cfg, "rand_read").service_time_ns == 150
-        # applied once: a device built from the result validates, even
-        # where applying the multiplier again would round to 0
-        tiny = DeviceConfig(service_time_ns=2000, random_read_multiplier=1e-3)
-        SimDevice(effective_config(tiny, "rand_read"), VirtualClock())
-        assert effective_config(cfg, "seq_read").service_time_ns == 100
 
 
 class TestTrace:

@@ -50,7 +50,7 @@ def dynamic_pool(wl, **kw):
 
 
 def arrivals_pool(wl, **kw):
-    return run_dynamic_pool(wl, 0, 4, controller=ControllerConfig(
+    return run_dynamic_pool(wl, 1, 4, controller=ControllerConfig(
         window_ns=MS), **kw)
 
 

@@ -14,7 +14,8 @@ from ringbench.arch import (ArrivalWorkload, ControllerConfig,
                             RequestWorkload, RingConfig, TaskWorkload,
                             THREADING_PAIR, TimeoutExceeded, handle_poll,
                             open_pool, run_dynamic_pool, run_static_pool)
-from ringbench.arch.common import HANDLE_DONE, HANDLE_QUEUED
+from ringbench.arch import driver
+from ringbench.arch.common import HANDLE_DONE, HANDLE_QUEUED, Worker
 from ringbench.device import DeviceConfig, PollConfig, SimDevice, VirtualClock
 from ringbench.ring import CompletionStatus, IoRequest, OpKind
 from ringbench.tasks import Geometry, generate_corpus, io_count, oracle_states
@@ -377,11 +378,11 @@ class TestDynamicPool:
     def run_square_wave(self, dynamic: bool, seed=13):
         wl = ArrivalWorkload(phases=self.PHASES)
         if dynamic:
-            r = run_dynamic_pool(wl, 0, 4, controller=self.CTRL,
+            r = run_dynamic_pool(wl, 1, 4, controller=self.CTRL,
                                  device_cfg=self.DCFG, ring=self.RING,
                                  seed=seed, keep_completion_times=True)
         else:
-            r = run_static_pool(wl, 0, 4, device_cfg=self.DCFG,
+            r = run_static_pool(wl, 1, 4, device_cfg=self.DCFG,
                                 ring=self.RING, seed=seed,
                                 keep_completion_times=True)
         assert run_violations(r, wl.total_ops()) == []
@@ -413,7 +414,7 @@ class TestDynamicPool:
         self.run_square_wave(dynamic=True, seed=15)
 
     def arrivals_from_one_active(self):
-        run_dynamic_pool(ArrivalWorkload(phases=self.PHASES[:2]), 0, 4,
+        run_dynamic_pool(ArrivalWorkload(phases=self.PHASES[:2]), 1, 4,
                          controller=self.CTRL, device_cfg=self.DCFG,
                          ring=self.RING, seed=15)
 
@@ -494,13 +495,14 @@ class TestInputsValidated:
 
         monkeypatch.setattr(VirtualClock, "step", counted_step)
         with pytest.raises(ValueError, match=f"^{field} "):
-            run_dynamic_pool(ArrivalWorkload(phases=[(MS, 20_000)]), 0, 2,
+            run_dynamic_pool(ArrivalWorkload(phases=[(MS, 20_000)]), 1, 2,
                              device_cfg=FAST, seed=1, **kw)
 
 
 class TestArrivalSchedule:
-    """One arrival rule: the arrival actor issues exactly the
-    ``ArrivalWorkload.total_ops()`` requests perfbench expects."""
+    """One arrival rule: the arrival workers issue exactly the
+    ``ArrivalWorkload.total_ops()`` requests perfbench expects, worker i of
+    n taking arrivals i, i+n, ... of each phase."""
 
     @pytest.mark.parametrize("phases,ops", [
         ([(50 * MS, 3000)], 151),
@@ -508,10 +510,37 @@ class TestArrivalSchedule:
         ids=["uneven-gap", "idle-middle-phase"])
     def test_total_ops_equals_submitted(self, phases, ops):
         wl = ArrivalWorkload(phases=phases)
-        r = run_dynamic_pool(wl, 0, 2, device_cfg=FAST, seed=3)
+        r = run_dynamic_pool(wl, 1, 2, device_cfg=FAST, seed=3)
         assert wl.total_ops() == ops
         assert run_violations(r, ops) == []
 
     def test_rate_above_one_per_ns_rejected(self):
         with pytest.raises(ValueError, match="1e9"):
             ArrivalWorkload(phases=[(1000, 3e9)])
+
+    @pytest.mark.parametrize("runner", [run_static_pool, run_dynamic_pool],
+                             ids=["static_pool", "dynamic_pool"])
+    def test_sharding_keeps_the_schedule(self, monkeypatch, runner):
+        # no arrival here ties another event at the same ns, so dealing
+        # the arrivals over 1, 2 or 5 workers gives the same run
+        wl = ArrivalWorkload(phases=[(MS, 20_000), (2 * MS, 3_000), (MS, 0),
+                                     (MS, 50_000)])
+        shares = []
+        report = driver.RunContext.report
+
+        def recording_report(ctx, *a, **kw):
+            shares.append([(e.name, e.collector.submitted)
+                           for e in ctx.ectxs if isinstance(e, Worker)])
+            return report(ctx, *a, **kw)
+
+        monkeypatch.setattr(driver.RunContext, "report", recording_report)
+        counts = [wl.phase_schedule(*ph)[1] for ph in wl.phases]
+        runs = []
+        for n in (1, 2, 5):
+            r = runner(wl, n, 2, seed=3, keep_completion_times=True)
+            assert run_violations(r, wl.total_ops()) == []
+            runs.append((r.to_row()[1:], sorted(r.completion_times)))
+            assert shares.pop() == [
+                (f"worker-{i}", sum(len(range(i, c, n)) for c in counts))
+                for i in range(n)]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
