@@ -14,13 +14,13 @@ import time
 from dataclasses import dataclass
 
 from ..device import DeviceConfig, SimDevice, WallDeviceThread
-from ..metrics import MetricsCollector
+from ..metrics import InstanceStats, MetricsCollector
 from ..runtime import Runtime
 from ..tasks import Geometry
 from .common import (SCHEMES, ArrivalWorkload, ExecCosts, HandleFactory,
                      RingConfig, TaskWorkload, Worker, arrival_loop, deps_map,
-                     per_instance_stats, request_stream, request_worker_loop,
-                     shard_specs, task_worker_loop)
+                     request_stream, request_worker_loop, shard_specs,
+                     task_worker_loop)
 
 
 @dataclass
@@ -57,7 +57,6 @@ class RunContext:
 
     def __init__(self, arch: str, workload, opts: RunOptions):
         self.workload = workload
-        self.opts = opts
         self.ring = opts.ring or RingConfig()
         self.costs = opts.costs or ExecCosts()
         self.ring.validate()
@@ -80,15 +79,15 @@ class RunContext:
 
     def spawn_workers(self, n: int, scheme: str, wire,
                       qd_per_worker: bool = False,
-                      inline_cb_cost: int = 0) -> list:
+                      inline_callbacks: bool = False) -> list:
         """Spawn one worker actor per shard and return the actors.
 
         ``wire(worker)`` connects a new worker to the architecture and
         returns ``(submit, reap)``; ``reap`` is None when another
         executor reaps. A request workload's queue depth is split over the
         workers unless ``qd_per_worker``. Its callback cost runs on the
-        worker after replenishment, unless ``inline_cb_cost`` charges it
-        inline on the reaping executor. An arrival workload's arrivals are
+        worker after replenishment, unless ``inline_callbacks``: then the
+        reaping executor charges it. An arrival workload's arrivals are
         dealt over the workers in turn; it needs workers that do not reap.
         """
         workload = self.workload
@@ -119,12 +118,12 @@ class RunContext:
                     1 if i < workload.op_count % n else 0)
                 qd = workload.queue_depth if qd_per_worker \
                     else max(1, workload.queue_depth // n)
-                worker_cb = 0 if inline_cb_cost \
+                worker_cb = 0 if inline_callbacks \
                     else workload.callback_cost_ns
                 gen = request_worker_loop(
                     worker, reap, ops, qd,
                     request_stream(workload, self.geometry, self.seed, i),
-                    worker_cb, inline_cb_cost)
+                    worker_cb)
             if worker.signal not in signals:
                 signals.append(worker.signal)
             actors.append(self.rt.spawn(gen, worker.name))
@@ -157,8 +156,7 @@ class RunContext:
         for ectx in ectxs:
             self.collector.absorb(ectx.collector)
         return finalize_report(self.collector, self.rt, self.device,
-                               inbox_peaks, timeline,
-                               self.opts.keep_completion_times)
+                               inbox_peaks, timeline)
 
 
 def drive(rt, done_pred, on_done=None, max_events: int = 500_000_000,
@@ -223,14 +221,14 @@ def _deadlock(rt) -> str:
             f"parked: {parked}{rings}")
 
 
-def finalize_report(collector, rt, device, inbox_peaks=None, timeline=(),
-                    keep_completion_times: bool = False):
+def finalize_report(collector, rt, device, inbox_peaks=None, timeline=()):
     # the measurement window ends at the last completion, not when the last
     # service actor tore down
-    elapsed = (collector.last_completion_ns
-               or getattr(rt, "workload_done_ns", None) or rt.now())
-    per_instance = per_instance_stats(device, elapsed, inbox_peaks)
-    report = collector.finalize(elapsed, per_instance, timeline)
-    if keep_completion_times:
-        report.completion_times = collector.completion_times
-    return report
+    elapsed = (collector.last_completion_ns or rt.workload_done_ns
+               or rt.now())
+    device.finalize(device.clock.now)
+    per_instance = [
+        InstanceStats(i, util, poll, inbox_peaks[i] if inbox_peaks else 0)
+        for i, (util, poll) in enumerate(zip(device.utilization(elapsed),
+                                             device.poll_busy_ns()))]
+    return collector.finalize(elapsed, per_instance, timeline)

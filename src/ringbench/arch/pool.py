@@ -137,6 +137,7 @@ class IoPool:
         self.controller_cfg = controller
         self.threading_mode = threading_mode
         self.stopping = False
+        self.inline_cost_ns = 0  # inline callback, charged at reap
         self.active_count = k_instances
         self.timeline = [(rt.now(), k_instances)]
         self.overflow = deque()
@@ -206,12 +207,11 @@ class IoPool:
 
         return submit
 
-    def pool_submit(self, req, inline_cost_ns: int = 0):
+    def pool_submit(self, req):
         """Immediate-return submission (the non-actor API surface)."""
         if self.stopping:
             raise PoolShutdown("pool is draining")
         handle = self.ctx.new_handle(req)
-        handle.inline_cost_ns = inline_cost_ns
         self._dispatch(req, handle)
         self.ctx.collector.on_submit()
         return handle
@@ -238,9 +238,11 @@ class IoPool:
         return progressed
 
     def _reap_pass(self, unit: IoInstanceUnit, ectx: ExecContext):
-        """Deliver reaped completions; generator returning progress. The
-        SQ's producer refills between long inline callbacks and after the
-        reap; in pair threading that is the submit actor, so it is woken."""
+        """Deliver reaped completions; generator returning progress. Each
+        completion's inline callback, if any, is charged here, before its
+        delivery. The SQ's producer refills between long inline callbacks
+        and after the reap; in pair threading that is the submit actor, so
+        it is woken."""
         costs = ectx.costs
         comps = unit.inst.cq_reap(64)
         if not comps:
@@ -251,11 +253,14 @@ class IoPool:
         meter = self.pending
         now = self.rt.now
         pair = unit.reap_signal is not None
+        inline = self.inline_cost_ns
         for c in comps:
             handle = handles.pop(c)
             meter.change(-1, now())
+            if inline:
+                yield inline
             yield from deliver_completion(handle, c, ectx)
-            if handle.inline_cost_ns and (unit.inbox or unit.pending_sub):
+            if inline and (unit.inbox or unit.pending_sub):
                 if pair:
                     unit.signal.notify()
                 else:
@@ -434,14 +439,15 @@ def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
             pool.timeline[0] = (rt.now(), pool.active_count)
         rt.spawn(pool.controller_actor(), "controller")
 
-    # inline callbacks run on the reaping I/O-instance actor
-    inline = getattr(workload, "callback_cost_ns", 0) \
-        if exec_mode == EXEC_INLINE_CALLBACKS else 0
+    inline = exec_mode == EXEC_INLINE_CALLBACKS
+    if inline:
+        # inline callbacks run on the reaping I/O-instance actor
+        pool.inline_cost_ns = getattr(workload, "callback_cost_ns", 0)
     # I/O-instance actors reap; workers only poll handles
     worker_actors = ctx.spawn_workers(
         n_workers, scheme,
         lambda worker: (pool.submitter_for(worker.collector), None),
-        inline_cb_cost=inline)
+        inline_callbacks=inline)
 
     def workers_done():
         return pool.pending.level == 0 and all(a.done for a in worker_actors)

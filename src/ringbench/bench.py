@@ -60,8 +60,8 @@ def cmd_sweep_qd(cfg: ExperimentConfig, qd_list, out_dir) -> str:
     if cfg.workload.kind != "requests":
         raise ConfigInvalid("workload.kind", "sweep-qd needs a request "
                             "workload")
-    if any(qd < 1 for qd in qd_list):
-        raise ConfigInvalid("qd_list", "queue depths must be >= 1")
+    if not qd_list or any(qd < 1 for qd in qd_list):
+        raise ConfigInvalid("qd_list", "needs queue depths, each >= 1")
     reports, extra = [], []
     for qd in qd_list:
         prediction = steady_state_iops(cfg.device, qd)
@@ -88,8 +88,8 @@ def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir) -> str:
     if cfg.workload.kind != "requests":
         raise ConfigInvalid("workload.kind", "sweep-callback needs a "
                             "request workload")
-    if any(cost < 0 for cost in cost_list):
-        raise ConfigInvalid("cost_list", "costs must be >= 0 ns")
+    if not cost_list or any(cost < 0 for cost in cost_list):
+        raise ConfigInvalid("cost_list", "needs costs, each >= 0 ns")
     reports, extra = [], []
     for exec_mode in ("inline_callbacks", "io_threads"):
         for cost in cost_list:

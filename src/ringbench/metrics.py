@@ -201,6 +201,7 @@ class MetricsCollector:
             frame_bytes_peak=self.frame_bytes_peak,
             per_instance=list(per_instance),
             active_instance_timeline=list(timeline), histogram=self.hist,
+            completion_times=self.completion_times,
             **{name: getattr(self, name) for name in SUMMED_COUNTERS})
 
 

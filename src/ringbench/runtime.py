@@ -203,6 +203,7 @@ class Runtime:
         self.live = 0  # virtual actors whose generator has not ended
         self.device = None  # the run's device: a deadlock names its rings
         self.error = None  # wall mode: the run's first error, see fail()
+        self.workload_done_ns = None  # set by drive once done_pred holds
         self._error_lock = threading.Lock()
         self.current_executor = "main"
         if sched_jitter_ns and mode == "virtual":

@@ -171,14 +171,11 @@ class Tasklet:
     ``next_index`` the successor tasklet position (None ends the task).
     """
 
-    __slots__ = ("tasklet_id", "owner_task", "kind", "compute", "submit_io",
-                 "submit_index", "awaits_index", "next_index")
+    __slots__ = ("kind", "compute", "submit_io", "submit_index",
+                 "awaits_index", "next_index")
 
-    def __init__(self, tasklet_id, owner_task, kind, compute=(),
-                 submit_io=None, submit_index=None, awaits_index=None,
-                 next_index=None):
-        self.tasklet_id = tasklet_id
-        self.owner_task = owner_task
+    def __init__(self, kind, compute=(), submit_io=None, submit_index=None,
+                 awaits_index=None, next_index=None):
         self.kind = kind
         self.compute = compute
         self.submit_io = submit_io
@@ -188,11 +185,6 @@ class Tasklet:
 
     def compute_cost(self) -> int:
         return sum(s.cost_ns for s in self.compute)
-
-    def __repr__(self):
-        return (f"Tasklet({self.tasklet_id}@task{self.owner_task} "
-                f"{self.kind} nc={len(self.compute)} "
-                f"io={self.submit_index} awaits={self.awaits_index})")
 
 
 def _subtasks(spec: TaskSpec):
@@ -219,23 +211,16 @@ def partition_full(spec: TaskSpec) -> list[Tasklet]:
     """One tasklet per compute subtask plus one poll tasklet per I/O."""
     runs = _subtasks(spec)
     out = []
-    tid = 0
     for compute, io, io_index in runs:
         if io is not None:
-            out.append(Tasklet(tid, spec.task_id, KIND_COMPUTE, compute,
-                               submit_io=io, submit_index=io_index,
-                               next_index=tid + 1))
-            tid += 1
-            out.append(Tasklet(tid, spec.task_id, KIND_POLL,
-                               awaits_index=io_index, next_index=tid + 1))
-            tid += 1
+            out.append(Tasklet(KIND_COMPUTE, compute, submit_io=io,
+                               submit_index=io_index,
+                               next_index=len(out) + 1))
+            out.append(Tasklet(KIND_POLL, awaits_index=io_index,
+                               next_index=len(out) + 1))
         elif compute or not out:
-            out.append(Tasklet(tid, spec.task_id, KIND_COMPUTE, compute,
-                               next_index=None))
-            tid += 1
-    last = out[-1]
-    if last.next_index is not None:
-        last.next_index = None
+            out.append(Tasklet(KIND_COMPUTE, compute))
+    out[-1].next_index = None
     return out
 
 
@@ -243,15 +228,13 @@ def partition_callback(spec: TaskSpec) -> list[Tasklet]:
     """Like full partitioning with each poll fused into its successor."""
     runs = _subtasks(spec)
     out = []
-    tid = 0
     pending_await = None
     for compute, io, io_index in runs:
         kind = KIND_COMPUTE if pending_await is None else KIND_POLL_FUSED
-        out.append(Tasklet(tid, spec.task_id, kind, compute,
-                           submit_io=io, submit_index=io_index,
+        out.append(Tasklet(kind, compute, submit_io=io,
+                           submit_index=io_index,
                            awaits_index=pending_await,
-                           next_index=tid + 1))
-        tid += 1
+                           next_index=len(out) + 1))
         pending_await = io_index
         if io is None:
             break

@@ -169,7 +169,9 @@ def test_sim_sweeps_run_only_the_measured_runs(monkeypatch, tmp_path, sweep):
 
 
 @pytest.mark.parametrize("sweep,values", [("sweep-qd", [4, 0]),
-                                          ("sweep-callback", [0, -1])])
+                                          ("sweep-callback", [0, -1]),
+                                          ("sweep-qd", []),
+                                          ("sweep-callback", [])])
 def test_sweep_list_checked_before_the_first_run(monkeypatch, tmp_path,
                                                  sweep, values):
     runs = []
@@ -319,14 +321,18 @@ class TestCli:
          "workload.phases[0]"),
         ("sweep-qd", {"architecture.n_workers": "4"},
          "architecture.n_workers: must be int, got str"),
+        ("sweep-qd --qd-list ,", {}, "qd_list"),
+        ("sweep-callback --cost-list ,",
+         {"architecture.kind": "static_pool"}, "cost_list"),
     ], ids=["negative-cost", "ring-timeout", "deleted-poll-timeout",
-            "rate-above-1e9", "string-for-int"])
+            "rate-above-1e9", "string-for-int", "empty-qd-list",
+            "empty-cost-list"])
     def test_input_rejected_before_running_is_exit_2(self, tmp_path,
                                                      capsys, command,
                                                      overrides, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_data(**overrides)))
-        rc = main([command, "--config", str(cfg_path), "--out",
+        rc = main([*command.split(), "--config", str(cfg_path), "--out",
                    str(tmp_path)])
         assert rc == 2
         assert message in capsys.readouterr().err

@@ -68,7 +68,7 @@ class TestHandles:
         handles = [pool.pool_submit(IoRequest(OpKind.NOP))
                    for _ in range(5000)]
         report = pool.drain_and_shutdown()
-        assert all(h.status == HANDLE_DONE for h in handles)
+        assert all(handle_poll(h) == HANDLE_DONE for h in handles)
         ids = [h.completion.request_id for h in handles]
         assert len(ids) == 5000
         assert run_violations(report, 5000) == []
@@ -102,7 +102,7 @@ class TestDispatchLayer:
                    for _ in range(200)]
         assert len(pool.overflow) > 0  # inbox (4) and rings are tiny
         report = pool.drain_and_shutdown()
-        assert all(h.status == HANDLE_DONE for h in handles)
+        assert all(handle_poll(h) == HANDLE_DONE for h in handles)
         assert run_violations(report, 200) == []
         times = [h.completion.complete_time for h in handles]
         assert times == sorted(times)  # FIFO through inbox + overflow
@@ -242,7 +242,7 @@ class TestDrainAndShutdown:
         handles = [pool.pool_submit(IoRequest(OpKind.NOP))
                    for _ in range(2000)]
         report = pool.drain_and_shutdown()
-        assert all(h.status == HANDLE_DONE for h in handles)
+        assert all(handle_poll(h) == HANDLE_DONE for h in handles)
         assert run_violations(report, 2000) == []
 
 
