@@ -375,8 +375,7 @@ def execute_item(item, ectx: ExecContext):
             # runs on the reaping executor; completion already in hand
             comp = item[3]
         elif unit.kind == KIND_POLL:
-            if costs.poll_cost_ns:
-                yield costs.poll_cost_ns
+            yield costs.poll_cost_ns
             comp = task.pending_handle.completion
         else:
             assert unit.kind == KIND_COMPUTE, f"owner cannot run {unit.kind}"
@@ -386,9 +385,7 @@ def execute_item(item, ectx: ExecContext):
             task.state = apply_io_result(task.state, unit.awaits_index,
                                          int(comp.status), comp.value)
         if unit.kind != KIND_POLL:
-            cost = unit.compute_cost()
-            if cost:
-                yield cost
+            yield unit.compute_cost()
             task.state = run_compute(task.state, unit.compute)
             if unit.submit_io is not None:
                 yield from _submit_unit_io(task, unit, ectx)
@@ -407,9 +404,7 @@ def execute_item(item, ectx: ExecContext):
         if handle is not None:
             comp = handle.completion
             task.pending_handle = None
-        cost = costs.resume_cost_ns + frame.upcoming_compute_cost()
-        if cost:
-            yield cost
+        yield costs.resume_cost_ns + frame.upcoming_compute_cost()
         out = resume(frame, comp)
         ectx.collector.coroutine_resumes += 1
         if ectx.collector.frame_bytes_peak < frame.frame_bytes:
@@ -528,7 +523,6 @@ def request_worker_loop(worker: Worker, reap, shard_ops: int, qd: int,
 
     ``reap`` is None when another executor reaps this worker's completions.
     """
-    inflight = 0
     submitted = 0
     done = 0
     pending_req = None
@@ -543,12 +537,11 @@ def request_worker_loop(worker: Worker, reap, shard_ops: int, qd: int,
             for _ in range(n):
                 dq.popleft()
             done += n
-            inflight -= n
             progressed = True
         if reap is not None:
             reaped = yield from reap()
             progressed = progressed or reaped
-        while inflight < qd and submitted < shard_ops:
+        while submitted - done < qd and submitted < shard_ops:
             if pending_req is None:
                 pending_req = next_request()
                 pending_handle = worker.new_handle(pending_req, worker)
@@ -560,11 +553,9 @@ def request_worker_loop(worker: Worker, reap, shard_ops: int, qd: int,
             pending_req = None
             pending_handle = None
             submitted += 1
-            inflight += 1
             progressed = True
-        if n and worker_cb_cost:
-            # callbacks run after replenishment so they overlap fresh I/O
-            yield worker_cb_cost * n
+        # callbacks run after replenishment so they overlap fresh I/O
+        yield worker_cb_cost * n
         if not progressed and done < shard_ops \
                 and worker.signal.version == sig_version:
             yield worker.signal
@@ -672,8 +663,7 @@ def task_worker_loop(worker: Worker, reap, shard_specs, scheme: str,
                 yield streak
                 missed = streak.count
             else:
-                if miss_cost:
-                    yield miss_cost
+                yield miss_cost
                 streak.settle(1)
                 missed = 1
             left -= missed

@@ -38,9 +38,7 @@ class _DaHooks:
         sh = self.shared[self._rr % len(self.shared)]
         self._rr += 1
         yield from sh.sq_lock.acquire()
-        hold = costs.lock_hold_ns + costs.submit_cost_ns
-        if hold:
-            yield hold
+        yield costs.lock_hold_ns + costs.submit_cost_ns
         res = sh.inst.sq_push(req, self.rt.now())
         sh.sq_lock.release()
         # no buffering here: a refused request bounces back
@@ -55,12 +53,8 @@ class _DaHooks:
             if not len(sh.inst.cq):
                 continue
             yield from sh.cq_lock.acquire()
-            hold = costs.lock_hold_ns
             comps = sh.inst.cq_reap(32)
-            if comps and costs.reap_cost_ns:
-                hold += costs.reap_cost_ns * len(comps)
-            if hold:
-                yield hold
+            yield costs.lock_hold_ns + costs.reap_cost_ns * len(comps)
             sh.cq_lock.release()
             if not comps:
                 continue

@@ -199,8 +199,7 @@ class IoPool:
         def submit(req, handle):
             if self.stopping:
                 raise PoolShutdown("pool is draining")
-            if costs.inbox_push_cost_ns:
-                yield costs.inbox_push_cost_ns
+            yield costs.inbox_push_cost_ns
             collector.cross_thread_msgs += 1
             self._dispatch(req, handle)
             return True
@@ -229,8 +228,7 @@ class IoPool:
                     break
                 unit.pending_sub = unit.inbox.popleft()
             req, handle = unit.pending_sub
-            if costs.submit_cost_ns:
-                yield costs.submit_cost_ns
+            yield costs.submit_cost_ns
             if unit.inst.sq_push(req, rt.now()) != PushResult.ACCEPTED:
                 break  # backpressure: wait for completions to free headroom
             unit.pending_sub = None
@@ -247,8 +245,7 @@ class IoPool:
         comps = unit.inst.cq_reap(64)
         if not comps:
             return False
-        if costs.reap_cost_ns:
-            yield costs.reap_cost_ns * len(comps)
+        yield costs.reap_cost_ns * len(comps)
         handles = ectx.new_handle
         meter = self.pending
         now = self.rt.now
@@ -257,8 +254,7 @@ class IoPool:
         for c in comps:
             handle = handles.pop(c)
             meter.change(-1, now())
-            if inline:
-                yield inline
+            yield inline
             yield from deliver_completion(handle, c, ectx)
             if inline and (unit.inbox or unit.pending_sub):
                 if pair:

@@ -24,17 +24,14 @@ class _SnHooks:
         self.worker = worker
 
     def submit(self, req, handle):
-        costs = self.costs
-        if costs.submit_cost_ns:
-            yield costs.submit_cost_ns
+        yield self.costs.submit_cost_ns
         return self.inst.sq_push(req, self.rt.now()) == PushResult.ACCEPTED
 
     def reap_phase(self):
         comps = self.inst.cq_reap(64)
         if not comps:
             return False
-        if self.costs.reap_cost_ns:
-            yield self.costs.reap_cost_ns * len(comps)
+        yield self.costs.reap_cost_ns * len(comps)
         worker = self.worker
         for c in comps:
             yield from deliver_completion(worker.new_handle.pop(c), c, worker)

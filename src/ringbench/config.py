@@ -8,13 +8,14 @@ is the identity, which the verify suite checks.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass)
 
 from .arch.common import (SCHEMES, ArrivalWorkload, ExecCosts, RequestWorkload,
                           RingConfig, TaskWorkload)
 from .arch.driver import check_sizes
 from .arch.pool import EXEC_MODES, POLICIES, THREADING_MODES, ControllerConfig
-from .device import DeviceConfig, PollConfig
+from .device import DeviceConfig
 from .tasks import generate_corpus, read_corpus
 
 ARCHITECTURES = ("shared_nothing", "direct_access", "static_pool",
@@ -81,18 +82,6 @@ class ExperimentConfig:
     mode: str = "virtual"
 
 
-_NESTED = {
-    "device": DeviceConfig,
-    "native": NativeConfig,
-    "architecture": ArchitectureConfig,
-    "workload": WorkloadConfig,
-    "ring": RingConfig,
-    "costs": ExecCosts,
-    "controller": ControllerConfig,
-    "poll": PollConfig,
-}
-
-
 def to_dict(cfg: ExperimentConfig) -> dict:
     return asdict(cfg)
 
@@ -106,6 +95,8 @@ def _fits(value, kind: type) -> bool:
 
 
 def _build(cls, data: dict, path: str):
+    """``cls`` from ``data``; a field whose default is a dataclass is a
+    section, built the same way."""
     if not isinstance(data, dict):
         raise ConfigInvalid(path or "<root>", f"expected an object, got "
                             f"{type(data).__name__}")
@@ -115,13 +106,12 @@ def _build(cls, data: dict, path: str):
         where = f"{path}.{key}" if path else key
         if key not in known:
             raise ConfigInvalid(where, "unknown field")
-        sub = _NESTED.get(key)
-        if sub is not None:
-            kwargs[key] = _build(sub, value, where)
-            continue
         f = known[key]
         kind = type(f.default_factory() if f.default is MISSING
                     else f.default)
+        if is_dataclass(kind):
+            kwargs[key] = _build(kind, value, where)
+            continue
         if not _fits(value, kind):
             raise ConfigInvalid(where, f"must be {kind.__name__}, got "
                                 f"{type(value).__name__}")

@@ -336,7 +336,7 @@ class SimDevice:
         self.instances: list[_InstState] = []
         self.in_service = 0
         self.fault_plan: dict[tuple[int, int], int] = {}
-        self.completion_listener = None  # fn(instance_id, comp, submit_time)
+        self.completion_listener = None  # fn(comp, submit_time)
         self.trace = None                # fn(time, kind, instance_id, req_id)
         self._jitter = cfg.jitter_frac != 0.0
 
@@ -372,7 +372,7 @@ class SimDevice:
         poll = st.poll
         if poll is not None and poll.state == POLL_ACTIVE:
             poll.last_submission_seen = now
-        self._ensure_awake_and_sweep(st, now)
+        self._sweep_soon((st,), now)
 
     # -- poll thread events ------------------------------------------------------
 
@@ -413,11 +413,32 @@ class SimDevice:
 
     # -- consumption --------------------------------------------------------------
 
-    def _schedule_sweep(self, st: _InstState, at: int) -> None:
-        if st.sweep_pending:
-            return
-        st.sweep_pending = True
-        self.clock.at(at, lambda: self._run_sweeps((st,)))
+    def _sweep_soon(self, sts, t: int) -> None:
+        """Sweep each of ``sts`` at ``t``, in order, in one event.
+
+        A poll thread that slept over a saturation stall leaves SQ entries
+        stranded; the producer-side NEED_WAKEUP check is modeled here: an
+        asleep one is woken instead, and its wake closes the batch, so that
+        a zero-cost wake keeps its place between the sweeps.
+        """
+        clock = self.clock
+        batch = []
+        for st in sts:
+            poll = st.poll
+            if poll is not None and poll.state == POLL_ASLEEP:
+                if not poll._wake_pending:
+                    # the defaults bind this batch and this instance
+                    if batch:
+                        clock.at(t, lambda b=batch: self._run_sweeps(b))
+                        batch = []
+                    poll._wake_pending = True
+                    clock.at(t + poll.wakeup_cost,
+                             lambda st=st: self._wake_poll(st))
+            elif not st.sweep_pending:
+                st.sweep_pending = True
+                batch.append(st)
+        if batch:
+            clock.at(t, lambda: self._run_sweeps(batch))
 
     def _run_sweeps(self, batch) -> None:
         # one event for several sweeps due at the same time, in the order
@@ -452,7 +473,7 @@ class SimDevice:
                 break
             if cost:
                 if now < st.consumer_free_at:
-                    self._schedule_sweep(st, st.consumer_free_at)
+                    self._sweep_soon((st,), st.consumer_free_at)
                     break
                 st.consumer_free_at = now + cost
             sq.try_pop()
@@ -487,51 +508,22 @@ class SimDevice:
         if st.in_service == 0:
             st.busy_ns += t - st.busy_since
         self._deliver(st, req, status, value, t)
-        # a slot freed: give every backlogged instance a chance, self first,
-        # in one sweep event; a poll-thread wake closes the batch, so that a
-        # zero-cost wake keeps its place between the sweeps
-        batch = []
+        # a slot freed: give every backlogged instance a chance, self first
+        backlog = [other for other in self.instances
+                   if other is not st and len(other.inst.sq)]
         if len(st.inst.sq):
-            self._ensure_awake_and_sweep(st, t, batch)
-        for other in self.instances:
-            if other is not st and len(other.inst.sq):
-                self._ensure_awake_and_sweep(other, t, batch)
-        if batch:
-            self.clock.at(t, lambda: self._run_sweeps(batch))
-
-    def _ensure_awake_and_sweep(self, st: _InstState, t: int,
-                                batch=None) -> None:
-        # A poll thread that slept over a saturation stall leaves SQ entries
-        # stranded; the producer-side NEED_WAKEUP check is modeled here.
-        # With ``batch``, a sweep due at t joins that list of instances for
-        # the caller to schedule as one event.
-        poll = st.poll
-        if poll is not None and poll.state == POLL_ASLEEP:
-            if not poll._wake_pending:
-                if batch:
-                    closed = tuple(batch)
-                    batch.clear()
-                    self.clock.at(t, lambda: self._run_sweeps(closed))
-                poll._wake_pending = True
-                self.clock.at(t + poll.wakeup_cost,
-                              lambda: self._wake_poll(st))
-            return
-        if batch is None:
-            self._schedule_sweep(st, t)
-        elif not st.sweep_pending:
-            st.sweep_pending = True
-            batch.append(st)
+            backlog.insert(0, st)
+        self._sweep_soon(backlog, t)
 
     def _deliver(self, st: _InstState, req, status, value, t: int) -> None:
         inst = st.inst
         comp = Completion(req.request_id, req.user_data, status, value, t)
-        submit_time = inst.submit_time_of(req.request_id)
         inst.deliver_completion(comp)
         if self.trace is not None:
             self.trace(t, "complete", inst.instance_id, req.request_id)
         listener = self.completion_listener
         if listener is not None:
-            listener(inst.instance_id, comp, submit_time)
+            listener(comp, req.submit_time)
         if st.reaper_signal is not None:
             st.reaper_signal.notify()
 

@@ -162,7 +162,7 @@ class MetricsCollector:
     def on_submit(self, n: int = 1) -> None:
         self.submitted += n
 
-    def on_completion(self, instance_id, comp, submit_time) -> None:
+    def on_completion(self, comp, submit_time) -> None:
         status = comp.status
         if status == CompletionStatus.OK:
             self.completed_ok += 1

@@ -40,10 +40,12 @@ class PushResult(enum.IntEnum):
 
 
 class IoRequest:
-    """One I/O operation. request_id is assigned at submission when None."""
+    """One I/O operation. An ``ApiInstance`` push assigns ``request_id``
+    and stamps ``submit_time`` (ns); the native backend's caller sets its
+    own ids."""
 
     __slots__ = ("request_id", "op", "offset", "length", "buffer_id",
-                 "user_data")
+                 "user_data", "submit_time")
 
     def __init__(self, op: OpKind, offset: int = 0, length: int = 0,
                  buffer_id: int = 0, user_data: int = 0,
@@ -54,6 +56,7 @@ class IoRequest:
         self.length = length
         self.buffer_id = buffer_id
         self.user_data = user_data
+        self.submit_time = None
 
     def __repr__(self):
         return (f"IoRequest(id={self.request_id}, op={OpKind(self.op).name}, "
@@ -168,7 +171,7 @@ class RingQueue:
 
 
 class ApiInstance:
-    """One SQ+CQ pair plus in-flight bookkeeping.
+    """One SQ+CQ pair plus in-flight counters.
 
     The CQ can never overflow: submission is refused unless the CQ could
     absorb every not-yet-completed request plus this one, so the backend's
@@ -178,7 +181,7 @@ class ApiInstance:
     """
 
     __slots__ = ("sq", "cq", "sq_poll_enabled", "sq_poll_idle_timeout",
-                 "inflight", "instance_id", "executor_id", "producer",
+                 "instance_id", "executor_id", "producer",
                  "reaper", "accepted_total", "completed_total",
                  "reaped_total", "on_submit", "_next_request_id")
 
@@ -192,7 +195,6 @@ class ApiInstance:
         self.cq = RingQueue(cq_capacity)
         self.sq_poll_enabled = sq_poll_enabled
         self.sq_poll_idle_timeout = sq_poll_idle_timeout
-        self.inflight: dict[int, int] = {}  # request_id -> submit_time (ns)
         self.instance_id = -1  # assigned by the backend on attach
         self.accepted_total = 0   # written by the producer only
         self.completed_total = 0  # written by the backend only
@@ -223,13 +225,11 @@ class ApiInstance:
         executor_id = self.executor_id
         if executor_id is not None and executor_id() != self.producer:
             self.producer = self._owner("SQ", "pushes", self.producer)
-        if req.request_id is None:
-            req.request_id = self._next_request_id
-            self._next_request_id += 1
-        assert req.request_id not in self.inflight, "duplicate in-flight id"
-        # Bookkeeping goes in before the tail publish so the backend never
-        # observes a submitted request it cannot look up.
-        self.inflight[req.request_id] = now
+        assert req.request_id is None, "request already pushed"
+        # stamped before the tail publish: the backend reads both
+        req.request_id = self._next_request_id
+        self._next_request_id += 1
+        req.submit_time = now
         self.accepted_total += 1
         pushed = sq.try_push(req)
         assert pushed  # single producer + the checks above make full impossible
@@ -249,9 +249,6 @@ class ApiInstance:
             executor_id = self.executor_id
             if executor_id is not None and executor_id() != self.reaper:
                 self.reaper = self._owner("CQ", "reaps", self.reaper)
-            inflight = self.inflight
-            for c in out:
-                del inflight[c.request_id]
             self.reaped_total += len(out)
         return out
 
@@ -263,9 +260,6 @@ class ApiInstance:
         return who
 
     # -- backend side --------------------------------------------------------
-
-    def submit_time_of(self, request_id: int) -> int:
-        return self.inflight[request_id]
 
     def deliver_completion(self, comp: Completion) -> None:
         """Write one completion; callable only by the backend's CQ producer."""

@@ -3,7 +3,8 @@
 An actor is a plain generator that yields what it wants from the scheduler:
 
 * an ``int`` of ns: consume that much CPU (a virtual-time charge, or a
-  calibrated spin on a real thread);
+  calibrated spin on a real thread); ``0`` takes no time and makes no
+  event, so a charge site yields its cost whatever it is;
 * a ``Signal``: park until someone notifies it;
 * in virtual mode, a poll-miss streak (``arch.common.MissStreak``): its
   misses are charged in the clock's spin lane (``VirtualClock.spin``),
@@ -86,6 +87,8 @@ class _VirtualActor:
         rt.current_executor = self.name
         try:
             item = self.gen.send(None)
+            while type(item) is int and not item:
+                item = self.gen.send(None)  # a zero charge: no event
         except StopIteration:
             self.done = True
             rt.live -= 1

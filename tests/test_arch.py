@@ -283,6 +283,31 @@ class TestRunPredicate:
         assert all(a.done for a in rt.actors)
 
 
+class TestYieldProtocol:
+    """A yielded ``0`` charges nothing: the virtual runtime sends it
+    straight back, so the actor goes on in the same calendar event and as
+    the same executor."""
+
+    def test_zero_charge_continues_in_the_same_event(self):
+        rt = Runtime("virtual")
+        steps = []
+
+        def charges_zero():
+            steps.append(("a", rt.executor_id()))
+            yield 0
+            steps.append(("a", rt.executor_id()))
+
+        def other():
+            steps.append(("b", rt.executor_id()))
+            yield from ()
+
+        rt.spawn(charges_zero(), "a")
+        rt.spawn(other(), "b")
+        assert rt.clock.run_until_idle() == 2
+        assert steps == [("a", "a"), ("a", "a"), ("b", "b")]
+        assert rt.live == 0
+
+
 class TestBouncedTaskSubmissions:
     """A task submission refused by a full SQ goes back to its owner as a
     retry item; the retried tasks must still end in the oracle states."""

@@ -95,7 +95,7 @@ def closed_loop_count(cfg, qd, duration_ns, seed=0):
             if inst.sq_push(IoRequest(OpKind.NOP), clock.now) != PushResult.ACCEPTED:
                 break
 
-    def listener(inst_id, comp, submit_time):
+    def listener(comp, submit_time):
         nonlocal done_in_window
         if comp.complete_time <= duration_ns:
             done_in_window += 1
@@ -518,31 +518,33 @@ class TestSlotHandoff:
     chance in attach order, the completing one first, and the wake of a
     sleeping poll thread at zero cost keeps its place among the sweeps."""
 
-    def consume_order(self, cost_us, push_at_us):
+    def consume_order(self, cost_us, push_at_us, idle_us=(1000, 1, 1000)):
         # A's first request holds one slot; its second, pushed at push_at,
-        # takes the other. A's third request, B's (whose poll thread sleeps
-        # again 1 us later) and C's then wait for the first slot to free.
+        # takes the other. A's third request and one request of each other
+        # instance then wait for the first slot to free; an instance whose
+        # poll thread times out after 1 us sleeps again 1 us after its push
         cfg = DeviceConfig(service_time_ns=10 * US, jitter_frac=0.0,
                            parallelism=2, submission_cpu_cost_ns=cost_us * US,
                            poll=PollConfig(wakeup_cost_ns=0))
         clock = VirtualClock()
         dev = SimDevice(cfg, clock)
-        a = ApiInstance(sq_capacity=8, cq_capacity=8)
-        b = ApiInstance(sq_capacity=8, cq_capacity=8, sq_poll_enabled=True,
-                        sq_poll_idle_timeout=1 * US)
-        c = ApiInstance(sq_capacity=8, cq_capacity=8)
-        for inst in (a, b, c):
+        insts = [ApiInstance(sq_capacity=8, cq_capacity=8,
+                             sq_poll_idle_timeout=idle * US)
+                 for idle in idle_us]
+        for inst in insts:
             dev.attach(inst)
         consumed = []
         dev.trace = lambda t, kind, i, r: (
-            consumed.append((t // US, "abc"[i])) if kind == "consume"
+            consumed.append((t // US, "abcd"[i])) if kind == "consume"
             else None)
+        a = insts[0]
         a.sq_push(IoRequest(OpKind.NOP), clock.now)
         clock.run_until(push_at_us * US)
-        for inst in (a, a, b, c):
+        for inst in [a, *insts]:
             inst.sq_push(IoRequest(OpKind.NOP), clock.now)
         clock.run_until((push_at_us + 1) * US)
-        assert dev.instances[1].poll.state == POLL_ASLEEP
+        assert [st.poll.state == POLL_ASLEEP for st in dev.instances] == [
+            idle == 1 for idle in idle_us]
         clock.run_until_idle()
         return consumed
 
@@ -556,3 +558,9 @@ class TestSlotHandoff:
         # 17 us: B's wake runs after A's sweep and before C's, so B gets it
         assert self.consume_order(5, 12) == [
             (0, "a"), (12, "a"), (15, "b"), (27, "a"), (30, "c")]
+
+    def test_two_sleeping_instances_each_close_a_batch(self):
+        # as above, with D asleep too: at 15 us the freed slot's batch is
+        # A, B's wake, C, D's wake, so each wake closes a batch of its own
+        assert self.consume_order(5, 12, (1000, 1, 1000, 1)) == [
+            (0, "a"), (12, "a"), (15, "b"), (27, "a"), (30, "c"), (42, "d")]

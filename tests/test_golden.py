@@ -15,7 +15,7 @@ import hashlib
 import pytest
 
 from ringbench.arch import (ArrivalWorkload, ControllerConfig,
-                            EXEC_INLINE_CALLBACKS, POLICY_LEAST_LOADED,
+                            EXEC_INLINE_CALLBACKS, ExecCosts, POLICY_LEAST_LOADED,
                             RequestWorkload, RingConfig, TaskWorkload,
                             THREADING_PAIR, run_direct_access,
                             run_dynamic_pool, run_shared_nothing,
@@ -59,6 +59,11 @@ def requests():
                            queue_depth=12, callback_cost_ns=2 * US)
 
 
+def zero_cost_requests():
+    return RequestWorkload(op_count=3001, op_kind="rand_read",
+                           queue_depth=12)
+
+
 def tasks():
     return TaskWorkload(specs=generate_corpus(19, 40))
 
@@ -74,6 +79,7 @@ RING_2_2 = dict(ring=RingConfig(2, 2))
 # instance, so the controller scales both ways
 ARRIVALS = dict(ring=RingConfig(sq_capacity=16, cq_capacity=32),
                 device_cfg=ARRIVALS_DEV)
+ZERO_COSTS = dict(costs=ExecCosts(0, 0, 0, 0, 0, 0))
 
 # case -> (runner, workload, keywords on top of JITTER)
 CASES = {
@@ -131,6 +137,21 @@ CASES = {
         arrivals_pool, arrivals, dict(inbox_capacity=1, **ARRIVALS)),
     "dynamic_pool_pair_inbox1-arrivals": (
         arrivals_pool, arrivals, dict(PAIR, inbox_capacity=1, **ARRIVALS)),
+    # zero lock holds and poll misses, settled without a spin lane
+    "direct_access-tasks-full-zero_costs": (
+        direct_access, tasks, dict(ZERO_COSTS, scheme="full")),
+    # zero inbox push, submit and reap
+    "static_pool_pair-requests-zero_costs": (
+        static_pool, requests, dict(PAIR, **ZERO_COSTS)),
+    # zero inline callbacks: no refill between them
+    "static_pool-inline_requests-zero_costs": (
+        static_pool, zero_cost_requests,
+        dict(ZERO_COSTS, exec_mode=EXEC_INLINE_CALLBACKS)),
+    # zero frame resumes, and zero worker callbacks on requests
+    "shared_nothing-tasks-coroutine-zero_costs": (
+        shared_nothing, tasks, dict(ZERO_COSTS, scheme="coroutine")),
+    "shared_nothing-requests-zero_costs": (
+        shared_nothing, zero_cost_requests, ZERO_COSTS),
 }
 
 
@@ -199,6 +220,16 @@ GOLDEN = {
         "37f5e867359433396be9dc0329660ffeb72240b03eedc8dd5db9e9752b6a2df8",
     "dynamic_pool_pair_inbox1-arrivals":
         "79de19ca61d0a42756bd2161c3fec81aa8ddc447a45fd7771fb6882effe2ec62",
+    "direct_access-tasks-full-zero_costs":
+        "7d2fe40b5f442ff1dc9f4ce4f3c6a895b149b04f89c2c76e82bf5f1c0676df67",
+    "static_pool_pair-requests-zero_costs":
+        "f3507c246d739b3548537c77e0f1ceee543079322cb10ed39e4636477f23dd86",
+    "static_pool-inline_requests-zero_costs":
+        "de89fa59edbccee2c31f4dd5d0099a686045fc5dc60187b4a1d9f64a1545392c",
+    "shared_nothing-tasks-coroutine-zero_costs":
+        "d09ce470ddd5b5cf24964c3d92523cfcc551a12664e3fcc3871aadc7ed5960eb",
+    "shared_nothing-requests-zero_costs":
+        "4e12c0b670e6f2c49eb99920a8df5fb026cc3a44c5b4aca590aaa6a7b7bce1d2",
 }
 
 
@@ -234,6 +265,11 @@ EVENTS = {
     "dynamic_pool_inbox1-tasks-coroutine": 2052,
     "dynamic_pool_inbox1-arrivals": 10412,
     "dynamic_pool_pair_inbox1-arrivals": 10514,
+    "direct_access-tasks-full-zero_costs": 862,
+    "static_pool_pair-requests-zero_costs": 19928,
+    "static_pool-inline_requests-zero_costs": 16880,
+    "shared_nothing-tasks-coroutine-zero_costs": 540,
+    "shared_nothing-requests-zero_costs": 11347,
 }
 
 def run_case(case: str):

@@ -46,7 +46,7 @@ def collector_from(run_id, completions):
     c = MetricsCollector(run_id)
     for comp_ in completions:
         c.on_submit()
-        c.on_completion(0, comp_, 0)
+        c.on_completion(comp_, 0)
     return c
 
 
@@ -84,7 +84,7 @@ class TestConservation:
                     + [CompletionStatus.CANCELED] * 3)
         for s in statuses:
             c.on_submit()
-            c.on_completion(0, comp(status=s), 0)
+            c.on_completion(comp(status=s), 0)
         r = c.finalize(1000)
         assert (r.completed_ok, r.errored, r.canceled) == (5, 2, 3)
         assert r.conservation_holds()

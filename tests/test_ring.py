@@ -109,6 +109,28 @@ class TestSqPush:
             inst.sq_push(r)
         assert [r.request_id for r in reqs] == [0, 1, 2, 3]
 
+    def test_push_stamps_the_submit_time(self):
+        inst = ApiInstance(sq_capacity=8, cq_capacity=8)
+        reqs = [nop() for _ in range(2)]
+        inst.sq_push(reqs[0], 5)
+        inst.sq_push(reqs[1], 7)
+        assert [r.submit_time for r in reqs] == [5, 7]
+
+    def test_a_request_is_pushed_once(self):
+        # also once its completion has been reaped: the ring owns its id
+        inst = ApiInstance(sq_capacity=8, cq_capacity=8)
+        req = nop()
+        assert inst.sq_push(req) == PushResult.ACCEPTED
+        with pytest.raises(AssertionError):
+            inst.sq_push(req)
+        inst.sq.try_pop()
+        inst.deliver_completion(Completion(
+            req.request_id, 0, CompletionStatus.OK, 0, 0))
+        assert len(inst.cq_reap(8)) == 1
+        with pytest.raises(AssertionError, match="request already pushed"):
+            inst.sq_push(req)
+        assert (inst.accepted_total, len(inst.sq)) == (1, 0)
+
     def test_stress_against_concurrent_consumer(self, fast_thread_switching):
         # capacity 8, 1000 pushes with retries; consumer sees push order
         inst = ApiInstance(sq_capacity=8, cq_capacity=8)
@@ -181,11 +203,17 @@ class TestCqReap:
         with pytest.raises(ValueError):
             ApiInstance().cq_reap(0)
 
-    def test_reap_removes_from_inflight_map(self):
+    def test_reap_counts_what_it_returns(self):
         inst = self._completed_instance(2)
-        assert len(inst.inflight) == 2
-        inst.cq_reap(8)
-        assert len(inst.inflight) == 0
+        inst.sq_push(nop())  # accepted; its completion is not written yet
+
+        def counts():
+            return (inst.accepted_total, inst.reaped_total,
+                    inst.pending_completion_count())
+
+        assert counts() == (3, 0, 1)
+        assert len(inst.cq_reap(8)) == 2
+        assert counts() == (3, 2, 1)
 
     def test_bulk_id_conservation_through_device(self):
         # every submitted id comes back exactly once, in a multiset sense
