@@ -267,14 +267,15 @@ class ExecContext:
 class Worker(ExecContext):
     """A worker actor's executor and its queues."""
 
-    __slots__ = ("index", "name", "signal", "ready", "blocked", "handoff",
-                 "done_handles", "live", "finished")
+    __slots__ = ("index", "name", "signal", "cqs", "ready", "blocked",
+                 "handoff", "done_handles", "live", "finished")
 
     def __init__(self, index: int, run):
         super().__init__(run)
         self.index = index
         self.name = f"worker-{index}"
         self.signal = run.rt.signal()
+        self.cqs = ()                # the CQs its reap hook reaps, if any
         self.ready = deque()         # runnable items, FIFO (fair respawn)
         self.blocked = deque()       # submissions that bounced off a full SQ
         self.handoff = deque()       # cross-executor item handoffs (MPSC)
@@ -523,6 +524,7 @@ def request_worker_loop(worker: Worker, reap, shard_ops: int, qd: int,
 
     ``reap`` is None when another executor reaps this worker's completions.
     """
+    cqs = worker.cqs
     submitted = 0
     done = 0
     pending_req = None
@@ -538,9 +540,11 @@ def request_worker_loop(worker: Worker, reap, shard_ops: int, qd: int,
                 dq.popleft()
             done += n
             progressed = True
-        if reap is not None:
-            reaped = yield from reap()
-            progressed = progressed or reaped
+        for cq in cqs:
+            if cq.tail != cq.head:  # an empty reap would charge nothing
+                reaped = yield from reap()
+                progressed = progressed or reaped
+                break
         while submitted - done < qd and submitted < shard_ops:
             if pending_req is None:
                 pending_req = next_request()
@@ -555,7 +559,8 @@ def request_worker_loop(worker: Worker, reap, shard_ops: int, qd: int,
             submitted += 1
             progressed = True
         # callbacks run after replenishment so they overlap fresh I/O
-        yield worker_cb_cost * n
+        if n:
+            yield worker_cb_cost * n
         if not progressed and done < shard_ops \
                 and worker.signal.version == sig_version:
             yield worker.signal
@@ -594,6 +599,7 @@ def task_worker_loop(worker: Worker, reap, shard_specs, scheme: str,
     max_live = workload.max_live_per_worker
     miss_streak = 0
     results = worker.results
+    cqs = worker.cqs
     gated = bool(deps_by_task)
     streak = MissStreak(worker, scheme)
     miss_cost = streak.cost
@@ -609,9 +615,11 @@ def task_worker_loop(worker: Worker, reap, shard_specs, scheme: str,
             (worker.blocked if item[0] == "submit"
              else worker.ready).append(item)
             progressed = True
-        if reap is not None:
-            reaped = yield from reap()
-            progressed = progressed or reaped
+        for cq in cqs:
+            if cq.tail != cq.head:  # an empty reap would charge nothing
+                reaped = yield from reap()
+                progressed = progressed or reaped
+                break
         # retry bounced submissions once per pass
         for _ in range(len(worker.blocked)):
             item = worker.blocked.popleft()

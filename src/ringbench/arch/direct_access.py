@@ -82,8 +82,11 @@ def run_direct_access(workload, n_workers: int, m_instances: int,
         ctx.device.attach(inst, reaper_signal=wake_all, space_signal=wake_all)
         shared.append(_SharedInstance(inst, rt))
 
+    cqs = tuple(sh.inst.cq for sh in shared)
+
     def wire(worker):
         worker.signal = wake_all
+        worker.cqs = cqs
         hooks = _DaHooks(shared, worker)
         return hooks.submit, hooks.reap_phase
 

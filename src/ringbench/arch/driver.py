@@ -84,7 +84,9 @@ class RunContext:
 
         ``wire(worker)`` connects a new worker to the architecture and
         returns ``(submit, reap)``; ``reap`` is None when another
-        executor reaps. A request workload's queue depth is split over the
+        executor reaps, and otherwise ``wire`` sets ``worker.cqs`` to the
+        CQs it reaps: a worker pass reaps only when one of them holds a
+        completion. A request workload's queue depth is split over the
         workers unless ``qd_per_worker``. Its callback cost runs on the
         worker after replenishment, unless ``inline_callbacks``: then the
         reaping executor charges it. An arrival workload's arrivals are
@@ -103,6 +105,7 @@ class RunContext:
         for i in range(n):
             worker = Worker(i, self)
             worker.submit, reap = wire(worker)
+            assert (reap is None) == (not worker.cqs), "reap without CQs"
             if is_arrivals:
                 if reap is not None:
                     raise ValueError(

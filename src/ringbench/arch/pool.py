@@ -277,10 +277,16 @@ class IoPool:
         """An I/O-instance actor; a pair's reaper parks on
         ``unit.reap_signal``."""
         signal = unit.signal if submits else unit.reap_signal
+        cq = unit.inst.cq
         while True:
             sig_version = signal.version  # park guard: see Signal docs
-            submitted = submits and (yield from self._submit_pass(unit, ectx))
-            reaped = reaps and (yield from self._reap_pass(unit, ectx))
+            # a pass with nothing to push or to reap takes and charges
+            # nothing
+            submitted = reaped = False
+            if submits and (unit.inbox or unit.pending_sub is not None):
+                submitted = yield from self._submit_pass(unit, ectx)
+            if reaps and cq.tail != cq.head:
+                reaped = yield from self._reap_pass(unit, ectx)
             if submits and self.overflow and not unit.inbox \
                     and unit.index < self.active_count:
                 self._drain_overflow()

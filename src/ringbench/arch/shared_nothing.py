@@ -53,6 +53,7 @@ def run_shared_nothing(workload, n_threads: int, scheme: str = "full", **kw):
         ctx.device.attach(inst, reaper_signal=worker.signal,
                           space_signal=worker.signal)
         hooks = _SnHooks(inst, worker)
+        worker.cqs = (inst.cq,)
         return hooks.submit, hooks.reap_phase
 
     # each worker is a whole single-thread loop: it keeps the full qd

@@ -130,6 +130,13 @@ class VirtualClock:
         """True when no event is pending."""
         return not (self._heap or self._lane)
 
+    def due_now(self) -> bool:
+        """True when a heap entry is due at ``now``: then an event
+        scheduled now waits behind it, not only behind the same-instant
+        lane."""
+        heap = self._heap
+        return bool(heap) and heap[0][0] == self.now
+
     def step(self) -> bool:
         lane = self._lane
         if lane:
@@ -181,6 +188,11 @@ class WallClock:
     @property
     def now(self) -> int:
         return time.monotonic_ns() - self._origin
+
+    def due_now(self) -> bool:
+        """Always True: a deadline may pass before an event scheduled now
+        runs."""
+        return True
 
     def at(self, t: int, fn) -> None:
         with self._cond:
@@ -370,8 +382,16 @@ class SimDevice:
         if self.trace is not None:
             self.trace(now, "submit", inst.instance_id, -1)
         poll = st.poll
-        if poll is not None and poll.state == POLL_ACTIVE:
-            poll.last_submission_seen = now
+        if poll is None or poll.state == POLL_ACTIVE:
+            if poll is not None:
+                poll.last_submission_seen = now
+            # a full device sweeps nothing, and unless an entry is due now
+            # only the same-instant lane runs before this sweep would: no
+            # slot frees there, as a completion is never due in the
+            # instant it is scheduled. The next completion sweeps this SQ.
+            if self.in_service >= self.cfg.parallelism \
+                    and not self.clock.due_now():
+                return
         self._sweep_soon((st,), now)
 
     # -- poll thread events ------------------------------------------------------
@@ -442,10 +462,13 @@ class SimDevice:
 
     def _run_sweeps(self, batch) -> None:
         # one event for several sweeps due at the same time, in the order
-        # separate events would have run them
+        # separate events would have run them; a full device pops nothing,
+        # so once one fills it the rest are skipped
+        parallelism = self.cfg.parallelism
         for st in batch:
             st.sweep_pending = False
-            self._sweep(st)
+            if self.in_service < parallelism:
+                self._sweep(st)
 
     def _service_ns(self) -> int:
         base = self.cfg.service_time_ns
@@ -459,6 +482,7 @@ class SimDevice:
         clock = self.clock
         inst = st.inst
         sq = inst.sq
+        fault_plan = self.fault_plan
         popped = 0
         while True:
             poll = st.poll
@@ -488,11 +512,11 @@ class SimDevice:
             self.in_service += 1
             if self.trace is not None:
                 self.trace(now, "consume", inst.instance_id, req.request_id)
-            fault = self.fault_plan.get((inst.instance_id, req.request_id))
-            if fault is not None:
-                status, value = CompletionStatus.ERROR, fault
-            else:
-                status, value = CompletionStatus.OK, req.length
+            status, value = CompletionStatus.OK, req.length
+            if fault_plan:
+                fault = fault_plan.get((inst.instance_id, req.request_id))
+                if fault is not None:
+                    status, value = CompletionStatus.ERROR, fault
             done_at = now + cost + self._service_ns()
             clock.at(done_at,
                      self._completion_fn(st, req, status, value, done_at))

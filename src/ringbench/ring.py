@@ -213,14 +213,14 @@ class ApiInstance:
         # estimate conservative.
         return self.accepted_total - self.completed_total
 
-    def _completion_headroom(self) -> int:
-        return self.cq.capacity - len(self.cq) - self.pending_completion_count()
-
     def sq_push(self, req: IoRequest, now: int = 0) -> PushResult:
         sq = self.sq
         if sq.tail - sq.head == sq.capacity:
             return PushResult.QUEUE_FULL
-        if self._completion_headroom() < 1:
+        # the CQ's headroom: its free slots less the completions owed
+        cq = self.cq
+        if cq.capacity - (cq.tail - cq.head) \
+                - (self.accepted_total - self.completed_total) < 1:
             return PushResult.QUEUE_FULL
         executor_id = self.executor_id
         if executor_id is not None and executor_id() != self.producer:

@@ -14,6 +14,7 @@ from ringbench.arch import common, driver
 from ringbench.arch.common import HandleFactory
 from ringbench.arch.driver import drive
 from ringbench.device import DeviceConfig, SimDevice
+from ringbench.ring import ApiInstance
 from ringbench.runtime import Runtime
 from ringbench.tasks import (Geometry, generate_corpus, io_count,
                              oracle_states)
@@ -552,3 +553,39 @@ class TestRingOwnership:
         assert [inst.instance_id for inst in rings] == list(range(args[-1]))
         for i, inst in enumerate(rings):
             assert (inst.producer, inst.reaper) == owners(i), i
+
+
+class TestNoEmptyReaps:
+    """An actor reaps only when a CQ it reaps holds a completion: an empty
+    ``cq_reap`` takes nothing and charges nothing. Direct access is left
+    out: a worker that waited for a CQ lock can find the CQ emptied by a
+    rival, which is model behaviour."""
+
+    SPECS = generate_corpus(13, 40, max_steps=4)
+
+    @pytest.mark.parametrize("fn,args,workload,kw", [
+        (run_shared_nothing, (2,),
+         RequestWorkload(op_count=400, queue_depth=8), {}),
+        (run_shared_nothing, (2,), None, {}),
+        (run_static_pool, (2, 2), None, {}),
+        (run_static_pool, (2, 2), None, {"threading_mode": THREADING_PAIR}),
+    ], ids=["shared_nothing-requests", "shared_nothing-tasks",
+            "static_pool-tasks", "static_pool_pair-tasks"])
+    def test_no_reap_finds_an_empty_cq(self, monkeypatch, fn, args,
+                                       workload, kw):
+        reaps = []
+        cq_reap = ApiInstance.cq_reap
+
+        def counted_cq_reap(inst, max_completions):
+            comps = cq_reap(inst, max_completions)
+            reaps.append(len(comps))
+            return comps
+
+        monkeypatch.setattr(ApiInstance, "cq_reap", counted_cq_reap)
+        wl = workload or TaskWorkload(specs=list(self.SPECS))
+        r = fn(wl, *args, device_cfg=FAST_DEV, seed=5, sched_jitter_ns=300,
+               **kw)
+        ops = wl.op_count if workload else io_count(self.SPECS)
+        assert run_violations(r, ops) == []
+        assert sum(reaps) == ops
+        assert reaps.count(0) == 0

@@ -564,3 +564,87 @@ class TestSlotHandoff:
         # A, B's wake, C, D's wake, so each wake closes a batch of its own
         assert self.consume_order(5, 12, (1000, 1, 1000, 1)) == [
             (0, "a"), (12, "a"), (15, "b"), (27, "a"), (30, "c"), (42, "d")]
+
+
+class TestFullDevice:
+    """A full device pops, notifies and reschedules nothing, so it is not
+    swept: a completion's batch stops once a sweep fills the freed slot,
+    and a push schedules no sweep unless its poll thread needs a wake or a
+    heap entry, perhaps the completion that frees a slot, is due first."""
+
+    CFG = DeviceConfig(service_time_ns=10 * US, jitter_frac=0.0,
+                       parallelism=1)
+
+    def full(self, n_instances):
+        clock = VirtualClock()
+        dev = SimDevice(self.CFG, clock)
+        insts = [ApiInstance(sq_capacity=8, cq_capacity=8)
+                 for _ in range(n_instances)]
+        for inst in insts:
+            dev.attach(inst)
+        insts[0].sq_push(IoRequest(OpKind.NOP), clock.now)
+        clock.run_until(1 * US)
+        assert dev.in_service == 1
+        return clock, dev, insts
+
+    @staticmethod
+    def record_at(monkeypatch):
+        scheduled = []
+        at = VirtualClock.at
+
+        def recording_at(clock, t, fn):
+            scheduled.append(t)
+            at(clock, t, fn)
+
+        monkeypatch.setattr(VirtualClock, "at", recording_at)
+        return scheduled
+
+    def test_push_to_a_full_device_schedules_nothing(self, monkeypatch):
+        clock, dev, (a, b) = self.full(2)
+        scheduled = self.record_at(monkeypatch)
+        b.sq_push(IoRequest(OpKind.NOP), clock.now)
+        assert scheduled == []
+        # the completion frees the slot and sweeps the backlog
+        clock.run_until_idle()
+        assert len(b.cq) == 1 and b.cq.peek().complete_time == 20 * US
+
+    def test_a_freed_slot_is_swept_once(self, monkeypatch):
+        clock, dev, insts = self.full(4)
+        for inst in insts[1:]:
+            inst.sq_push(IoRequest(OpKind.NOP), clock.now)
+        clock.run_until(2 * US)
+        swept = []
+        sweep = SimDevice._sweep
+
+        def recording_sweep(device, st):
+            swept.append(st.inst.instance_id)
+            sweep(device, st)
+
+        monkeypatch.setattr(SimDevice, "_sweep", recording_sweep)
+        clock.run_until(10 * US)
+        assert swept == [1] and dev.in_service == 1
+        clock.run_until_idle()
+        assert swept == [1, 2, 3]
+        assert [inst.cq.peek().complete_time for inst in insts] == [
+            10 * US, 20 * US, 30 * US, 40 * US]
+
+    def test_push_behind_a_completion_due_now_is_swept(self, monkeypatch):
+        clock = VirtualClock()
+        dev = SimDevice(self.CFG, clock)
+        a, b = ApiInstance(8, 8), ApiInstance(8, 8)
+        dev.attach(a)
+        dev.attach(b)
+        during_push = []
+
+        def push_b():
+            # a's completion, scheduled after this event, is due now too
+            assert dev.in_service == 1
+            scheduled = self.record_at(monkeypatch)
+            b.sq_push(IoRequest(OpKind.NOP), clock.now)
+            during_push.extend(scheduled)
+
+        clock.at(10 * US, push_b)
+        a.sq_push(IoRequest(OpKind.NOP), clock.now)
+        clock.run_until_idle()
+        assert during_push == [10 * US]
+        assert b.cq.peek().complete_time == 20 * US

@@ -62,13 +62,13 @@ def load_perfbench(module: str):
 # report row as write_summary_csv writes it)
 TRACED = {
     "req_sn": ({
-        "events": 119072, "at_calls": 119072, "at_zero_delay": 58965,
-        "sweeps": 97872, "empty_sweeps": 77877, "poll_wakes": 0,
-        "push_calls": 20000, "push_refused": 0, "reap_calls": 58660,
-        "reap_misses": 38682, "resumes": 59175, "notifies": 59995,
+        "events": 99509, "at_calls": 99509, "at_zero_delay": 39402,
+        "sweeps": 19995, "empty_sweeps": 0, "poll_wakes": 0,
+        "push_calls": 20000, "push_refused": 0, "reap_calls": 19978,
+        "reap_misses": 0, "resumes": 59175, "notifies": 59995,
         "lock_acquisitions": 0, "lock_contention": 0, "items": 0,
         "poll_hits": 0, "pool_dispatches": 0, "controller_steps": 0,
-        "pred_calls": 119069},
+        "pred_calls": 99506},
         "cafb3dec8fb0c1870cb052449e144fe45ac9130fef35a5bf73ed9c6bbf76b7f8"),
     "tasks_da_full": ({
         "events": 165847, "at_calls": 65685, "at_zero_delay": 27965,
@@ -81,7 +81,7 @@ TRACED = {
     "tasks_pool_cb": ({
         "events": 62993, "at_calls": 62993, "at_zero_delay": 25772,
         "sweeps": 8282, "empty_sweeps": 0, "poll_wakes": 0, "push_calls": 8282,
-        "push_refused": 0, "reap_calls": 29615, "reap_misses": 21967,
+        "push_refused": 0, "reap_calls": 7648, "reap_misses": 0,
         "resumes": 46370, "notifies": 26720, "lock_acquisitions": 0,
         "lock_contention": 0, "items": 10282, "poll_hits": 0,
         "pool_dispatches": 8282, "controller_steps": 0, "pred_calls": 62989},
@@ -89,8 +89,8 @@ TRACED = {
     "arrivals_dyn": ({
         "events": 163346, "at_calls": 163346, "at_zero_delay": 42274,
         "sweeps": 22008, "empty_sweeps": 1008, "poll_wakes": 14,
-        "push_calls": 30552, "push_refused": 9552, "reap_calls": 48763,
-        "reap_misses": 27763, "resumes": 119238, "notifies": 63088,
+        "push_calls": 30552, "push_refused": 9552, "reap_calls": 21000,
+        "reap_misses": 0, "resumes": 119238, "notifies": 63088,
         "lock_acquisitions": 0, "lock_contention": 0, "items": 0,
         "poll_hits": 0, "pool_dispatches": 21000, "controller_steps": 80,
         "pred_calls": 163334},

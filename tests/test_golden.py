@@ -236,40 +236,40 @@ GOLDEN = {
 # calendar events each case fires (VirtualClock.step calls that ran one):
 # an exact count of the simulator's work, pinned next to its output
 EVENTS = {
-    "shared_nothing-requests": 16237,
+    "shared_nothing-requests": 13306,
     "shared_nothing-tasks-full": 1500,
     "shared_nothing-tasks-callback": 898,
     "shared_nothing-tasks-coroutine": 1218,
     "direct_access-requests": 23571,
-    "direct_access-tasks-full": 2014,
-    "direct_access-tasks-callback": 1179,
-    "direct_access-tasks-coroutine": 1482,
+    "direct_access-tasks-full": 1942,
+    "direct_access-tasks-callback": 1084,
+    "direct_access-tasks-coroutine": 1432,
     "static_pool-requests": 27623,
-    "static_pool-tasks-full": 2528,
-    "static_pool-tasks-callback": 1196,
-    "static_pool-tasks-coroutine": 2054,
+    "static_pool-tasks-full": 2441,
+    "static_pool-tasks-callback": 1115,
+    "static_pool-tasks-coroutine": 1982,
     "dynamic_pool-requests": 27585,
-    "dynamic_pool-tasks-full": 2497,
-    "dynamic_pool-tasks-callback": 1184,
-    "dynamic_pool-tasks-coroutine": 2072,
+    "dynamic_pool-tasks-full": 2417,
+    "dynamic_pool-tasks-callback": 1119,
+    "dynamic_pool-tasks-coroutine": 1989,
     "dynamic_pool-arrivals": 11062,
     "static_pool_pair-requests": 35510,
     "static_pool_pair-inline_requests": 28854,
-    "static_pool_pair-tasks-callback": 1456,
+    "static_pool_pair-tasks-callback": 1372,
     "dynamic_pool_pair-requests": 35447,
-    "dynamic_pool_pair-tasks-full": 2649,
-    "dynamic_pool_pair-tasks-callback": 1443,
+    "dynamic_pool_pair-tasks-full": 2571,
+    "dynamic_pool_pair-tasks-callback": 1355,
     "static_pool_inbox2-requests": 27749,
     "static_pool_pair_inbox2-requests": 35426,
     "static_pool_least_loaded_inbox2-requests": 26463,
-    "dynamic_pool_inbox1-tasks-coroutine": 2052,
+    "dynamic_pool_inbox1-tasks-coroutine": 1972,
     "dynamic_pool_inbox1-arrivals": 10412,
     "dynamic_pool_pair_inbox1-arrivals": 10514,
-    "direct_access-tasks-full-zero_costs": 862,
+    "direct_access-tasks-full-zero_costs": 769,
     "static_pool_pair-requests-zero_costs": 19928,
     "static_pool-inline_requests-zero_costs": 16880,
     "shared_nothing-tasks-coroutine-zero_costs": 540,
-    "shared_nothing-requests-zero_costs": 11347,
+    "shared_nothing-requests-zero_costs": 8952,
 }
 
 def run_case(case: str):
