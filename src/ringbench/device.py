@@ -478,23 +478,23 @@ class SimDevice:
         return max(1, int(base * (1.0 + self.rng.uniform(-j, j))))
 
     def _sweep(self, st: _InstState) -> None:
-        cfg = self.cfg
         clock = self.clock
         inst = st.inst
         sq = inst.sq
+        poll = st.poll
+        parallelism = self.cfg.parallelism
+        cost = self.cfg.submission_cpu_cost_ns
         fault_plan = self.fault_plan
         popped = 0
-        while True:
-            poll = st.poll
+        # a full device pops nothing: its test comes before the
+        # consumer-busy test, which reschedules
+        while self.in_service < parallelism:
             if poll is not None and poll.state != POLL_ACTIVE:
                 break
             req = sq.peek()
             if req is None:
                 break
             now = clock.now
-            cost = cfg.submission_cpu_cost_ns
-            if self.in_service >= cfg.parallelism:
-                break
             if cost:
                 if now < st.consumer_free_at:
                     self._sweep_soon((st,), st.consumer_free_at)
