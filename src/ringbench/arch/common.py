@@ -22,7 +22,6 @@ Placement rules the engine enforces:
 from __future__ import annotations
 
 import itertools
-import random
 from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -96,16 +95,13 @@ class RequestWorkload:
     """Closed-loop request stream: keep queue_depth in flight."""
 
     op_count: int = 100_000
-    op_kind: str = "seq_read"      # seq_read | rand_read | write_mix | nop
-    block_size: int = 4096
     queue_depth: int = 32
     callback_cost_ns: int = 0
 
     def __post_init__(self):
-        for name in ("op_count", "block_size", "queue_depth"):
+        for name in ("op_count", "queue_depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        _check_op_kind(self.op_kind)
         if self.callback_cost_ns < 0:
             raise ValueError("callback_cost_ns must be >= 0")
 
@@ -128,8 +124,6 @@ class ArrivalWorkload:
     """Open-loop arrivals: (duration_ns, ops_per_sec) phases, played once."""
 
     phases: list
-    op_kind: str = "rand_read"
-    block_size: int = 4096
 
     def __post_init__(self):
         if not self.phases:
@@ -141,9 +135,6 @@ class ArrivalWorkload:
             if not 0 <= rate <= 1e9:  # at most one arrival per ns
                 raise ValueError(f"phases[{i}] rate must be in [0, 1e9] "
                                  f"ops/s")
-        _check_op_kind(self.op_kind)
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
 
     @staticmethod
     def phase_schedule(duration_ns, rate) -> tuple:
@@ -157,41 +148,15 @@ class ArrivalWorkload:
                    for dur, rate in self.phases)
 
 
-# the op kinds request_stream makes requests for
-OP_KINDS = ("seq_read", "rand_read", "write_mix", "nop")
-
-
-def _check_op_kind(op_kind: str) -> None:
-    if op_kind not in OP_KINDS:
-        raise ValueError(f"op_kind must be one of {OP_KINDS}")
-
-
-def request_stream(workload, geometry: Geometry, seed: int, shard: int):
-    """Deterministic per-shard request factory for request workloads."""
-    bs = workload.block_size
-    nblocks = max(1, geometry.capacity_bytes // bs)
-    rng = random.Random((seed << 8) ^ shard)
-    kind = workload.op_kind
-    seq_block = (shard * 7919) % nblocks
-    counter = 0
+def request_stream(geometry: Geometry):
+    """Request factory for request and arrival workloads: every request is
+    a READ of one device block at offset 0. The device serves every op
+    kind, offset and length alike, so no other request would change a
+    run."""
+    block_size = geometry.block_size
 
     def next_request() -> IoRequest:
-        nonlocal seq_block, counter
-        counter += 1
-        if kind == "seq_read":
-            block = seq_block
-            seq_block = (seq_block + 1) % nblocks
-            return IoRequest(OpKind.READ, offset=block * bs, length=bs)
-        if kind == "rand_read":
-            return IoRequest(OpKind.READ, offset=rng.randrange(nblocks) * bs,
-                             length=bs)
-        if kind == "write_mix":
-            op = OpKind.WRITE if counter % 4 == 0 else OpKind.READ
-            return IoRequest(op, offset=rng.randrange(nblocks) * bs,
-                             length=bs)
-        if kind == "nop":
-            return IoRequest(OpKind.NOP)
-        raise ValueError(f"unknown op kind {kind!r}")
+        return IoRequest(OpKind.READ, 0, block_size)
 
     return next_request
 

@@ -61,7 +61,6 @@ class RunContext:
         self.costs = opts.costs or ExecCosts()
         self.ring.validate()
         self.costs.validate()
-        self.seed = opts.seed
         self.run_id = opts.run_id or f"{arch}-{opts.seed}"
         dcfg = opts.device_cfg or DeviceConfig()
         self.geometry = Geometry(dcfg.block_size, dcfg.capacity_bytes)
@@ -100,6 +99,7 @@ class RunContext:
         if is_tasks:
             shards = shard_specs(workload, n)
             deps = deps_map(workload)
+        next_request = request_stream(self.geometry)
         actors = []
         signals = []
         for i in range(n):
@@ -111,8 +111,7 @@ class RunContext:
                     raise ValueError(
                         "workload must be a request or task workload: an "
                         "ArrivalWorkload runs on the pools")
-                gen = arrival_loop(worker, workload, n, request_stream(
-                    workload, self.geometry, self.seed, i))
+                gen = arrival_loop(worker, workload, n, next_request)
             elif is_tasks:
                 gen = task_worker_loop(worker, reap, shards[i], scheme,
                                        workload, deps)
@@ -123,10 +122,8 @@ class RunContext:
                     else max(1, workload.queue_depth // n)
                 worker_cb = 0 if inline_callbacks \
                     else workload.callback_cost_ns
-                gen = request_worker_loop(
-                    worker, reap, ops, qd,
-                    request_stream(workload, self.geometry, self.seed, i),
-                    worker_cb)
+                gen = request_worker_loop(worker, reap, ops, qd,
+                                          next_request, worker_cb)
             if worker.signal not in signals:
                 signals.append(worker.signal)
             actors.append(self.rt.spawn(gen, worker.name))
@@ -213,15 +210,17 @@ def drive(rt, done_pred, on_done=None, max_events: int = 500_000_000,
 
 def _deadlock(rt) -> str:
     """What an idle calendar leaves stuck: every live actor, each parked on
-    a signal, and each ring's SQ and CQ depths and the requests it accepted
-    that have not completed."""
+    a signal; each ring's SQ and CQ depths and the requests it accepted
+    that have not completed; and in a pool run, the requests its dispatch
+    layer holds."""
     parked = ", ".join(a.name for a in rt.actors if not a.done)
     rings = "".join(
         f"; ring {st.inst.instance_id}: sq {len(st.inst.sq)}, cq "
         f"{len(st.inst.cq)}, in flight {st.inst.pending_completion_count()}"
         for st in (rt.device.instances if rt.device else ()))
+    pool = f"; pool: {rt.pool.held()}" if rt.pool else ""
     return ("virtual run deadlocked: calendar idle before completion; "
-            f"parked: {parked}{rings}")
+            f"parked: {parked}{rings}{pool}")
 
 
 def finalize_report(collector, rt, device, inbox_peaks=None, timeline=()):

@@ -131,6 +131,7 @@ class IoPool:
         if controller is not None:
             controller.validate(k_instances)
         rt = self.rt = ctx.rt
+        rt.pool = self
         self.ctx = ctx
         self.k = k_instances
         self.policy = policy
@@ -214,6 +215,17 @@ class IoPool:
         self._dispatch(req, handle)
         self.ctx.collector.on_submit()
         return handle
+
+    def held(self) -> str:
+        """The requests the dispatch layer holds: the overflow queue's
+        depth, then per instance its inbox depth and the request popped
+        from it that waits for SQ room."""
+        units = self.instances
+        inbox = "/".join(str(len(u.inbox)) for u in units)
+        waiting = "/".join(str(int(u.pending_sub is not None))
+                           for u in units)
+        return (f"overflow {len(self.overflow)}, inbox {inbox}, "
+                f"waiting for SQ room {waiting}")
 
     # -- instance execution ------------------------------------------------------
 

@@ -79,7 +79,7 @@ def cmd_sweep_qd(cfg: ExperimentConfig, qd_list, out_dir) -> str:
 
 
 def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir) -> str:
-    """Rows for {inline_callbacks, io_threads} x cost; random reads."""
+    """Rows for {inline_callbacks, io_threads} x cost."""
     a = cfg.architecture
     if a.kind not in ("static_pool", "dynamic_pool"):
         raise ConfigInvalid("architecture.kind",
@@ -94,8 +94,7 @@ def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir) -> str:
     for exec_mode in ("inline_callbacks", "io_threads"):
         for cost in cost_list:
             for run in range(1, cfg.runs + 1):
-                w = replace(cfg.workload, op_kind="rand_read",
-                            callback_cost_ns=cost)
+                w = replace(cfg.workload, callback_cost_ns=cost)
                 point = replace(cfg, workload=w,
                                 architecture=replace(a, exec_mode=exec_mode))
                 report = run_experiment(

@@ -89,7 +89,7 @@ def _native_sweep_qd(cfg, qd_list, out_dir) -> int:
             try:
                 stats = native.closed_loop_read_bench(
                     backend, cfg.workload.op_count, qd,
-                    cfg.workload.block_size, seed=cfg.seed + run)
+                    cfg.device.block_size, seed=cfg.seed + run)
             finally:
                 backend.close()
             if run == 0:

@@ -21,6 +21,8 @@ from .tasks import generate_corpus, read_corpus
 ARCHITECTURES = ("shared_nothing", "direct_access", "static_pool",
                  "dynamic_pool")
 BACKENDS = ("sim", "native")
+# workload.op_kind's names: checked, then ignored (every request reads a block)
+OP_KINDS = ("seq_read", "rand_read", "write_mix", "nop")
 
 
 class ConfigInvalid(Exception):
@@ -51,7 +53,6 @@ class WorkloadConfig:
     kind: str = "requests"          # requests | tasks | arrivals
     op_count: int = 1_000_000       # 1M ops per run
     op_kind: str = "seq_read"
-    block_size: int = 4096
     queue_depth: int = 32
     callback_cost_ns: int = 0
     task_count: int = 200           # tasks kind
@@ -159,8 +160,7 @@ def _validated(check, path: str) -> None:
 def build_workload(cfg: ExperimentConfig, seed: int):
     w = cfg.workload
     if w.kind == "requests":
-        return RequestWorkload(op_count=w.op_count, op_kind=w.op_kind,
-                               block_size=w.block_size,
+        return RequestWorkload(op_count=w.op_count,
                                queue_depth=w.queue_depth,
                                callback_cost_ns=w.callback_cost_ns)
     if w.kind == "tasks":
@@ -171,8 +171,7 @@ def build_workload(cfg: ExperimentConfig, seed: int):
                                     max_steps=w.task_max_steps)
         return TaskWorkload(specs=specs)
     if w.kind == "arrivals":
-        return ArrivalWorkload(phases=[tuple(p) for p in w.phases],
-                               op_kind=w.op_kind, block_size=w.block_size)
+        return ArrivalWorkload(phases=[tuple(p) for p in w.phases])
     raise ConfigInvalid("workload.kind", f"unknown kind {w.kind!r}")
 
 
@@ -207,6 +206,8 @@ def validate(cfg: ExperimentConfig) -> None:
     w = cfg.workload
     _check(w.kind in ("requests", "tasks", "arrivals"), "workload.kind",
            "requests | tasks | arrivals")
+    _check(w.op_kind in OP_KINDS, "workload.op_kind",
+           f"must be one of {OP_KINDS}")
     for i, ph in enumerate(w.phases):
         _check(isinstance(ph, (list, tuple)) and len(ph) == 2
                and all(_fits(x, float) for x in ph), f"workload.phases[{i}]",

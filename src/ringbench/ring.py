@@ -121,18 +121,6 @@ class RingQueue:
         self.tail = tail + 1  # publish after the slot write
         return True
 
-    def try_push_many(self, items) -> int:
-        """Push at batch speed; returns how many were accepted."""
-        tail = self.tail
-        n = min(len(items), self.capacity - (tail - self.head))
-        if n <= 0:
-            return 0
-        slots, mask = self._slots, self._mask
-        for k in range(n):
-            slots[(tail + k) & mask] = items[k]
-        self.tail = tail + n
-        return n
-
     def try_pop(self):
         """Return the oldest item, or None when empty."""
         head = self.head

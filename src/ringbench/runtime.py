@@ -205,6 +205,8 @@ class Runtime:
         self.actors = []
         self.live = 0  # virtual actors whose generator has not ended
         self.device = None  # the run's device: a deadlock names its rings
+        # a pool run's dispatch layer: a deadlock names the requests it holds
+        self.pool = None
         self.error = None  # wall mode: the run's first error, see fail()
         self.workload_done_ns = None  # set by drive once done_pred holds
         self._error_lock = threading.Lock()

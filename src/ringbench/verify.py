@@ -63,23 +63,18 @@ def run_violations(report, expected_ops: int, results: dict = None,
     return failed
 
 
-def spsc_violations(n: int, capacity: int, push_batch: int,
-                    pop_batch: int) -> list:
-    """Stream ``n`` items through a ``RingQueue`` from a producer thread to
-    a consumer thread in batches of up to ``push_batch``/``pop_batch``,
-    under a short switch interval; names any stall, loss, duplication or
-    reordering."""
+def spsc_violations(n: int, capacity: int, pop_batch: int) -> list:
+    """Stream ``n`` items through a ``RingQueue`` from a producer thread
+    pushing one at a time to a consumer thread popping batches of up to
+    ``pop_batch``, under a short switch interval; names any stall, loss,
+    duplication or reordering."""
     q = RingQueue(capacity)
     out = []
     pushed_all = threading.Event()
 
     def producer():
-        i = 0
-        items = list(range(n))
-        while i < n:
-            pushed = q.try_push_many(items[i:i + push_batch])
-            i += pushed
-            if not pushed:
+        for i in range(n):
+            while not q.try_push(i):
                 time.sleep(0)
         pushed_all.set()
 
@@ -276,7 +271,7 @@ def _result(name: str, failed: list, passed: str) -> CheckResult:
 
 def _spsc_order(cfg) -> CheckResult:
     failed = [v for _ in range(2)
-              for v in spsc_violations(100_000, 256, 256, 512)]
+              for v in spsc_violations(100_000, 256, 512)]
     return _result("spsc_order", failed, "2x100k items, FIFO exact")
 
 
@@ -341,8 +336,8 @@ def _callback_collapse(cfg) -> CheckResult:
     for mode, n_workers, ops in (("inline_callbacks", 4, 600),
                                  ("io_threads", 16, 2000)):
         runs[mode] = {c: run_static_pool(
-            RequestWorkload(op_count=ops, op_kind="rand_read",
-                            queue_depth=16, callback_cost_ns=c),
+            RequestWorkload(op_count=ops, queue_depth=16,
+                            callback_cost_ns=c),
             n_workers, 1, exec_mode=mode, device_cfg=dev, costs=costs,
             seed=3).iops for c in (0, 10 * US, 100 * US)}
     return _result("callback_collapse", callback_collapse_violations(
@@ -363,7 +358,7 @@ def _scheme_equivalence(cfg) -> CheckResult:
 def _exactly_once(cfg) -> CheckResult:
     dev = DeviceConfig(service_time_ns=5 * US, jitter_frac=0.0,
                        parallelism=32)
-    wl = RequestWorkload(op_count=1500, op_kind="nop", queue_depth=16)
+    wl = RequestWorkload(op_count=1500, queue_depth=16)
     runs = (("shared_nothing", lambda: run_shared_nothing(
                 wl, 2, device_cfg=dev, seed=9)),
             ("direct_access", lambda: run_direct_access(

@@ -49,7 +49,7 @@ class TestCriterion1SpscCorrectness:
             rng = random.Random(seed)
             capacity = 2 ** rng.randint(6, 10)
             max_batch = rng.randint(64, 1024)
-            assert spsc_violations(1_000_000, capacity, 512, max_batch) \
+            assert spsc_violations(1_000_000, capacity, max_batch) \
                 == [], f"seed {seed}"
         _report(1, "spsc_ring_correctness", t0, 30)
 
@@ -96,8 +96,8 @@ class TestCriterion3CallbackCollapse:
         for mode, n_workers, ops in (("inline_callbacks", 4, 3000),
                                      ("io_threads", 16, 20_000)):
             runs[mode] = {c: run_static_pool(
-                RequestWorkload(op_count=ops, op_kind="rand_read",
-                                queue_depth=16, callback_cost_ns=c),
+                RequestWorkload(op_count=ops, queue_depth=16,
+                                callback_cost_ns=c),
                 n_workers, 1, exec_mode=mode, device_cfg=self.DCFG,
                 costs=costs, seed=3).iops for c in self.COSTS}
         assert callback_collapse_violations(

@@ -41,7 +41,7 @@ SCHEMES = ("full", "callback", "coroutine")
 
 class TestSharedNothing:
     def test_single_thread_equals_baseline(self):
-        wl = RequestWorkload(op_count=5000, op_kind="seq_read", queue_depth=8)
+        wl = RequestWorkload(op_count=5000, queue_depth=8)
         a = run_shared_nothing(wl, 1, device_cfg=FAST_DEV, seed=1)
         b = run_shared_nothing(wl, 1, device_cfg=FAST_DEV, seed=1)
         assert a.iops == b.iops
@@ -92,7 +92,7 @@ class TestSharedNothing:
         assert task_io_rate <= single_instance_max * 1.02
 
     def test_wall_mode_conserves(self):
-        wl = RequestWorkload(op_count=1200, op_kind="nop", queue_depth=8)
+        wl = RequestWorkload(op_count=1200, queue_depth=8)
         r = run_shared_nothing(wl, 2, device_cfg=FAST_DEV, mode="wall",
                                seed=6)
         assert run_violations(r, 1200) == []
@@ -134,7 +134,7 @@ class TestDirectAccess:
                                  ((run_direct_access, (3, 2)),)) == []
 
     def test_wall_mode_conserves(self):
-        wl = RequestWorkload(op_count=1000, op_kind="nop", queue_depth=8)
+        wl = RequestWorkload(op_count=1000, queue_depth=8)
         r = run_direct_access(wl, 3, 2, device_cfg=FAST_DEV, mode="wall",
                               seed=5)
         assert run_violations(r, 1000) == []
@@ -168,7 +168,6 @@ class TestRunArguments:
         (lambda: run_static_pool(requests_50(), 1, 1, inbox_capacity=0),
          "inbox_capacity"),
         (lambda: RequestWorkload(op_count=50, queue_depth=0), "queue_depth"),
-        (lambda: RequestWorkload(block_size=0), "block_size"),
         (lambda: RequestWorkload(callback_cost_ns=-5000), "callback_cost_ns"),
         (lambda: TaskWorkload(specs=generate_corpus(1, 4),
                               max_live_per_worker=0), "max_live_per_worker"),
@@ -176,11 +175,6 @@ class TestRunArguments:
         (lambda: run_direct_access(arrivals(), 1, 1), "workload"),
         (lambda: RequestWorkload(op_count=0), "op_count"),
         (lambda: RequestWorkload(op_count=-3), "op_count"),
-        (lambda: RequestWorkload(op_kind="bogus"), "op_kind"),
-        (lambda: ArrivalWorkload(phases=[(MS, 20_000)], op_kind="bogus"),
-         "op_kind"),
-        (lambda: ArrivalWorkload(phases=[(MS, 20_000)], block_size=0),
-         "block_size"),
         (lambda: ArrivalWorkload(phases=[]), "phases"),
         (lambda: ArrivalWorkload(phases=[(-MS, 20_000)]), "phases[0]"),
         (lambda: ArrivalWorkload(phases=[(MS, 20_000), (MS, -5)]),
@@ -195,10 +189,9 @@ class TestRunArguments:
             "direct_access-instances", "static_pool-workers",
             "static_pool-task-workers", "static_pool-instances",
             "dynamic_pool-instances", "inbox_capacity", "queue_depth",
-            "block_size", "negative-callback-cost", "max_live_per_worker",
+            "negative-callback-cost", "max_live_per_worker",
             "shared_nothing-arrivals", "direct_access-arrivals",
-            "op_count-zero", "op_count-negative", "op_kind",
-            "arrival-op_kind", "arrival-block_size", "no-phases",
+            "op_count-zero", "op_count-negative", "no-phases",
             "negative-duration", "negative-rate", "shared_nothing-scheme",
             "static_pool-task-scheme", "dynamic_pool-arrival-workers",
             "static_pool-arrival-scheme"])
@@ -232,7 +225,7 @@ class TestRunPredicate:
         # ring holding the requests it lost: a shared-nothing worker keeps
         # the whole depth 4 on its own ring, direct access splits it
         monkeypatch.setattr(SimDevice, "_deliver", lambda *args: None)
-        wl = RequestWorkload(op_count=40, op_kind="nop", queue_depth=4)
+        wl = RequestWorkload(op_count=40, queue_depth=4)
         in_flight = 4 if runner is run_shared_nothing else 2
         rings = "".join(f"; ring {i}: sq 0, cq 0, in flight {in_flight}"
                         for i in range(2))
@@ -442,7 +435,7 @@ class TestHandleRegistry:
                results_out=results)
         assert run_violations(r, io_count(specs), results,
                               oracle_states(specs, GEO)) == []
-        r = fn(RequestWorkload(op_count=300, op_kind="nop", queue_depth=8),
+        r = fn(RequestWorkload(op_count=300, queue_depth=8),
                *args, device_cfg=FAST_DEV, ring=ring, mode=mode, seed=3)
         assert run_violations(r, 300) == []
         assert len(factories) == 2
@@ -457,8 +450,7 @@ class TestHandleRegistry:
         prev = sys.getswitchinterval()
         sys.setswitchinterval(5e-5)
         try:
-            r = fn(RequestWorkload(op_count=4000, op_kind="nop",
-                                   queue_depth=16), 4, 2,
+            r = fn(RequestWorkload(op_count=4000, queue_depth=16), 4, 2,
                    device_cfg=FAST_DEV, ring=ring, mode="wall", seed=4)
         finally:
             sys.setswitchinterval(prev)

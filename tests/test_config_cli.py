@@ -3,20 +3,25 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ringbench import bench
 from ringbench.bench import (cmd_scaling_trace, cmd_sweep_callback,
-                             cmd_sweep_qd, consumer_rate_oracle)
+                             cmd_sweep_qd, consumer_rate_oracle,
+                             run_experiment)
 from ringbench.cli import main
-from ringbench.config import (ConfigInvalid, ExperimentConfig, defaults,
-                              from_dict, parse, serialize, to_dict)
+from ringbench.config import (ARCHITECTURES, OP_KINDS, ConfigInvalid,
+                              ExperimentConfig, defaults, from_dict, load,
+                              parse, serialize, to_dict)
 from ringbench.device import steady_state_iops
 from ringbench.verify import (callback_collapse_violations,
                               dynamic_pool_violations, littles_law_violations)
 
 MS = 1_000_000
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
+                 .glob("*.json"))
 
 
 def config_data(**overrides) -> dict:
@@ -66,6 +71,22 @@ class TestConfig:
                                                   [50 * MS, 100000]],
                               "architecture.kind": "dynamic_pool"})
         assert parse(serialize(cfg)) == cfg
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_is_a_canonical_dump(self, path):
+        assert serialize(load(path)) == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("overrides", [
+        *({"architecture.kind": kind} for kind in ARCHITECTURES),
+        {**ARRIVALS, "workload.phases": [[MS, 200_000], [MS, 20_000]]}],
+        ids=[*ARCHITECTURES, "arrivals-dynamic_pool"])
+    def test_op_kind_reaches_no_output(self, overrides):
+        # every request reads one device block, whatever op_kind names
+        rows = {tuple(run_experiment(small_config(**{
+            **overrides, "workload.op_count": 1000,
+            "device.jitter_frac": 0.1, "workload.op_kind": op_kind}))
+            .to_row()) for op_kind in OP_KINDS}
+        assert len(rows) == 1
 
     def test_unknown_field_has_path(self):
         with pytest.raises(ConfigInvalid) as exc:
@@ -324,9 +345,11 @@ class TestCli:
         ("sweep-qd --qd-list ,", {}, "qd_list"),
         ("sweep-callback --cost-list ,",
          {"architecture.kind": "static_pool"}, "cost_list"),
+        ("sweep-qd", {"workload.block_size": 4096},
+         "workload.block_size: unknown field"),
     ], ids=["negative-cost", "ring-timeout", "deleted-poll-timeout",
             "rate-above-1e9", "string-for-int", "empty-qd-list",
-            "empty-cost-list"])
+            "empty-cost-list", "deleted-block-size"])
     def test_input_rejected_before_running_is_exit_2(self, tmp_path,
                                                      capsys, command,
                                                      overrides, message):

@@ -55,13 +55,12 @@ def arrivals_pool(wl, **kw):
 
 
 def requests():
-    return RequestWorkload(op_count=3001, op_kind="rand_read",
-                           queue_depth=12, callback_cost_ns=2 * US)
+    return RequestWorkload(op_count=3001, queue_depth=12,
+                           callback_cost_ns=2 * US)
 
 
 def zero_cost_requests():
-    return RequestWorkload(op_count=3001, op_kind="rand_read",
-                           queue_depth=12)
+    return RequestWorkload(op_count=3001, queue_depth=12)
 
 
 def tasks():

@@ -75,8 +75,7 @@ class TestHandles:
 
     def test_160k_handles_from_16_submitters(self):
         # 16 submitters x 10k requests: every handle Done, no loss, no dup
-        wl = RequestWorkload(op_count=160_000, op_kind="nop",
-                             queue_depth=64)
+        wl = RequestWorkload(op_count=160_000, queue_depth=64)
         r = run_static_pool(wl, 16, 4, device_cfg=FAST, seed=12)
         assert run_violations(r, 160_000) == []
 
@@ -145,6 +144,21 @@ class TestDispatchLayer:
         with pytest.raises(ValueError, match="unknown"):
             run_static_pool(wl, 1, 1, device_cfg=FAST, **knob)
 
+    def test_deadlock_names_the_requests_the_pool_holds(self, monkeypatch):
+        # with every completion lost, the 16 requests in flight sit 2 on
+        # each ring, 8 in the overflow queue, 1 in each inbox and 1 in each
+        # instance waiting for SQ room
+        monkeypatch.setattr(SimDevice, "_deliver", lambda *args: None)
+        wl = RequestWorkload(op_count=100, queue_depth=16)
+        rings = "".join(f"; ring {i}: sq 0, cq 0, in flight 2"
+                        for i in range(2))
+        with pytest.raises(RuntimeError, match=(
+                "^virtual run deadlocked: calendar idle before completion; "
+                f"parked: io-0, io-1, worker-0, worker-1{rings}; pool: "
+                "overflow 8, inbox 1/1, waiting for SQ room 1/1$")):
+            run_static_pool(wl, 2, 2, ring=RingConfig(2, 2),
+                            inbox_capacity=1, device_cfg=FAST, seed=1)
+
     def test_task_workloads_supported_in_pair_mode(self):
         specs = generate_corpus(41, 20)
         results = {}
@@ -163,8 +177,8 @@ class TestPairThreading:
                        parallelism=16)
 
     def run_pair(self, callback_cost_ns=0, **kw):
-        wl = RequestWorkload(op_count=3000, op_kind="rand_read",
-                             queue_depth=64, callback_cost_ns=callback_cost_ns)
+        wl = RequestWorkload(op_count=3000, queue_depth=64,
+                             callback_cost_ns=callback_cost_ns)
         return run_static_pool(wl, 4, 2, threading_mode=THREADING_PAIR,
                                device_cfg=self.DEV, seed=1, **kw)
 
@@ -267,7 +281,7 @@ class TestCrossWorkerDependencies:
 
 class TestWallMode:
     def test_static_pool_wall_requests_and_tasks(self):
-        wl = RequestWorkload(op_count=1200, op_kind="nop", queue_depth=16)
+        wl = RequestWorkload(op_count=1200, queue_depth=16)
         r = run_static_pool(wl, 2, 2, device_cfg=FAST, mode="wall", seed=21)
         assert run_violations(r, 1200) == []
         specs = generate_corpus(61, 16, max_steps=8)
@@ -281,7 +295,7 @@ class TestWallMode:
                 == [], scheme
 
     def test_dynamic_pool_wall(self):
-        wl = RequestWorkload(op_count=1000, op_kind="nop", queue_depth=8)
+        wl = RequestWorkload(op_count=1000, queue_depth=8)
         r = run_dynamic_pool(wl, 2, 2, device_cfg=FAST, mode="wall", seed=23)
         assert run_violations(r, 1000) == []
 
@@ -441,8 +455,8 @@ class TestDynamicPool:
                                  ((run_dynamic_pool, (2, 2)),)) == []
 
     @pytest.mark.parametrize("workload", [
-        pytest.param(lambda: RequestWorkload(op_count=40, op_kind="nop",
-                                             queue_depth=4), id="requests"),
+        pytest.param(lambda: RequestWorkload(op_count=40, queue_depth=4),
+                     id="requests"),
         pytest.param(lambda: TaskWorkload(specs=generate_corpus(52, 8)),
                      id="tasks-full")])
     def test_lost_completions_are_diagnosed(self, monkeypatch, workload):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from ringbench.arch import RequestWorkload
 from ringbench.arch.common import request_stream
 from ringbench.ring import Completion, CompletionStatus, OpKind
 from ringbench.tasks import (ComputeStep, CompletionMismatch,
@@ -208,19 +207,14 @@ class TestRequests:
                         io_index += 1
             assert ops == set(OpKind), geo
             assert clamped == (geo is self.TINY)
-            for kind in ("seq_read", "rand_read", "write_mix", "nop"):
-                wl = RequestWorkload(op_kind=kind, block_size=geo.block_size)
-                ops = set()
-                for shard in range(4):
-                    next_request = request_stream(wl, geo, 7, shard)
-                    for i in range(200):
-                        req = next_request()
-                        assert_valid_request(req, geo, (kind, shard, i))
-                        ops.add(req.op)
-                assert ops == {"seq_read": {OpKind.READ},
-                               "rand_read": {OpKind.READ},
-                               "write_mix": {OpKind.READ, OpKind.WRITE},
-                               "nop": {OpKind.NOP}}[kind]
+            # request and arrival workloads: a fresh one-block READ at 0
+            next_request = request_stream(geo)
+            reqs = [next_request() for _ in range(3)]
+            for i, req in enumerate(reqs):
+                assert_valid_request(req, geo, ("request_stream", i))
+                assert (req.op, req.offset, req.length) == (
+                    OpKind.READ, 0, geo.block_size)
+            assert len({id(req) for req in reqs}) == len(reqs)
 
     def test_state_rule_depends_on_state(self):
         st = IoStep("read", 1, "state")
