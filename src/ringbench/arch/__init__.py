@@ -2,7 +2,7 @@
 
 from .common import (ArrivalWorkload, ExecCosts, PoolShutdown, RequestHandle,
                      RequestWorkload, RingConfig, TaskWorkload,
-                     TimeoutExceeded, WorkloadNotPartitionable, handle_poll)
+                     TimeoutExceeded, WorkloadNotPartitionable)
 from .direct_access import run_direct_access
 from .driver import RunOptions
 from .pool import (EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS,
@@ -17,6 +17,6 @@ __all__ = [
     "POLICY_ROUND_ROBIN", "PoolShutdown", "RequestHandle", "RequestWorkload",
     "RingConfig", "RunOptions", "THREADING_PAIR", "THREADING_SINGLE",
     "TaskWorkload", "TimeoutExceeded", "WorkloadNotPartitionable",
-    "handle_poll", "open_pool", "run_direct_access", "run_dynamic_pool",
+    "open_pool", "run_direct_access", "run_dynamic_pool",
     "run_shared_nothing", "run_static_pool",
 ]

@@ -132,9 +132,15 @@ class ArrivalWorkload:
         for i, (duration_ns, rate) in enumerate(self.phases):
             if duration_ns <= 0:
                 raise ValueError(f"phases[{i}] duration must be > 0")
+            if duration_ns % 1:  # also true of inf and nan
+                raise ValueError(f"phases[{i}] duration must be a whole "
+                                 f"number of ns")
             if not 0 <= rate <= 1e9:  # at most one arrival per ns
                 raise ValueError(f"phases[{i}] rate must be in [0, 1e9] "
                                  f"ops/s")
+        # a float duration would make every later delay a float, which the
+        # runtime cannot tell from a yielded miss streak
+        self.phases = [(int(dur), rate) for dur, rate in self.phases]
 
     @staticmethod
     def phase_schedule(duration_ns, rate) -> tuple:
@@ -163,10 +169,6 @@ def request_stream(geometry: Geometry):
 
 # -- request handles ------------------------------------------------------------
 
-HANDLE_QUEUED = 0
-HANDLE_DONE = 1
-
-
 class RequestHandle:
     """Pollable request state; the completion slot is written exactly once,
     and a handle is done once it is."""
@@ -182,11 +184,6 @@ class RequestHandle:
     def complete(self, comp: Completion) -> None:
         assert self.completion is None, "completion slot written twice"
         self.completion = comp
-
-
-def handle_poll(handle: RequestHandle) -> int:
-    """Non-blocking status read."""
-    return HANDLE_QUEUED if handle.completion is None else HANDLE_DONE
 
 
 # -- per-worker state --------------------------------------------------------------

@@ -16,7 +16,7 @@ from .arch import (run_direct_access, run_dynamic_pool, run_shared_nothing,
                    run_static_pool)
 from .config import ConfigInvalid, ExperimentConfig, build_workload
 from .device import steady_state_iops
-from .metrics import MetricsReport, write_summary_csv
+from .metrics import MetricsReport, write_csv, write_summary_csv
 
 
 def run_experiment(cfg: ExperimentConfig, *, seed: int = None,
@@ -26,7 +26,7 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int = None,
         from . import native
         raise ConfigInvalid(
             "backend", "the architecture runners use the sim backend; "
-            "native hardware runs go through the CLI's native sweep path "
+            "the native backend runs sweep-qd only "
             f"(native available: {native.native_available()})")
     seed = cfg.seed if seed is None else seed
     workload = workload if workload is not None else build_workload(cfg, seed)
@@ -55,26 +55,58 @@ def _point_seed(base: int, a: int, b: int) -> int:
     return (base * 1_000_003 + a * 101 + b) & 0x7FFFFFFF
 
 
+def run_sweep(path, extra_columns, points) -> str:
+    """Run ``points`` in order, each an (extra column values, config, seed,
+    run id) tuple, and write one summary row per point to ``path``."""
+    reports = [run_experiment(point, seed=seed, run_id=run_id)
+               for _, point, seed, run_id in points]
+    write_summary_csv(path, reports, extra_columns,
+                      [extra for extra, *_ in points])
+    return path
+
+
 def cmd_sweep_qd(cfg: ExperimentConfig, qd_list, out_dir) -> str:
     """One row per (qd, measured run); prediction column in sim mode."""
+    if not qd_list or any(qd < 1 for qd in qd_list):
+        raise ConfigInvalid("qd_list", "needs queue depths, each >= 1")
+    if cfg.backend == "native":
+        return _native_sweep_qd(cfg, qd_list, out_dir)
     if cfg.workload.kind != "requests":
         raise ConfigInvalid("workload.kind", "sweep-qd needs a request "
                             "workload")
-    if not qd_list or any(qd < 1 for qd in qd_list):
-        raise ConfigInvalid("qd_list", "needs queue depths, each >= 1")
-    reports, extra = [], []
-    for qd in qd_list:
-        prediction = steady_state_iops(cfg.device, qd)
-        point = replace(cfg, workload=replace(cfg.workload, queue_depth=qd))
-        for run in range(1, cfg.runs + 1):
-            report = run_experiment(point, seed=_point_seed(cfg.seed, qd, run),
-                                    run_id=f"qd{qd}-run{run}")
-            reports.append(report)
-            extra.append((qd, run, repr(prediction)))
-    path = os.path.join(out_dir, "sweep_qd.csv")
-    write_summary_csv(path, reports,
-                      extra_columns=("qd", "run", "little_law_iops"),
-                      extra_values=extra)
+    points = [((qd, run, steady_state_iops(cfg.device, qd)),
+               replace(cfg, workload=replace(cfg.workload, queue_depth=qd)),
+               _point_seed(cfg.seed, qd, run), f"qd{qd}-run{run}")
+              for qd in qd_list for run in range(1, cfg.runs + 1)]
+    return run_sweep(os.path.join(out_dir, "sweep_qd.csv"),
+                     ("qd", "run", "little_law_iops"), points)
+
+
+def _native_sweep_qd(cfg: ExperimentConfig, qd_list, out_dir) -> str:
+    """Wall-clock closed loops of random reads straight at the hardware: no
+    simulated device, no architecture layer. Run 0 of each point
+    preconditions the device and is left out of the CSV."""
+    from . import native
+    rows = []
+    try:
+        for qd in qd_list:
+            for run in range(cfg.runs + 1):
+                backend = native.native_open(cfg.native)
+                try:
+                    s = native.closed_loop_read_bench(
+                        backend, cfg.workload.op_count, qd,
+                        cfg.device.block_size, seed=cfg.seed + run)
+                finally:
+                    backend.close()
+                if run:
+                    rows.append((qd, run, s["elapsed_ns"], s["completed_ok"],
+                                 s["errored"], s["iops"]))
+    except native.NativeBackendError as exc:
+        raise ConfigInvalid("backend", f"native backend unavailable: "
+                            f"{exc}") from None
+    path = os.path.join(out_dir, "sweep_qd_native.csv")
+    write_csv(path, ("qd", "run", "elapsed_ns", "completed_ok", "errored",
+                     "iops"), rows)
     return path
 
 
@@ -90,27 +122,19 @@ def cmd_sweep_callback(cfg: ExperimentConfig, cost_list, out_dir) -> str:
                             "request workload")
     if not cost_list or any(cost < 0 for cost in cost_list):
         raise ConfigInvalid("cost_list", "needs costs, each >= 0 ns")
-    reports, extra = [], []
-    for exec_mode in ("inline_callbacks", "io_threads"):
-        for cost in cost_list:
-            for run in range(1, cfg.runs + 1):
-                w = replace(cfg.workload, callback_cost_ns=cost)
-                point = replace(cfg, workload=w,
-                                architecture=replace(a, exec_mode=exec_mode))
-                report = run_experiment(
-                    point, seed=_point_seed(cfg.seed, cost, run),
-                    run_id=f"{exec_mode}-c{cost}-run{run}")
-                reports.append(report)
-                oracle = consumer_rate_oracle(cfg.device, a.costs,
-                                              cfg.workload.queue_depth,
-                                              a.k_instances, cost)
-                extra.append((exec_mode, cost, run, repr(oracle)))
-    path = os.path.join(out_dir, "sweep_callback.csv")
-    write_summary_csv(path, reports,
-                      extra_columns=("exec_mode", "callback_cost_ns", "run",
-                                     "oracle_iops"),
-                      extra_values=extra)
-    return path
+    points = [((mode, cost, run,
+                consumer_rate_oracle(cfg.device, a.costs,
+                                     cfg.workload.queue_depth,
+                                     a.k_instances, cost)),
+               replace(cfg, workload=replace(cfg.workload,
+                                             callback_cost_ns=cost),
+                       architecture=replace(a, exec_mode=mode)),
+               _point_seed(cfg.seed, cost, run), f"{mode}-c{cost}-run{run}")
+              for mode in ("inline_callbacks", "io_threads")
+              for cost in cost_list for run in range(1, cfg.runs + 1)]
+    return run_sweep(os.path.join(out_dir, "sweep_callback.csv"),
+                     ("exec_mode", "callback_cost_ns", "run", "oracle_iops"),
+                     points)
 
 
 def consumer_rate_oracle(device_cfg, costs, queue_depth: int,
@@ -140,25 +164,18 @@ def cmd_scaling_trace(cfg: ExperimentConfig, out_dir) -> tuple:
     stat = run_experiment(static_cfg, run_id="static",
                           keep_completion_times=True)
 
-    phases = [tuple(p) for p in cfg.workload.phases]
+    phases = cfg.workload.phases
     summary = os.path.join(out_dir, "scaling_trace.csv")
-    rows = []
-    for name, rep in (("dynamic", dyn), ("static", stat)):
-        for i, (count, dur) in enumerate(zip(phase_counts(rep, phases),
-                                             (p[0] for p in phases))):
-            rows.append((name, i, phases[i][1], count,
-                         repr(count * 1e9 / dur),
-                         rep.poll_busy_ns_total()))
-    with open(summary, "w", encoding="utf-8", newline="") as fh:
-        fh.write("variant,phase,offered_rate,completions,iops,"
-                 "poll_busy_ns_total\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    write_csv(summary, ("variant", "phase", "offered_rate", "completions",
+                        "iops", "poll_busy_ns_total"),
+              [(name, i, rate, count, count * 1e9 / dur,
+                rep.poll_busy_ns_total())
+               for name, rep in (("dynamic", dyn), ("static", stat))
+               for i, ((dur, rate), count)
+               in enumerate(zip(phases, phase_counts(rep, phases)))])
     timeline_path = os.path.join(out_dir, "scaling_timeline.csv")
-    with open(timeline_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("time_ns,active_count\n")
-        for t, n in dyn.active_instance_timeline:
-            fh.write(f"{t},{n}\n")
+    write_csv(timeline_path, ("time_ns", "active_count"),
+              dyn.active_instance_timeline)
     return summary, timeline_path, dyn, stat
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import bench, config as config_mod
 from .config import ConfigInvalid, ExperimentConfig
@@ -71,38 +72,11 @@ def _load_config(args) -> ExperimentConfig:
     else:
         cfg = config_mod.defaults()
     if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "backend", None):
-        from dataclasses import replace
         cfg = replace(cfg, backend=args.backend)
     config_mod.validate(cfg)
     return cfg
-
-
-def _native_sweep_qd(cfg, qd_list, out_dir) -> int:
-    from . import native
-    rows = []
-    for qd in qd_list:
-        for run in range(cfg.runs + 1):
-            backend = native.native_open(cfg.native)
-            try:
-                stats = native.closed_loop_read_bench(
-                    backend, cfg.workload.op_count, qd,
-                    cfg.device.block_size, seed=cfg.seed + run)
-            finally:
-                backend.close()
-            if run == 0:
-                continue  # preconditioning run, excluded from statistics
-            rows.append((qd, run, stats))
-    path = os.path.join(out_dir, "sweep_qd_native.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("qd,run,elapsed_ns,completed_ok,errored,iops\n")
-        for qd, run, s in rows:
-            fh.write(f"{qd},{run},{s['elapsed_ns']},{s['completed_ok']},"
-                     f"{s['errored']},{s['iops']!r}\n")
-    print(path)
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -130,31 +104,13 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         os.makedirs(args.out, exist_ok=True)
-        if cfg.backend == "native":
-            # native runs go straight at the hardware: no simulated device,
-            # no architecture layer (the contract tests cover parity)
-            if args.command != "sweep-qd":
-                print("native backend supports sweep-qd only; other "
-                      "commands need the sim backend", file=sys.stderr)
-                return EXIT_CONFIG_ERROR
-            from . import native
-            try:
-                return _native_sweep_qd(cfg, args.qd_list, args.out)
-            except native.NativeBackendError as exc:
-                print(f"native backend unavailable: {exc}", file=sys.stderr)
-                return EXIT_CONFIG_ERROR
         if args.command == "sweep-qd":
-            path = bench.cmd_sweep_qd(cfg, args.qd_list, args.out)
-            print(path)
+            paths = [bench.cmd_sweep_qd(cfg, args.qd_list, args.out)]
         elif args.command == "sweep-callback":
-            path = bench.cmd_sweep_callback(cfg, args.cost_list, args.out)
-            print(path)
-        elif args.command == "scaling-trace":
-            summary, timeline, _, _ = bench.cmd_scaling_trace(cfg, args.out)
-            print(summary)
-            print(timeline)
-        else:  # pragma: no cover - argparse restricts choices
-            parser.error(f"unknown command {args.command}")
+            paths = [bench.cmd_sweep_callback(cfg, args.cost_list, args.out)]
+        else:  # scaling-trace: argparse restricts the choices
+            paths = bench.cmd_scaling_trace(cfg, args.out)[:2]
+        print(*paths, sep="\n")
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

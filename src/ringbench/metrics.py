@@ -205,12 +205,18 @@ class MetricsCollector:
             **{name: getattr(self, name) for name in SUMMED_COUNTERS})
 
 
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: ``str()`` of each value, comma-separated, UTF-8
+    with ``\\n`` line ends. Every row is formed before the file opens, so a
+    failing row source leaves no file."""
+    lines = [",".join(map(str, row)) + "\n" for row in (header, *rows)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+
+
 def write_summary_csv(path, reports, extra_columns=(), extra_values=None):
     """Emit one row per report with the stable header; byte-deterministic."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        header = list(extra_columns) + list(MetricsReport.COLUMNS)
-        fh.write(",".join(header) + "\n")
-        for i, report in enumerate(reports):
-            prefix = list(extra_values[i]) if extra_values else []
-            row = [str(v) for v in prefix + report.to_row()]
-            fh.write(",".join(row) + "\n")
+    extra_values = extra_values or [()] * len(reports)
+    write_csv(path, [*extra_columns, *MetricsReport.COLUMNS],
+              [[*extra, *report.to_row()]
+               for extra, report in zip(extra_values, reports, strict=True)])

@@ -263,6 +263,20 @@ class TestScalingTrace:
         with pytest.raises(ConfigInvalid):
             cmd_scaling_trace(small_config(), tmp_path)
 
+    def test_whole_float_duration_runs_as_its_int(self, tmp_path, capsys):
+        # JSON's 5e6 parses as a float; it runs exactly as 5_000_000
+        outputs = []
+        for dur in (5 * MS, 5e6):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config_data(**{
+                **ARRIVALS, "workload.phases": [[dur, 20_000], [dur, 5000]]})))
+            out = tmp_path / repr(dur)
+            assert main(["scaling-trace", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("scaling_trace.csv", "scaling_timeline.csv")])
+        assert outputs[0] == outputs[1]
+
     def test_constant_full_load_flat_timeline(self, tmp_path):
         cfg = self.trace_config()
         data = to_dict(cfg)
@@ -347,9 +361,11 @@ class TestCli:
          {"architecture.kind": "static_pool"}, "cost_list"),
         ("sweep-qd", {"workload.block_size": 4096},
          "workload.block_size: unknown field"),
+        ("scaling-trace", {**ARRIVALS, "workload.phases": [[MS + 0.5, 5000]]},
+         "workload.phases[0]: duration must be a whole number of ns"),
     ], ids=["negative-cost", "ring-timeout", "deleted-poll-timeout",
             "rate-above-1e9", "string-for-int", "empty-qd-list",
-            "empty-cost-list", "deleted-block-size"])
+            "empty-cost-list", "deleted-block-size", "fractional-duration"])
     def test_input_rejected_before_running_is_exit_2(self, tmp_path,
                                                      capsys, command,
                                                      overrides, message):
@@ -373,6 +389,47 @@ class TestCli:
         rc = main(["sweep-qd", "--config", str(cfg_path), "--out",
                    str(tmp_path)])
         assert rc == 2
+
+    def test_native_sweep_qd_csv_bytes(self, tmp_path, capsys, monkeypatch):
+        # a fake backend with fixed stats per seed pins the CSV bytes, the
+        # excluded warm-up run (run 0) and the seeds passed (seed + run)
+        from ringbench import native
+        events, calls = [], []
+
+        class FakeBackend:
+            def close(self):
+                events.append("close")
+
+        def fake_open(native_cfg):
+            events.append(native_cfg.path)
+            return FakeBackend()
+
+        def fake_bench(backend, op_count, queue_depth, block_size, seed):
+            calls.append((op_count, queue_depth, block_size, seed))
+            return {"elapsed_ns": 1000 * seed, "completed_ok": 10 * seed,
+                    "errored": seed % 2, "iops": 1e9 / seed}
+
+        monkeypatch.setattr(native, "native_open", fake_open)
+        monkeypatch.setattr(native, "closed_loop_read_bench", fake_bench)
+        target = str(tmp_path / "target.bin")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_data(**{
+            "backend": "native", "native.path": target, "runs": 2,
+            "seed": 7, "workload.op_count": 300})))
+        rc = main(["sweep-qd", "--config", str(cfg_path), "--qd-list", "1,4",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        out = tmp_path / "sweep_qd_native.csv"
+        assert capsys.readouterr().out == f"{out}\n"
+        assert calls == [(300, qd, 4096, 7 + run)
+                         for qd in (1, 4) for run in (0, 1, 2)]
+        assert events == [target, "close"] * 6
+        assert out.read_bytes() == (
+            b"qd,run,elapsed_ns,completed_ok,errored,iops\n"
+            b"1,1,8000,80,0,125000000.0\n"
+            b"1,2,9000,90,1,111111111.1111111\n"
+            b"4,1,8000,80,0,125000000.0\n"
+            b"4,2,9000,90,1,111111111.1111111\n")
 
     def test_verify_passes_on_defaults(self, capsys):
         rc = main(["verify"])

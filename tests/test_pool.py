@@ -12,10 +12,10 @@ from ringbench.arch import (ArrivalWorkload, ControllerConfig,
                             EXEC_INLINE_CALLBACKS, EXEC_IO_THREADS, ExecCosts,
                             POLICY_LEAST_LOADED, PoolShutdown,
                             RequestWorkload, RingConfig, TaskWorkload,
-                            THREADING_PAIR, TimeoutExceeded, handle_poll,
-                            open_pool, run_dynamic_pool, run_static_pool)
+                            THREADING_PAIR, TimeoutExceeded, open_pool,
+                            run_dynamic_pool, run_static_pool)
 from ringbench.arch import driver
-from ringbench.arch.common import HANDLE_DONE, HANDLE_QUEUED, Worker
+from ringbench.arch.common import Worker
 from ringbench.device import DeviceConfig, PollConfig, SimDevice, VirtualClock
 from ringbench.ring import CompletionStatus, IoRequest, OpKind
 from ringbench.tasks import Geometry, generate_corpus, io_count, oracle_states
@@ -34,9 +34,9 @@ class TestHandles:
     def test_happy_path_transitions(self):
         pool = open_pool(1, device_cfg=FAST)
         h = pool.pool_submit(IoRequest(OpKind.NOP))
-        assert handle_poll(h) == HANDLE_QUEUED
+        assert h.completion is None
         report = pool.drain_and_shutdown()
-        assert handle_poll(h) == HANDLE_DONE
+        assert h.completion is not None
         assert h.completion.status == CompletionStatus.OK
         assert run_violations(report, 1) == []
 
@@ -45,7 +45,7 @@ class TestHandles:
         h = pool.pool_submit(IoRequest(OpKind.NOP))
         before = pool.rt.now()
         for _ in range(1000):
-            handle_poll(h)
+            assert h.completion is None
         assert pool.rt.now() == before  # no virtual time consumed
         pool.drain_and_shutdown()
 
@@ -68,7 +68,7 @@ class TestHandles:
         handles = [pool.pool_submit(IoRequest(OpKind.NOP))
                    for _ in range(5000)]
         report = pool.drain_and_shutdown()
-        assert all(handle_poll(h) == HANDLE_DONE for h in handles)
+        assert all(h.completion is not None for h in handles)
         ids = [h.completion.request_id for h in handles]
         assert len(ids) == 5000
         assert run_violations(report, 5000) == []
@@ -101,7 +101,7 @@ class TestDispatchLayer:
                    for _ in range(200)]
         assert len(pool.overflow) > 0  # inbox (4) and rings are tiny
         report = pool.drain_and_shutdown()
-        assert all(handle_poll(h) == HANDLE_DONE for h in handles)
+        assert all(h.completion is not None for h in handles)
         assert run_violations(report, 200) == []
         times = [h.completion.complete_time for h in handles]
         assert times == sorted(times)  # FIFO through inbox + overflow
@@ -256,7 +256,7 @@ class TestDrainAndShutdown:
         handles = [pool.pool_submit(IoRequest(OpKind.NOP))
                    for _ in range(2000)]
         report = pool.drain_and_shutdown()
-        assert all(handle_poll(h) == HANDLE_DONE for h in handles)
+        assert all(h.completion is not None for h in handles)
         assert run_violations(report, 2000) == []
 
 
@@ -374,7 +374,7 @@ class TestWallMode:
         pool = open_pool(1, device_cfg=FAST, mode="wall")
         h = pool.pool_submit(IoRequest(OpKind.NOP))
         report = pool.drain_and_shutdown()
-        assert handle_poll(h) == HANDLE_DONE
+        assert h.completion is not None
         assert h.completion.status == CompletionStatus.OK
         assert run_violations(report, 1) == []
 

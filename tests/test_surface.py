@@ -4,9 +4,10 @@ reader: a definition that no code under src/ refers to, or a ``RunOptions``
 field that no code under src/ passes by keyword, lives only for its own
 tests, and should be given a caller or deleted; an attribute that code under
 src/ringbench stores and nothing under src/, tests/ or perfbench/ reads is
-write-only state, and should be read or deleted. An allowlist entry that
-the guard would pass without it, or that names nothing, is stale and fails
-too."""
+write-only state, and should be read or deleted. Only the functions named in
+``WRITERS_ALLOWED`` open a file for writing, so every CSV goes through the
+one writer. An allowlist entry that the guard would pass without it, or that
+names nothing, is stale and fails too."""
 
 import ast
 from dataclasses import fields
@@ -22,7 +23,6 @@ ALLOWED = {
     "open_pool": "the README's library example",
     "IoPool.pool_submit": "the README's library example",
     "IoPool.drain_and_shutdown": "the README's library example",
-    "handle_poll": "the README's library example",
     "write_corpus": "writes the corpus_path format",
 }
 
@@ -36,6 +36,14 @@ OPTIONS_ALLOWED = {
 WRITE_ONLY_ALLOWED = {
     "_inflight": "native backend: it cannot run without a liburing binding "
                  "and is kept as it is",
+}
+
+# functions under src/ringbench that open a file for writing, one reason each
+WRITERS_ALLOWED = {
+    "metrics.write_csv": "the one writer of every CSV",
+    "tasks.write_corpus": "writes the corpus_path format",
+    "native._UringBackend.__init__": "opens the native backend's target "
+                                     "read-write for ring I/O, not an output",
 }
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -147,3 +155,70 @@ def test_every_stored_attribute_is_read():
     assert not unread, f"stored but never read: {', '.join(unread)}"
     stale = [a for a in WRITE_ONLY_ALLOWED if a not in stored or a in read]
     assert not stale, f"allowed but read, or not stored: {', '.join(stale)}"
+
+
+def _argument(call, index, keyword):
+    for kw in call.keywords:
+        if kw.arg == keyword:
+            return kw.value
+    return call.args[index] if len(call.args) > index else None
+
+
+def opens_for_writing(call):
+    """Whether a call may open a file for writing: ``write_text`` or
+    ``write_bytes``; ``os.open`` with flags other than ``os.O_RDONLY``; or
+    ``open`` or an ``.open`` method with a mode other than a constant read
+    mode (no mode reads)."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+            and func.value.id == "os":
+        flags = _argument(call, 1, "flags")
+        return not (isinstance(flags, ast.Attribute)
+                    and flags.attr == "O_RDONLY")
+    mode = _argument(call, 1 if isinstance(func, ast.Name) else 0, "mode")
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def scopes(tree):
+    """(qualified name, node) of every top-level function, every method of
+    a top-level class, and every other top-level statement (named
+    ``<module>``, or the class's name inside a class body)."""
+    for node in tree.body:
+        if isinstance(node, _FUNCS):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield (f"{node.name}.{item.name}"
+                       if isinstance(item, _FUNCS) else node.name), item
+        else:
+            yield "<module>", node
+
+
+def writers(package):
+    """Module-qualified names of the scopes that open a file for writing."""
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for name, node in scopes(tree):
+            if any(isinstance(c, ast.Call) and opens_for_writing(c)
+                   for c in ast.walk(node)):
+                found.add(f"{module}.{name}")
+    return found
+
+
+def test_only_the_allowed_functions_open_files_for_writing():
+    found = writers(PACKAGE)
+    extra = sorted(found - WRITERS_ALLOWED.keys())
+    assert not extra, f"opens a file for writing: {', '.join(extra)}"
+    stale = sorted(WRITERS_ALLOWED.keys() - found)
+    assert not stale, f"allowed but opens no file for writing: " \
+                      f"{', '.join(stale)}"
