@@ -520,8 +520,12 @@ class SimDevice:
             done_at = now + cost + self._service_ns()
             clock.at(done_at,
                      self._completion_fn(st, req, status, value, done_at))
-        if popped and st.space_signal is not None:
-            st.space_signal.notify()
+        # as with IORING_ENTER_SQ_WAIT, only a producer that was refused
+        # waits for room: nobody else is woken
+        if popped and inst.space_wanted:
+            inst.space_wanted = False
+            if st.space_signal is not None:
+                st.space_signal.notify()
 
     def _completion_fn(self, st, req, status, value, done_at):
         return lambda: self._complete(st, req, status, value, done_at)

@@ -163,7 +163,9 @@ class ApiInstance:
 
     The CQ can never overflow: submission is refused unless the CQ could
     absorb every not-yet-completed request plus this one, so the backend's
-    completion write is guaranteed a slot. Given ``executor_id``, the
+    completion write is guaranteed a slot. A refused push sets
+    ``space_wanted``: the producer waits for room, and the backend wakes
+    it on its next consume and clears the flag. Given ``executor_id``, the
     first executors to push and to reap are its only ``producer`` and
     ``reaper``; rings shared by design behind locks pass none.
     """
@@ -171,7 +173,8 @@ class ApiInstance:
     __slots__ = ("sq", "cq", "sq_poll_enabled", "sq_poll_idle_timeout",
                  "instance_id", "executor_id", "producer",
                  "reaper", "accepted_total", "completed_total",
-                 "reaped_total", "on_submit", "_next_request_id")
+                 "reaped_total", "on_submit", "space_wanted",
+                 "_next_request_id")
 
     def __init__(self, sq_capacity: int = 256, cq_capacity: int = 512,
                  sq_poll_enabled: bool = True,
@@ -188,6 +191,7 @@ class ApiInstance:
         self.completed_total = 0  # written by the backend only
         self.reaped_total = 0     # written by the reaper only
         self.on_submit = None  # backend hook: fn(instance)
+        self.space_wanted = False  # set by a refused push, see above
         self.executor_id = executor_id
         self.producer = None
         self.reaper = None
@@ -203,12 +207,13 @@ class ApiInstance:
 
     def sq_push(self, req: IoRequest, now: int = 0) -> PushResult:
         sq = self.sq
-        if sq.tail - sq.head == sq.capacity:
-            return PushResult.QUEUE_FULL
-        # the CQ's headroom: its free slots less the completions owed
         cq = self.cq
-        if cq.capacity - (cq.tail - cq.head) \
-                - (self.accepted_total - self.completed_total) < 1:
+        # refused when the SQ is full or the CQ lacks headroom: its free
+        # slots less the completions owed
+        if sq.tail - sq.head == sq.capacity or (
+                cq.capacity - (cq.tail - cq.head)
+                - (self.accepted_total - self.completed_total) < 1):
+            self.space_wanted = True
             return PushResult.QUEUE_FULL
         executor_id = self.executor_id
         if executor_id is not None and executor_id() != self.producer:

@@ -14,7 +14,7 @@ from ringbench.arch import common, driver
 from ringbench.arch.common import HandleFactory
 from ringbench.arch.driver import drive
 from ringbench.device import DeviceConfig, SimDevice
-from ringbench.ring import ApiInstance
+from ringbench.ring import ApiInstance, PushResult
 from ringbench.runtime import Runtime
 from ringbench.tasks import (Geometry, generate_corpus, io_count,
                              oracle_states)
@@ -325,6 +325,52 @@ class TestBouncedTaskSubmissions:
             if fn is run_direct_access:
                 # a reaping worker hands others' bounced tasks back
                 assert r.cross_thread_msgs > 0, scheme
+
+
+class TestSpaceWakeups:
+    """A consume wakes a ring's producers only after a refused push. On
+    one- and two-entry rings pushes are refused all the time, so a
+    producer that waits for room and is not woken shows as a deadlock."""
+
+    RUNS = {
+        "shared_nothing": (run_shared_nothing, (2,), {}),
+        "direct_access": (run_direct_access, (3, 2), {}),
+        "static_pool": (run_static_pool, (2, 2), {}),
+        "static_pool_pair": (run_static_pool, (2, 2),
+                             {"threading_mode": THREADING_PAIR}),
+        "dynamic_pool": (run_dynamic_pool, (2, 2), {}),
+        "dynamic_pool_pair": (run_dynamic_pool, (2, 2),
+                              {"threading_mode": THREADING_PAIR}),
+    }
+
+    @pytest.mark.parametrize("capacity", (1, 2))
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_no_lost_wakeup(self, monkeypatch, run, capacity):
+        refused = [0]
+        sq_push = ApiInstance.sq_push
+
+        def counting_push(inst, req, now=0):
+            result = sq_push(inst, req, now)
+            refused[0] += result != PushResult.ACCEPTED
+            return result
+
+        monkeypatch.setattr(ApiInstance, "sq_push", counting_push)
+        fn, args, kw = self.RUNS[run]
+        dev = DeviceConfig(service_time_ns=2 * US, jitter_frac=0.2,
+                           parallelism=2)
+        kw = dict(kw, device_cfg=dev, seed=5, sched_jitter_ns=300,
+                  ring=RingConfig(sq_capacity=capacity, cq_capacity=capacity))
+        r = fn(RequestWorkload(op_count=300, queue_depth=8), *args, **kw)
+        assert run_violations(r, 300) == [], "requests"
+        specs = generate_corpus(5, 40)
+        expect = oracle_states(specs, GEO)
+        for scheme in SCHEMES:
+            results = {}
+            r = fn(TaskWorkload(specs=list(specs)), *args, scheme=scheme,
+                   results_out=results, **kw)
+            assert run_violations(r, io_count(specs), results, expect) \
+                == [], scheme
+        assert refused[0] > 0
 
 
 class TestPlacementInstrumentation:

@@ -648,3 +648,65 @@ class TestFullDevice:
         clock.run_until_idle()
         assert during_push == [10 * US]
         assert b.cq.peek().complete_time == 20 * US
+
+
+class CountingSignal:
+    def __init__(self):
+        self.notifies = 0
+
+    def notify(self):
+        self.notifies += 1
+
+
+class TestSpaceWakeups:
+    """A consume wakes the instance's ``space_signal`` only after a refused
+    push, once, and clears the refusal: as with ``IORING_ENTER_SQ_WAIT``,
+    no producer that did not ask for room is woken."""
+
+    CFG = DeviceConfig(service_time_ns=10 * US, jitter_frac=0.0,
+                       parallelism=1)
+
+    def make(self, sq=2, cq=2):
+        clock = VirtualClock()
+        dev = SimDevice(self.CFG, clock)
+        inst = ApiInstance(sq_capacity=sq, cq_capacity=cq)
+        space = CountingSignal()
+        dev.attach(inst, space_signal=space)
+        return clock, inst, space
+
+    def test_a_consume_with_no_refused_push_notifies_nothing(self):
+        clock, inst, space = self.make(sq=4, cq=4)
+        for _ in range(3):
+            assert inst.sq_push(IoRequest(OpKind.NOP), clock.now) \
+                == PushResult.ACCEPTED
+        clock.run_until_idle()
+        assert len(inst.cq) == 3 and space.notifies == 0
+
+    def test_the_next_consume_after_a_refusal_notifies_once(self):
+        clock, inst, space = self.make()
+        for _ in range(2):
+            inst.sq_push(IoRequest(OpKind.NOP), clock.now)
+        assert inst.sq_push(IoRequest(OpKind.NOP), clock.now) \
+            == PushResult.QUEUE_FULL
+        assert inst.space_wanted
+        clock.run_until(0)  # one consume: the device has one slot
+        assert (len(inst.sq), space.notifies, inst.space_wanted) \
+            == (1, 1, False)
+        clock.run_until_idle()  # the second consume finds no refusal
+        assert (len(inst.cq), space.notifies) == (2, 1)
+
+    def test_a_refusal_for_cq_headroom_is_recorded(self):
+        clock, inst, space = self.make()
+        for _ in range(2):
+            inst.sq_push(IoRequest(OpKind.NOP), clock.now)
+        clock.run_until_idle()
+        assert len(inst.sq) == 0 and len(inst.cq) == 2
+        assert not inst.space_wanted
+        assert inst.sq_push(IoRequest(OpKind.NOP), clock.now) \
+            == PushResult.QUEUE_FULL
+        assert inst.space_wanted
+        inst.cq_reap(2)
+        assert inst.sq_push(IoRequest(OpKind.NOP), clock.now) \
+            == PushResult.ACCEPTED
+        clock.run_until_idle()
+        assert (space.notifies, inst.space_wanted) == (1, False)

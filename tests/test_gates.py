@@ -62,38 +62,40 @@ def load_perfbench(module: str):
 # report row as write_summary_csv writes it)
 TRACED = {
     "req_sn": ({
-        "events": 99509, "at_calls": 99509, "at_zero_delay": 39402,
+        "events": 99308, "at_calls": 99308, "at_zero_delay": 39201,
         "sweeps": 19995, "empty_sweeps": 0, "poll_wakes": 0,
         "push_calls": 20000, "push_refused": 0, "reap_calls": 19978,
-        "reap_misses": 0, "resumes": 59175, "notifies": 59995,
+        "reap_misses": 0, "resumes": 58974, "notifies": 40000,
         "lock_acquisitions": 0, "lock_contention": 0, "items": 0,
         "poll_hits": 0, "pool_dispatches": 0, "controller_steps": 0,
-        "pred_calls": 99506},
+        "pred_calls": 99305},
         "cafb3dec8fb0c1870cb052449e144fe45ac9130fef35a5bf73ed9c6bbf76b7f8"),
     "tasks_da_full": ({
-        "events": 165847, "at_calls": 65685, "at_zero_delay": 27965,
-        "sweeps": 8282, "empty_sweeps": 0, "poll_wakes": 0, "push_calls": 8282,
-        "push_refused": 0, "reap_calls": 8146, "reap_misses": 34,
-        "resumes": 123010, "notifies": 41274, "lock_acquisitions": 16428,
-        "lock_contention": 600, "items": 17558, "poll_hits": 8282,
-        "pool_dispatches": 0, "controller_steps": 0, "pred_calls": 165844},
-        "22b924b7c7c814ae6b954afa6edae0b0abd7625c953fcbbf5d0844022d914d2d"),
+        "events": 147815, "at_calls": 61041, "at_zero_delay": 23264,
+        "sweeps": 8282, "empty_sweeps": 0, "poll_wakes": 0,
+        "push_calls": 8282, "push_refused": 0, "reap_calls": 8203,
+        "reap_misses": 30, "resumes": 106361, "notifies": 33049,
+        "lock_acquisitions": 16485, "lock_contention": 525, "items": 17558,
+        "poll_hits": 8282, "pool_dispatches": 0, "controller_steps": 0,
+        "pred_calls": 147812},
+        "c08305c5379e6192937305f67d23eb54b29d84d86109df24d2e617a2a2383552"),
     "tasks_pool_cb": ({
-        "events": 62993, "at_calls": 62993, "at_zero_delay": 25772,
-        "sweeps": 8282, "empty_sweeps": 0, "poll_wakes": 0, "push_calls": 8282,
-        "push_refused": 0, "reap_calls": 7648, "reap_misses": 0,
-        "resumes": 46370, "notifies": 26720, "lock_acquisitions": 0,
-        "lock_contention": 0, "items": 10282, "poll_hits": 0,
-        "pool_dispatches": 8282, "controller_steps": 0, "pred_calls": 62989},
+        "events": 56713, "at_calls": 56713, "at_zero_delay": 19492,
+        "sweeps": 8282, "empty_sweeps": 0, "poll_wakes": 0,
+        "push_calls": 8282, "push_refused": 0, "reap_calls": 7648,
+        "reap_misses": 0, "resumes": 40090, "notifies": 18438,
+        "lock_acquisitions": 0, "lock_contention": 0, "items": 10282,
+        "poll_hits": 0, "pool_dispatches": 8282, "controller_steps": 0,
+        "pred_calls": 56709},
         "694b51d5d184f91520eb4397587d7356b1d90a0717ef3952377852c85545201e"),
     "arrivals_dyn": ({
-        "events": 163346, "at_calls": 163346, "at_zero_delay": 42274,
+        "events": 162253, "at_calls": 162253, "at_zero_delay": 41181,
         "sweeps": 22008, "empty_sweeps": 1008, "poll_wakes": 14,
         "push_calls": 30552, "push_refused": 9552, "reap_calls": 21000,
-        "reap_misses": 0, "resumes": 119238, "notifies": 63088,
+        "reap_misses": 0, "resumes": 118145, "notifies": 46226,
         "lock_acquisitions": 0, "lock_contention": 0, "items": 0,
         "poll_hits": 0, "pool_dispatches": 21000, "controller_steps": 80,
-        "pred_calls": 163334},
+        "pred_calls": 162241},
         "810c0d78f85f8e45d94919e305a390e74ed11dc989b9576fec42c96cbf6c953f"),
 }
 

@@ -162,113 +162,113 @@ def csv_digest(report, tmp_path) -> str:
 
 GOLDEN = {
     "shared_nothing-requests":
-        "a6fb117695d2ea59bba62e321599753b62066fa3503a3f3850f8f029edb62015",
+        "d7cc7463f30dee34d9d2049aa6cc9da1d757b381cea4b2da195bf99975d302e0",
     "shared_nothing-tasks-full":
-        "4953623effcd14f4afda2a78f1cd33c92b8a07cca659491c2eab4171bfc019af",
+        "7c444297e357d5d25a5c19d3cf47b8b2a1d017703686e637147704068dab1831",
     "shared_nothing-tasks-callback":
-        "7f1f2fec966c0280f41ad7d3e24dc7fabbf51a5a9a3697aa63d4108c252f893d",
+        "65d6ea066e58aa7d81c82161cce47bdc81d71675d5458d7bc6bad96f3030a7ad",
     "shared_nothing-tasks-coroutine":
-        "d83b42f973ad316129491814856cbe94d361e25baa2476827e760ca1839617ea",
+        "8cbf93625b85f6cb6f7789d3038062a4b1de3cc311dd58ed6b274b4a4e0fa177",
     "direct_access-requests":
-        "a23fa5eefa3a3b9b2e4dbf6efdf89dba28298e594cdab7fecff42390851995a8",
+        "325c79e8554f34147786fd0ea43af15f4e04fb966b051bd51e7ef3a52f2c8a88",
     "direct_access-tasks-full":
-        "106d2e2bea29562a87635c7b555530616f8a1c42ff55fb7f21409c15796985ed",
+        "7e9cf7016b035c327419e0ca9e7d6a96b2fc0812af3935ad5d23c2cc810f1738",
     "direct_access-tasks-callback":
-        "33294cd380ae6b5a242cd05d72a9d8ab7c45ef9b14ce06549c3d8d31921787b9",
+        "5ea137ef81aa128baa40ffbc595f0fd975c0ba428eaac83256cf8ccfb74da684",
     "direct_access-tasks-coroutine":
-        "7af25495a457c6026a556b359bf64fe697a722a1b987d4762de18b6d79458d5c",
+        "b6700fe4b581ee38944cf22dfda70e0f4e4a9d0be8b0d0d3b8ed8ca51a70d2d1",
     "static_pool-requests":
-        "6211d6621efbb9509d4942d66250fe2dd0bc25aba3eb7bd9a6cbc217661639c6",
+        "930ddac61a35e72fcf910e4b32b68e52e1e200398bb67e61b972f2933e9bebdf",
     "static_pool-tasks-full":
-        "2f616eaa33e4300bb638db646095eb407bf3a4b8b5c00461f16aee1bcced6b71",
+        "8bd29c8c094ff39c2c69e5bc6585e11414eabbcdc0df49c4aa49260309f0de72",
     "static_pool-tasks-callback":
-        "6fc2c6311fc1383af0d637427317dfa3a267df1f25021f0a56b402d9692d2e0a",
+        "ea41c5daca62a36c825c7a4853db4db4115695da318a5caa6b39441d562285bf",
     "static_pool-tasks-coroutine":
-        "d22daf264a6b6d8fe240fdb5db4f17c5f3e7bab19874c18d363f4be0052a53f8",
+        "2b6b07b9e2bceee50af4bf326a9b8dfdb94b9af66ea718dbd3474368e239b571",
     "dynamic_pool-requests":
-        "508c1b3240733bbefe5c494e08986b25cb0fd07d431d8e7820ddc23e812582a1",
+        "570ebdb0c32acbe9e52f92dcf07c3b6e8502bd352183097ec173937b7ce1f64e",
     "dynamic_pool-tasks-full":
-        "86d1c6f5decee8dbcc873f3c6d8b18cdbcf3f043731173e34976b67a16cae076",
+        "593b4539490d580964ddd607e8670acada8c7bf94edbdf8e82212b8fdc171fb7",
     "dynamic_pool-tasks-callback":
-        "8b59ba8819517ceb861aa0f0ad48f5417d1656919dc9ed63c7a8d2b3ae1e86ed",
+        "fd82ffaf5b5f32cd4c07cfbbd0b14f2d8804b6e9550e5b13cf6c0a00637c878d",
     "dynamic_pool-tasks-coroutine":
-        "f151e431cb4d9e3d01c701af89bd359531a03c64ad91f3b612d0e139c56f1dca",
+        "30d26626a005cdc637e2b4e3cc7f59d10d3fefae29847fff0d7ed501730457fe",
     "dynamic_pool-arrivals":
-        "d7e62f82f1d19605123fdd8c706363a544e31078d91ccbb14e3018fd8339c4cc",
+        "dfb17564623badd32587a482c14aca2095283b6a04db7e9d1bfda8e5eefbeea9",
     "static_pool_pair-requests":
         "5a89fd2817aa059957200c6bc182ad1b2af99c6683a6bd06fc9f1c59bd2a0712",
     "static_pool_pair-inline_requests":
-        "5fe9b003fac335ff02bed26a0e083f3b00c6d300115aa41348fdf51aa0b6d31f",
+        "7a72ae0220709042e05a72222612ffeaf2b757f1f1028d6424967d97f8faa5dc",
     "static_pool_pair-tasks-callback":
-        "740380a96fbb92f42c73ae4a46cdf5219d10f4acf9c3aa26744122c6910cc465",
+        "3fe900170e7879f179438205889f883b0996f215734f58664e0b9fdb49692bc7",
     "dynamic_pool_pair-requests":
         "ba90febe76aa534fb95e80319d968bc1d55f4946d2fa06e0d537be67678206bb",
     "dynamic_pool_pair-tasks-full":
-        "278fc80c3fabf5eeadbf5cf51d157e4928f9ed82d206797ede26cf10521e4102",
+        "57f2510f69493e16e81b724610844ed1960e6ec7b4ff2403eb99748d6aa0b55a",
     "dynamic_pool_pair-tasks-callback":
-        "ea4e48266b6ce8ca33fa3088c8cfb4fbb9abc91f33df13bdac9bc7d9f187d0af",
+        "39041a75d12f9576e81d4693ba0eb0bd27379b0f7c1b1d4c6d82fde06a440a96",
     "static_pool_inbox2-requests":
-        "5c5602a4219d85c40745bcabc5904c4d467481ac891343997341125352d6774b",
+        "81e2754f2d49e1f2644943795697fbabbcdda441504ad51c93fb4389b595a2f2",
     "static_pool_pair_inbox2-requests":
         "795c9ad1419fdb328236353784513fdab9b8e8eb5239b01039f4b7bd93f20ccd",
     "static_pool_least_loaded_inbox2-requests":
-        "db101b94effb0d7127d7469f8310956a0d36be23717481fc516684096e8fd84a",
+        "6819ef2e316358c82b322031d38f3976f3f699ad08ba42bf761d7b471822971a",
     "dynamic_pool_inbox1-tasks-coroutine":
-        "6fc739876fb5200d23a8c8f2780e742bc5da51be638fe2d88175d61724c94283",
+        "d060df1dfc33a2bb782269d9f42661a935d7bf1d7066a99f929f24e5eab4e272",
     "dynamic_pool_inbox1-arrivals":
-        "37f5e867359433396be9dc0329660ffeb72240b03eedc8dd5db9e9752b6a2df8",
+        "deb9298e14a0ce7a6d66c52f31f9a4f0eb918453e6d28b96cbe81cbc247bec69",
     "dynamic_pool_pair_inbox1-arrivals":
-        "79de19ca61d0a42756bd2161c3fec81aa8ddc447a45fd7771fb6882effe2ec62",
+        "8293a2ad4127a2abaf54e222c1432bfb279b9c79603799c087baaa6a6d73da8e",
     "direct_access-tasks-full-zero_costs":
-        "7d2fe40b5f442ff1dc9f4ce4f3c6a895b149b04f89c2c76e82bf5f1c0676df67",
+        "f3b36bcf09374198d51b91095ad958065d1a3b27890627634311d827eaf5dadb",
     "static_pool_pair-requests-zero_costs":
-        "f3507c246d739b3548537c77e0f1ceee543079322cb10ed39e4636477f23dd86",
+        "0e95527ffb8ef76daf56d7d528c351409d7d2d2c2775a53f685f827594a41c5c",
     "static_pool-inline_requests-zero_costs":
-        "de89fa59edbccee2c31f4dd5d0099a686045fc5dc60187b4a1d9f64a1545392c",
+        "38fd356c86374f0ef5509c2682bb292dfb9d70b4fc3e542893acfc0aa1f78fb0",
     "shared_nothing-tasks-coroutine-zero_costs":
-        "d09ce470ddd5b5cf24964c3d92523cfcc551a12664e3fcc3871aadc7ed5960eb",
+        "6ab8bb56be13a1a2d1aeb717ff5fce66b6ac37feb9ff146d34c21e55028b3e8f",
     "shared_nothing-requests-zero_costs":
-        "4e12c0b670e6f2c49eb99920a8df5fb026cc3a44c5b4aca590aaa6a7b7bce1d2",
+        "3a2d84a72ace0fe983e5b8ccc57fc0b4759a9acb20ed00962319fb7da14e23c8",
 }
 
 
 # calendar events each case fires (VirtualClock.step calls that ran one):
 # an exact count of the simulator's work, pinned next to its output
 EVENTS = {
-    "shared_nothing-requests": 13306,
-    "shared_nothing-tasks-full": 1500,
-    "shared_nothing-tasks-callback": 898,
-    "shared_nothing-tasks-coroutine": 1218,
-    "direct_access-requests": 23571,
-    "direct_access-tasks-full": 1942,
-    "direct_access-tasks-callback": 1084,
-    "direct_access-tasks-coroutine": 1432,
-    "static_pool-requests": 27623,
-    "static_pool-tasks-full": 2441,
-    "static_pool-tasks-callback": 1115,
-    "static_pool-tasks-coroutine": 1982,
-    "dynamic_pool-requests": 27585,
-    "dynamic_pool-tasks-full": 2417,
-    "dynamic_pool-tasks-callback": 1119,
-    "dynamic_pool-tasks-coroutine": 1989,
-    "dynamic_pool-arrivals": 11062,
+    "shared_nothing-requests": 13625,
+    "shared_nothing-tasks-full": 1487,
+    "shared_nothing-tasks-callback": 828,
+    "shared_nothing-tasks-coroutine": 1193,
+    "direct_access-requests": 21564,
+    "direct_access-tasks-full": 1876,
+    "direct_access-tasks-callback": 1028,
+    "direct_access-tasks-coroutine": 1405,
+    "static_pool-requests": 25383,
+    "static_pool-tasks-full": 2364,
+    "static_pool-tasks-callback": 1079,
+    "static_pool-tasks-coroutine": 1882,
+    "dynamic_pool-requests": 25337,
+    "dynamic_pool-tasks-full": 2353,
+    "dynamic_pool-tasks-callback": 1076,
+    "dynamic_pool-tasks-coroutine": 1894,
+    "dynamic_pool-arrivals": 10372,
     "static_pool_pair-requests": 35510,
-    "static_pool_pair-inline_requests": 28854,
-    "static_pool_pair-tasks-callback": 1372,
+    "static_pool_pair-inline_requests": 25860,
+    "static_pool_pair-tasks-callback": 1209,
     "dynamic_pool_pair-requests": 35447,
-    "dynamic_pool_pair-tasks-full": 2571,
-    "dynamic_pool_pair-tasks-callback": 1355,
-    "static_pool_inbox2-requests": 27749,
+    "dynamic_pool_pair-tasks-full": 2377,
+    "dynamic_pool_pair-tasks-callback": 1216,
+    "static_pool_inbox2-requests": 25346,
     "static_pool_pair_inbox2-requests": 35426,
-    "static_pool_least_loaded_inbox2-requests": 26463,
-    "dynamic_pool_inbox1-tasks-coroutine": 1972,
-    "dynamic_pool_inbox1-arrivals": 10412,
-    "dynamic_pool_pair_inbox1-arrivals": 10514,
-    "direct_access-tasks-full-zero_costs": 769,
-    "static_pool_pair-requests-zero_costs": 19928,
-    "static_pool-inline_requests-zero_costs": 16880,
-    "shared_nothing-tasks-coroutine-zero_costs": 540,
-    "shared_nothing-requests-zero_costs": 8952,
+    "static_pool_least_loaded_inbox2-requests": 24630,
+    "dynamic_pool_inbox1-tasks-coroutine": 1883,
+    "dynamic_pool_inbox1-arrivals": 9754,
+    "dynamic_pool_pair_inbox1-arrivals": 9804,
+    "direct_access-tasks-full-zero_costs": 705,
+    "static_pool_pair-requests-zero_costs": 16930,
+    "static_pool-inline_requests-zero_costs": 14248,
+    "shared_nothing-tasks-coroutine-zero_costs": 491,
+    "shared_nothing-requests-zero_costs": 8713,
 }
 
 def run_case(case: str):
