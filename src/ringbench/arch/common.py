@@ -466,15 +466,12 @@ class MissStreak:
     def settle(self, count: int) -> None:
         """Charge the first ``count`` items of the ready queue a miss each
         and move them to its back."""
-        ready = self.ready
         collector = self.collector
         collector.tasklet_respawns += count
         if self.frames:
             # an unsuccessful poll-resume leaves the frame unchanged
-            for i in range(count):
-                ready[i][1].frame.resume_count += 1
             collector.coroutine_resumes += count
-        ready.rotate(-count)
+        self.ready.rotate(-count)
 
 
 # -- worker loops ----------------------------------------------------------------------

@@ -274,7 +274,7 @@ class CoroutineFrame:
 
     __slots__ = ("frame_id", "task_id", "spec", "geometry", "state_enum",
                  "locals_state", "args", "io_seq", "awaiting", "inner",
-                 "frame_bytes", "resume_count")
+                 "frame_bytes")
 
     _next_id = 0
 
@@ -293,7 +293,6 @@ class CoroutineFrame:
         self.frame_bytes = (sys.getsizeof(self) + sys.getsizeof(self.args)
                             + sys.getsizeof(self.locals_state)
                             + sys.getsizeof(self.state_enum))
-        self.resume_count = 0
 
     def upcoming_compute_cost(self) -> int:
         """Virtual cost of the segment the next successful resume executes.
@@ -331,7 +330,6 @@ def resume(frame: CoroutineFrame,
     """
     if frame.state_enum == STATE_DONE:
         raise ResumeAfterDone(f"frame {frame.frame_id} already finished")
-    frame.resume_count += 1
 
     if frame.inner is not None:
         result = resume(frame.inner, completion)

@@ -168,7 +168,7 @@ GOLDEN = {
     "shared_nothing-tasks-callback":
         "65d6ea066e58aa7d81c82161cce47bdc81d71675d5458d7bc6bad96f3030a7ad",
     "shared_nothing-tasks-coroutine":
-        "8cbf93625b85f6cb6f7789d3038062a4b1de3cc311dd58ed6b274b4a4e0fa177",
+        "d55154255a02f471df5e275bf7c28646c1046e2d76677ea8d83634ad9b562136",
     "direct_access-requests":
         "325c79e8554f34147786fd0ea43af15f4e04fb966b051bd51e7ef3a52f2c8a88",
     "direct_access-tasks-full":
@@ -176,7 +176,7 @@ GOLDEN = {
     "direct_access-tasks-callback":
         "5ea137ef81aa128baa40ffbc595f0fd975c0ba428eaac83256cf8ccfb74da684",
     "direct_access-tasks-coroutine":
-        "b6700fe4b581ee38944cf22dfda70e0f4e4a9d0be8b0d0d3b8ed8ca51a70d2d1",
+        "2a6f389906bd7c8753f39de17d864f2313eb3600f4f288190461e4e8e904148c",
     "static_pool-requests":
         "930ddac61a35e72fcf910e4b32b68e52e1e200398bb67e61b972f2933e9bebdf",
     "static_pool-tasks-full":
@@ -184,7 +184,7 @@ GOLDEN = {
     "static_pool-tasks-callback":
         "ea41c5daca62a36c825c7a4853db4db4115695da318a5caa6b39441d562285bf",
     "static_pool-tasks-coroutine":
-        "2b6b07b9e2bceee50af4bf326a9b8dfdb94b9af66ea718dbd3474368e239b571",
+        "cd53748ef88f7801dd3438d7425aa4759c61fc68bfdbef3cec1887faad3b79a4",
     "dynamic_pool-requests":
         "570ebdb0c32acbe9e52f92dcf07c3b6e8502bd352183097ec173937b7ce1f64e",
     "dynamic_pool-tasks-full":
@@ -192,7 +192,7 @@ GOLDEN = {
     "dynamic_pool-tasks-callback":
         "fd82ffaf5b5f32cd4c07cfbbd0b14f2d8804b6e9550e5b13cf6c0a00637c878d",
     "dynamic_pool-tasks-coroutine":
-        "30d26626a005cdc637e2b4e3cc7f59d10d3fefae29847fff0d7ed501730457fe",
+        "e505429b5dede94ee389e6c0cffe6c923e079616c6e45f8eb551b2ede10333d1",
     "dynamic_pool-arrivals":
         "dfb17564623badd32587a482c14aca2095283b6a04db7e9d1bfda8e5eefbeea9",
     "static_pool_pair-requests":
@@ -214,7 +214,7 @@ GOLDEN = {
     "static_pool_least_loaded_inbox2-requests":
         "6819ef2e316358c82b322031d38f3976f3f699ad08ba42bf761d7b471822971a",
     "dynamic_pool_inbox1-tasks-coroutine":
-        "d060df1dfc33a2bb782269d9f42661a935d7bf1d7066a99f929f24e5eab4e272",
+        "eb08c53750e67e4dcc0f3b498d3d6d6a3ae30e37253bd1105a86932f25d6a052",
     "dynamic_pool_inbox1-arrivals":
         "deb9298e14a0ce7a6d66c52f31f9a4f0eb918453e6d28b96cbe81cbc247bec69",
     "dynamic_pool_pair_inbox1-arrivals":
@@ -226,7 +226,7 @@ GOLDEN = {
     "static_pool-inline_requests-zero_costs":
         "38fd356c86374f0ef5509c2682bb292dfb9d70b4fc3e542893acfc0aa1f78fb0",
     "shared_nothing-tasks-coroutine-zero_costs":
-        "6ab8bb56be13a1a2d1aeb717ff5fce66b6ac37feb9ff146d34c21e55028b3e8f",
+        "2bdfd1d8cbded9fb0205bf6b42b360826e3b9d6ffbce53c4bdaea7283f91cc18",
     "shared_nothing-requests-zero_costs":
         "3a2d84a72ace0fe983e5b8ccc57fc0b4759a9acb20ed00962319fb7da14e23c8",
 }
