@@ -64,7 +64,8 @@ class LatencyHistogram:
             self.max_ns = other.max_ns
 
     def quantile(self, q: float) -> int:
-        """Representative ns value at quantile q (0 when empty)."""
+        """Representative ns value at quantile q (0 when empty): the
+        bucket's geometric middle, never above the exact maximum."""
         if self.total == 0:
             return 0
         rank = max(1, math.ceil(q * self.total))
@@ -73,7 +74,7 @@ class LatencyHistogram:
             seen += c
             if seen >= rank:
                 lo = _BOUNDS[i - 1] if i else _LAT_LO / _BUCKET_RATIO
-                return int(math.sqrt(lo * _BOUNDS[i]))
+                return min(int(math.sqrt(lo * _BOUNDS[i])), self.max_ns)
         return self.max_ns
 
 

@@ -26,9 +26,9 @@ CLI_RUNS = {
 }
 CSV_SHA256 = {
     "sweep_qd.csv":
-        "f6e286cf89f9cfef4ebd67534a01920724f89f90a70a0b15c605dc6c33c1f858",
+        "ccf8e8bb8f9097a4d419519ce4cb4346134dab9aefaaafa777ef0285ca1ef08d",
     "sweep_callback.csv":
-        "1051bc718d659aac73b1627837116f31579b43fc8c17c16766c1f07577fd5d77",
+        "04ce6b7d6537769b075bbb15048c1b5cc87a865f3f816214c588f790709fdc80",
     "scaling_trace.csv":
         "1f935f472a9ab9d4bb45b2282176492175a0d00b921bf1da2ee1c924ccc0496c",
     "scaling_timeline.csv":
@@ -78,7 +78,7 @@ TRACED = {
         "lock_acquisitions": 16485, "lock_contention": 525, "items": 17558,
         "poll_hits": 8282, "pool_dispatches": 0, "controller_steps": 0,
         "pred_calls": 147812},
-        "c08305c5379e6192937305f67d23eb54b29d84d86109df24d2e617a2a2383552"),
+        "ab633cbfabe30e7cfc634d3d2da24d68d2297c85b41b885702b0765667b538dd"),
     "tasks_pool_cb": ({
         "events": 56713, "at_calls": 56713, "at_zero_delay": 19492,
         "sweeps": 8282, "empty_sweeps": 0, "poll_wakes": 0,
@@ -87,7 +87,7 @@ TRACED = {
         "lock_acquisitions": 0, "lock_contention": 0, "items": 10282,
         "poll_hits": 0, "pool_dispatches": 8282, "controller_steps": 0,
         "pred_calls": 56709},
-        "694b51d5d184f91520eb4397587d7356b1d90a0717ef3952377852c85545201e"),
+        "bda54299205b54af16b4e672590ae6fd04ff29d8048f4b6c82b22acb7f7e663b"),
     "arrivals_dyn": ({
         "events": 162253, "at_calls": 162253, "at_zero_delay": 41181,
         "sweeps": 22008, "empty_sweeps": 1008, "poll_wakes": 14,

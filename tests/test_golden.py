@@ -164,13 +164,13 @@ GOLDEN = {
     "shared_nothing-requests":
         "d7cc7463f30dee34d9d2049aa6cc9da1d757b381cea4b2da195bf99975d302e0",
     "shared_nothing-tasks-full":
-        "7c444297e357d5d25a5c19d3cf47b8b2a1d017703686e637147704068dab1831",
+        "9fef351fd6fcd12d763a42b2c5d3e0f59ab8a1b38fd2472b7417e3cbd2cd6003",
     "shared_nothing-tasks-callback":
-        "65d6ea066e58aa7d81c82161cce47bdc81d71675d5458d7bc6bad96f3030a7ad",
+        "7a6f7203a318526549ce64d22d1213b59b9668cbfecb4adf9d0c8566a36a54de",
     "shared_nothing-tasks-coroutine":
-        "d55154255a02f471df5e275bf7c28646c1046e2d76677ea8d83634ad9b562136",
+        "8121ce3fd016fd68aa353174f39af040e40caeda42ee8349fcb555b2f57cd4d2",
     "direct_access-requests":
-        "325c79e8554f34147786fd0ea43af15f4e04fb966b051bd51e7ef3a52f2c8a88",
+        "07bd5ab54095377a0e574027e659df7ddb1698cb5fb87a6610a5e8bfa6eb2e41",
     "direct_access-tasks-full":
         "7e9cf7016b035c327419e0ca9e7d6a96b2fc0812af3935ad5d23c2cc810f1738",
     "direct_access-tasks-callback":
@@ -178,7 +178,7 @@ GOLDEN = {
     "direct_access-tasks-coroutine":
         "2a6f389906bd7c8753f39de17d864f2313eb3600f4f288190461e4e8e904148c",
     "static_pool-requests":
-        "930ddac61a35e72fcf910e4b32b68e52e1e200398bb67e61b972f2933e9bebdf",
+        "30dac87a61b7d941fe380064f22de93cfe4c6525e59136fd6840eebca4608e8d",
     "static_pool-tasks-full":
         "8bd29c8c094ff39c2c69e5bc6585e11414eabbcdc0df49c4aa49260309f0de72",
     "static_pool-tasks-callback":
@@ -186,7 +186,7 @@ GOLDEN = {
     "static_pool-tasks-coroutine":
         "cd53748ef88f7801dd3438d7425aa4759c61fc68bfdbef3cec1887faad3b79a4",
     "dynamic_pool-requests":
-        "570ebdb0c32acbe9e52f92dcf07c3b6e8502bd352183097ec173937b7ce1f64e",
+        "40ffe79f98192ba8e7d2e13345b143e1d945fe0836e07bdf93de6154ede76d51",
     "dynamic_pool-tasks-full":
         "593b4539490d580964ddd607e8670acada8c7bf94edbdf8e82212b8fdc171fb7",
     "dynamic_pool-tasks-callback":
@@ -194,39 +194,39 @@ GOLDEN = {
     "dynamic_pool-tasks-coroutine":
         "e505429b5dede94ee389e6c0cffe6c923e079616c6e45f8eb551b2ede10333d1",
     "dynamic_pool-arrivals":
-        "dfb17564623badd32587a482c14aca2095283b6a04db7e9d1bfda8e5eefbeea9",
+        "3fab919446de6b0d38cde4caa49cb763e1378cf203c6e1f04baa9f2fce50547a",
     "static_pool_pair-requests":
-        "5a89fd2817aa059957200c6bc182ad1b2af99c6683a6bd06fc9f1c59bd2a0712",
+        "d377d5652990afe7ee151d4e145afbe80c8b4b4b6b6f5434b5815daafec3a1c3",
     "static_pool_pair-inline_requests":
-        "7a72ae0220709042e05a72222612ffeaf2b757f1f1028d6424967d97f8faa5dc",
+        "72c0cc998587df37cfa0187ed82eba11018d11094e3d9a9cec2c49fa47cf17c5",
     "static_pool_pair-tasks-callback":
         "3fe900170e7879f179438205889f883b0996f215734f58664e0b9fdb49692bc7",
     "dynamic_pool_pair-requests":
-        "ba90febe76aa534fb95e80319d968bc1d55f4946d2fa06e0d537be67678206bb",
+        "b344047b02f6128cbd367062c5038720d6478b224cf72c89c77e02c8ec4c1d3b",
     "dynamic_pool_pair-tasks-full":
         "57f2510f69493e16e81b724610844ed1960e6ec7b4ff2403eb99748d6aa0b55a",
     "dynamic_pool_pair-tasks-callback":
         "39041a75d12f9576e81d4693ba0eb0bd27379b0f7c1b1d4c6d82fde06a440a96",
     "static_pool_inbox2-requests":
-        "81e2754f2d49e1f2644943795697fbabbcdda441504ad51c93fb4389b595a2f2",
+        "859a35d439733a7053d2236f014985db74766ab44431d734c643704ef2c4be0d",
     "static_pool_pair_inbox2-requests":
-        "795c9ad1419fdb328236353784513fdab9b8e8eb5239b01039f4b7bd93f20ccd",
+        "416c8f570dc9748ab3c35515a3dfe8633ba44216d756bbe6d79d1bc0a8ae81ff",
     "static_pool_least_loaded_inbox2-requests":
-        "6819ef2e316358c82b322031d38f3976f3f699ad08ba42bf761d7b471822971a",
+        "82455c8d719b1b273c81c6e08278e57ed80f3fbc376d1ba97ed4639999b037e8",
     "dynamic_pool_inbox1-tasks-coroutine":
         "eb08c53750e67e4dcc0f3b498d3d6d6a3ae30e37253bd1105a86932f25d6a052",
     "dynamic_pool_inbox1-arrivals":
-        "deb9298e14a0ce7a6d66c52f31f9a4f0eb918453e6d28b96cbe81cbc247bec69",
+        "14f25acee874343b0c92e8c4682f7e824567102d5f4205df9adfb893445fccc5",
     "dynamic_pool_pair_inbox1-arrivals":
-        "8293a2ad4127a2abaf54e222c1432bfb279b9c79603799c087baaa6a6d73da8e",
+        "e36d74d3704ed892e333c36e6b715db7d63a0041a7fb42e451f200e0489c39d1",
     "direct_access-tasks-full-zero_costs":
         "f3b36bcf09374198d51b91095ad958065d1a3b27890627634311d827eaf5dadb",
     "static_pool_pair-requests-zero_costs":
-        "0e95527ffb8ef76daf56d7d528c351409d7d2d2c2775a53f685f827594a41c5c",
+        "5da1b9e7edd01a2dcd7ee5fad84c473d37adaa635a4792d30f112b7c0c776155",
     "static_pool-inline_requests-zero_costs":
-        "38fd356c86374f0ef5509c2682bb292dfb9d70b4fc3e542893acfc0aa1f78fb0",
+        "a55b5ecfd30a7b48305a0e3b896c60b437e7148142acd76bebf26c93caf3fdae",
     "shared_nothing-tasks-coroutine-zero_costs":
-        "2bdfd1d8cbded9fb0205bf6b42b360826e3b9d6ffbce53c4bdaea7283f91cc18",
+        "8df372dbbce906793e6f9efb25e4c216479c64b290291bb4f0b7077c149c0761",
     "shared_nothing-requests-zero_costs":
         "3a2d84a72ace0fe983e5b8ccc57fc0b4759a9acb20ed00962319fb7da14e23c8",
 }

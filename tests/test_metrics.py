@@ -41,6 +41,16 @@ class TestHistogram:
     def test_empty(self):
         assert LatencyHistogram().quantile(0.5) == 0
 
+    @pytest.mark.parametrize("ns", [100_000, 1_000, 20_097])
+    def test_quantile_never_exceeds_the_maximum(self, ns):
+        # 100 000 ns lies in the lower half of its bucket, whose geometric
+        # middle is 100 551 ns
+        h = LatencyHistogram()
+        for _ in range(10):
+            h.add(ns)
+        for q in (0.5, 0.99, 1.0):
+            assert ns / 1.05 <= h.quantile(q) <= ns
+
 
 def collector_from(run_id, completions):
     c = MetricsCollector(run_id)
