@@ -9,7 +9,9 @@ attribution stays clean.
 
 from __future__ import annotations
 
+import itertools
 import os
+from bisect import bisect_left
 from dataclasses import replace
 
 from .arch import (run_direct_access, run_dynamic_pool, run_shared_nothing,
@@ -180,16 +182,13 @@ def cmd_scaling_trace(cfg: ExperimentConfig, out_dir) -> tuple:
 
 
 def phase_counts(report: MetricsReport, phases) -> list:
-    bounds = []
-    t = 0
-    for dur, _ in phases:
-        t += dur
-        bounds.append(t)
-    counts = [0] * len(bounds)
+    """Completions per phase, by completion time; a phase ends at its end
+    time, and the completions that land after the last phase ends count
+    in it."""
+    ends = list(itertools.accumulate(dur for dur, _ in phases))
+    last = len(ends) - 1
+    counts = [0] * len(ends)
     for ct in report.completion_times or ():
-        for i, b in enumerate(bounds):
-            if ct <= b:
-                counts[i] += 1
-                break
+        counts[min(bisect_left(ends, ct), last)] += 1
     return counts
 

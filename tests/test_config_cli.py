@@ -263,6 +263,19 @@ class TestScalingTrace:
         with pytest.raises(ConfigInvalid):
             cmd_scaling_trace(small_config(), tmp_path)
 
+    def test_phase_counts_sum_to_the_completions(self, tmp_path):
+        # the last phase ends at its peak rate, so completions land after
+        # the schedule ends: they count in the last phase
+        cfg = small_config(**{**ARRIVALS, "workload.phases": [
+            [5 * MS, 20_000], [5 * MS, 100_000]]})
+        summary, _, dyn, stat = cmd_scaling_trace(cfg, tmp_path)
+        rows = [line.split(",") for line in
+                open(summary).read().splitlines()[1:]]
+        for name, rep in (("dynamic", dyn), ("static", stat)):
+            assert max(rep.completion_times) > 10 * MS, name
+            assert sum(int(row[3]) for row in rows if row[0] == name) \
+                == rep.completed_ok == len(rep.completion_times), name
+
     def test_whole_float_duration_runs_as_its_int(self, tmp_path, capsys):
         # JSON's 5e6 parses as a float; it runs exactly as 5_000_000
         outputs = []

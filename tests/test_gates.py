@@ -30,7 +30,7 @@ CSV_SHA256 = {
     "sweep_callback.csv":
         "04ce6b7d6537769b075bbb15048c1b5cc87a865f3f816214c588f790709fdc80",
     "scaling_trace.csv":
-        "1f935f472a9ab9d4bb45b2282176492175a0d00b921bf1da2ee1c924ccc0496c",
+        "c9c80f8c2a772801d78eac4f61bef90df1ac8244bffc7e356213d2d6df2aee32",
     "scaling_timeline.csv":
         "d1766e44fb3ac03acd5068470ae2f554495a4ce816153f1a6764ec43edd985f4",
 }
