@@ -16,7 +16,8 @@ The same device logic runs in two modes:
 
 In both modes the device thread/engine is the sole consumer of every
 attached SQ and the sole producer of every attached CQ, preserving the
-rings' SPSC contract.
+rings' SPSC contract. In wall mode it also runs the submission hook a
+push calls, so the device's own state has one writer.
 """
 
 from __future__ import annotations
@@ -365,7 +366,9 @@ class SimDevice:
         st.space_signal = space_signal
         inst.instance_id = len(self.instances)
         self.instances.append(st)
-        inst.on_submit = self._on_submit_hook
+        inst.on_submit = (self._on_submit_wall
+                          if isinstance(self.clock, WallClock)
+                          else self._on_submit_hook)
         if poll is not None:
             self._arm_poll_check(st)
         return inst.instance_id
@@ -374,7 +377,14 @@ class SimDevice:
                      code: int = 5) -> None:
         self.fault_plan[(instance_id, request_id)] = code
 
-    # -- submission side (runs on producer context) -----------------------------
+    # -- submission side ----------------------------------------------------------
+
+    def _on_submit_wall(self, inst: ApiInstance) -> None:
+        # a push runs on its producer's thread; the device thread alone
+        # touches the instances' and poll threads' state, so the hook runs
+        # there, as an event due now
+        clock = self.clock
+        clock.at(clock.now, lambda: self._on_submit_hook(inst))
 
     def _on_submit_hook(self, inst: ApiInstance) -> None:
         st = self.instances[inst.instance_id]
@@ -521,7 +531,10 @@ class SimDevice:
             clock.at(done_at,
                      self._completion_fn(st, req, status, value, done_at))
         # as with IORING_ENTER_SQ_WAIT, only a producer that was refused
-        # waits for room: nobody else is woken
+        # waits for room: nobody else is woken. In wall mode the refusal
+        # is recorded on the producer's thread, so one that races this
+        # consume can miss its notify; the producer then waits out one of
+        # Signal._wait_wall's 1 ms slices.
         if popped and inst.space_wanted:
             inst.space_wanted = False
             if st.space_signal is not None:

@@ -2,6 +2,7 @@
 
 import re
 import sys
+import threading
 
 import pytest
 
@@ -371,6 +372,38 @@ class TestSpaceWakeups:
             assert run_violations(r, io_count(specs), results, expect) \
                 == [], scheme
         assert refused[0] > 0
+
+
+class TestWallDeviceThread:
+    """In wall mode only the device thread touches the device's state: a
+    push hands the submission hook to it, so every sweep and every poll
+    thread's wake is scheduled there."""
+
+    @pytest.mark.parametrize("name", list(RUNNERS))
+    def test_sweeps_and_wakes_run_on_the_device_thread(self, monkeypatch,
+                                                       name):
+        seen = {"_sweep_soon": set(), "_wake_poll": set()}
+        for method, threads in seen.items():
+            def recording(device, *args, _orig=getattr(SimDevice, method),
+                          _threads=threads):
+                _threads.add(threading.current_thread().name)
+                return _orig(device, *args)
+
+            monkeypatch.setattr(SimDevice, method, recording)
+        fn, args = RUNNERS[name]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # a 1 us idle timeout puts the poll threads to sleep between
+            # pushes
+            r = fn(RequestWorkload(op_count=400, queue_depth=8), *args,
+                   mode="wall", device_cfg=FAST_DEV,
+                   ring=RingConfig(idle_timeout_ns=1_000), seed=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert run_violations(r, 400) == []
+        assert seen == {"_sweep_soon": {"ringbench-device"},
+                        "_wake_poll": {"ringbench-device"}}
 
 
 class TestPlacementInstrumentation:
