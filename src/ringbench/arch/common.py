@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field, fields
+from graphlib import CycleError, TopologicalSorter
 from typing import Optional
 
 from ..metrics import MetricsCollector
@@ -108,7 +109,9 @@ class RequestWorkload:
 
 @dataclass
 class TaskWorkload:
-    """A corpus of TaskSpecs; dependencies gate task start order."""
+    """A corpus of TaskSpecs; a task starts once the tasks it depends on
+    have finished. ``prerequisites`` maps a task id to the ids it waits
+    for, built once from ``dependencies``."""
 
     specs: list
     dependencies: list = field(default_factory=list)  # (before_id, after_id)
@@ -117,6 +120,19 @@ class TaskWorkload:
     def __post_init__(self):
         if self.max_live_per_worker < 1:
             raise ValueError("max_live_per_worker must be >= 1")
+        ids = {spec.task_id for spec in self.specs}
+        prerequisites = {}
+        for before, after in self.dependencies:
+            if before not in ids or after not in ids:
+                raise ValueError(f"dependencies must name tasks of specs: "
+                                 f"{before}->{after}")
+            prerequisites.setdefault(after, []).append(before)
+        try:
+            TopologicalSorter(prerequisites).prepare()
+        except CycleError as exc:
+            raise ValueError(f"dependencies form a cycle: "
+                             f"{'->'.join(map(str, exc.args[1]))}") from None
+        self.prerequisites = prerequisites
 
 
 @dataclass
@@ -550,16 +566,16 @@ def arrival_loop(worker: Worker, workload: ArrivalWorkload, n: int,
 
 
 def task_worker_loop(worker: Worker, reap, shard_specs, scheme: str,
-                     workload: TaskWorkload, deps_by_task: dict):
-    """Scheme-aware task driver; see module docstring for placement rules."""
-    spec_iter = iter(shard_specs)
-    deferred = deque()
-    exhausted = False
+                     workload: TaskWorkload):
+    """Scheme-aware task driver; see module docstring for placement rules.
+    Below ``max_live_per_worker`` live tasks it starts the first pending
+    task, in shard order, whose prerequisites have all finished."""
+    pending = deque(shard_specs)
+    prerequisites = workload.prerequisites
     max_live = workload.max_live_per_worker
     miss_streak = 0
     results = worker.results
     cqs = worker.cqs
-    gated = bool(deps_by_task)
     streak = MissStreak(worker, scheme)
     miss_cost = streak.cost
     # zero-cost misses make no event: they stay inline
@@ -590,27 +606,14 @@ def task_worker_loop(worker: Worker, reap, shard_specs, scheme: str,
             finished.popleft()
             worker.live -= 1
             progressed = True
-        while worker.live < max_live and not (exhausted and not deferred):
-            spec = None
-            if gated:
-                for _ in range(len(deferred)):
-                    cand = deferred.popleft()
-                    if all(d in results
-                           for d in deps_by_task.get(cand.task_id, ())):
-                        spec = cand
-                        break
-                    deferred.append(cand)
-            if spec is None:
-                nxt = next(spec_iter, None)
-                if nxt is None:
-                    exhausted = True
-                    break  # deferred tasks are rescanned next pass
-                if not gated or all(d in results for d in
-                                    deps_by_task.get(nxt.task_id, ())):
-                    spec = nxt
-                else:
-                    deferred.append(nxt)
-                    continue
+        while worker.live < max_live and pending:
+            for i, spec in enumerate(pending):
+                if all(d in results
+                       for d in prerequisites.get(spec.task_id, ())):
+                    break
+            else:
+                break  # rescanned once a prerequisite finishes
+            del pending[i]
             entry = start_task(spec, scheme, worker, worker.geometry)
             worker.live += 1
             worker.ready.append(entry)
@@ -635,9 +638,8 @@ def task_worker_loop(worker: Worker, reap, shard_specs, scheme: str,
                 missed = 1
             left -= missed
             miss_streak += missed
-        if (exhausted and not deferred and not worker.live
-                and not worker.ready and not worker.blocked
-                and not worker.handoff):
+        if (not pending and not worker.live and not worker.ready
+                and not worker.blocked and not worker.handoff):
             return
         if not progressed and miss_streak >= len(worker.ready) \
                 and worker.signal.version == sig_version:
@@ -659,13 +661,6 @@ def check_partitionable(workload: TaskWorkload, n_workers: int) -> None:
             raise WorkloadNotPartitionable(
                 f"dependency {before}->{after} crosses shards under "
                 f"{n_workers} static shards")
-
-
-def deps_map(workload: TaskWorkload) -> dict:
-    out = {}
-    for before, after in workload.dependencies:
-        out.setdefault(after, []).append(before)
-    return out
 
 
 class HandleFactory:

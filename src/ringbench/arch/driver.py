@@ -18,7 +18,7 @@ from ..metrics import InstanceStats, MetricsCollector
 from ..runtime import Runtime
 from ..tasks import Geometry
 from .common import (SCHEMES, ArrivalWorkload, ExecCosts, HandleFactory,
-                     RingConfig, TaskWorkload, Worker, arrival_loop, deps_map,
+                     RingConfig, TaskWorkload, Worker, arrival_loop,
                      request_stream, request_worker_loop, shard_specs,
                      task_worker_loop)
 
@@ -98,7 +98,6 @@ class RunContext:
         is_tasks = isinstance(workload, TaskWorkload)
         if is_tasks:
             shards = shard_specs(workload, n)
-            deps = deps_map(workload)
         next_request = request_stream(self.geometry)
         actors = []
         signals = []
@@ -114,7 +113,7 @@ class RunContext:
                 gen = arrival_loop(worker, workload, n, next_request)
             elif is_tasks:
                 gen = task_worker_loop(worker, reap, shards[i], scheme,
-                                       workload, deps)
+                                       workload)
             else:
                 ops = workload.op_count // n + (
                     1 if i < workload.op_count % n else 0)
@@ -127,8 +126,8 @@ class RunContext:
             if worker.signal not in signals:
                 signals.append(worker.signal)
             actors.append(self.rt.spawn(gen, worker.name))
-        if is_tasks and workload.dependencies:
-            # a deferred task may wait on another worker's task: every
+        if is_tasks and workload.prerequisites:
+            # a pending task may wait on another worker's task: every
             # finish, wherever it runs, wakes the workers to rescan
             for ectx in self.ectxs:
                 ectx.dep_broadcast = tuple(signals)

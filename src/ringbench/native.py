@@ -140,7 +140,6 @@ class _UringBackend:
         self.buffers = BufferRegistry()
         self._iov = {}
         self._cqe = binding.io_uring_cqe()
-        self._inflight = 0
 
     def push_submission(self, req: IoRequest) -> bool:
         b = self._uring
@@ -163,7 +162,6 @@ class _UringBackend:
             b.io_uring_prep_nop(sqe)
         sqe.user_data = req.request_id
         b.io_uring_submit(self._ring)
-        self._inflight += 1
         return True
 
     def reap_completions(self, max_completions: int) -> list:
@@ -183,7 +181,6 @@ class _UringBackend:
             else:
                 comp = Completion(rid, rid, CompletionStatus.ERROR, -res, 0)
             b.io_uring_cqe_seen(self._ring, self._cqe)
-            self._inflight -= 1
             out.append(comp)
         return out
 

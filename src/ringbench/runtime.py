@@ -200,6 +200,8 @@ class Runtime:
                  sched_jitter_ns: int = 0):
         if mode not in ("virtual", "wall"):
             raise ValueError(f"unknown mode {mode!r}")
+        if sched_jitter_ns < 0:
+            raise ValueError("sched_jitter_ns must be >= 0")
         self.mode = mode
         self.clock = VirtualClock() if mode == "virtual" else WallClock()
         self.actors = []

@@ -17,8 +17,8 @@ from ringbench.arch.driver import drive
 from ringbench.device import DeviceConfig, SimDevice
 from ringbench.ring import ApiInstance, PushResult
 from ringbench.runtime import Runtime
-from ringbench.tasks import (Geometry, generate_corpus, io_count,
-                             oracle_states)
+from ringbench.tasks import (Geometry, IoStep, TaskSpec, generate_corpus,
+                             io_count, oracle_states)
 from ringbench.verify import (isolation_violations, run_violations,
                               scheme_violations)
 
@@ -78,7 +78,6 @@ class TestSharedNothing:
 
     def test_single_task_throughput_bounded_by_single_instance_max(self):
         # a sequential task cannot beat the measured qd=1 rate of one instance
-        from ringbench.tasks import IoStep, TaskSpec
         dcfg = DeviceConfig(service_time_ns=50 * US, jitter_frac=0.0,
                             parallelism=64)
         qd1 = run_shared_nothing(
@@ -141,6 +140,66 @@ class TestDirectAccess:
         assert run_violations(r, 1000) == []
 
 
+# task ids shard as task_id % 2 over the RUNNERS' two workers: shared-nothing
+# takes only same-shard dependencies, the other architectures also cross
+SAME_SHARD_DEPS = [(0, 2), (2, 6), (4, 6), (1, 7), (3, 5)]
+CROSS_SHARD_DEPS = SAME_SHARD_DEPS + [(0, 3), (5, 2), (6, 7)]
+
+
+def recorded_starts(monkeypatch, workload):
+    """Patch ``start_task`` to list the ids of the tasks started, in order,
+    and to fail a start whose prerequisites have not all finished."""
+    started = []
+    start_task = common.start_task
+
+    def recording(spec, scheme, owner, geometry):
+        unmet = [before for before, after in workload.dependencies
+                 if after == spec.task_id and before not in owner.results]
+        assert not unmet, f"task {spec.task_id} started before {unmet}"
+        started.append(spec.task_id)
+        return start_task(spec, scheme, owner, geometry)
+
+    monkeypatch.setattr(common, "start_task", recording)
+    return started
+
+
+class TestDependencies:
+    """A worker starts the first pending task of its shard, in shard order,
+    whose prerequisites have all finished, on every architecture and under
+    every scheme."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("arch", RUNNERS)
+    def test_states_equal_oracle(self, monkeypatch, arch, scheme):
+        fn, args = RUNNERS[arch]
+        specs = generate_corpus(9, 10)
+        deps = SAME_SHARD_DEPS if arch == "shared_nothing" \
+            else CROSS_SHARD_DEPS
+        wl = TaskWorkload(specs=specs, dependencies=deps,
+                          max_live_per_worker=2)
+        started = recorded_starts(monkeypatch, wl)
+        results = {}
+        r = fn(wl, *args, scheme=scheme, device_cfg=FAST_DEV, seed=2,
+               results_out=results)
+        assert run_violations(r, io_count(specs), results,
+                              oracle_states(specs, GEO)) == []
+        assert sorted(started) == list(range(10))
+
+    @pytest.mark.parametrize("arch", RUNNERS)
+    def test_ready_tasks_start_in_shard_order(self, monkeypatch, arch):
+        # 1 finishes long before 0, so 3 starts while 2 and 4 still wait
+        # on 0; once 0 finishes, 2 must start before 4
+        read = IoStep("read", 1, "stride")
+        specs = [TaskSpec(0, (read,) * 6)] + [
+            TaskSpec(i, (read,)) for i in range(1, 5)]
+        wl = TaskWorkload(specs=specs,
+                          dependencies=[(0, 2), (1, 3), (0, 4)])
+        started = recorded_starts(monkeypatch, wl)
+        fn, args = RUNNERS[arch]
+        fn(wl, *(1 for _ in args), device_cfg=FAST_DEV, seed=1)  # 1 worker
+        assert started == [0, 1, 3, 2, 4]
+
+
 def requests_50():
     return RequestWorkload(op_count=50, queue_depth=4)
 
@@ -149,12 +208,18 @@ def arrivals():
     return ArrivalWorkload(phases=[(MS, 20_000)])
 
 
+def tasks_with_deps(dependencies):
+    return TaskWorkload(specs=generate_corpus(1, 4),
+                        dependencies=dependencies)
+
+
 class TestRunArguments:
     """Each runner takes its own sizes and knobs: a size below 1, a
-    negative callback cost, an unknown op kind or scheme, an arrival phase
-    that cannot run or an arrival workload off the pools raises a
-    ``ValueError`` that starts with the argument's or field's name, and a
-    pool knob given to shared-nothing or direct access is a
+    negative callback cost or scheduling jitter, an unknown op kind or
+    scheme, an arrival phase that cannot run, an arrival workload off the
+    pools, or a dependency on a task outside the corpus or in a cycle
+    raises a ``ValueError`` that starts with the argument's or field's
+    name, and a pool knob given to shared-nothing or direct access is a
     ``TypeError``."""
 
     @pytest.mark.parametrize("call,arg", [
@@ -186,6 +251,17 @@ class TestRunArguments:
                                  1, 1, scheme="bogus"), "scheme"),
         (lambda: run_dynamic_pool(arrivals(), 0, 2), "n_workers"),
         (lambda: run_static_pool(arrivals(), 1, 2, scheme="bogus"), "scheme"),
+        (lambda: run_shared_nothing(RequestWorkload(op_count=10,
+                                                    queue_depth=2), 1,
+                                    sched_jitter_ns=-5), "sched_jitter_ns"),
+        (lambda: run_shared_nothing(RequestWorkload(op_count=10,
+                                                    queue_depth=2), 1,
+                                    mode="wall", sched_jitter_ns=-5),
+         "sched_jitter_ns"),
+        (lambda: tasks_with_deps([(99, 0)]), "dependencies"),
+        (lambda: tasks_with_deps([(0, 99)]), "dependencies"),
+        (lambda: tasks_with_deps([(0, 0)]), "dependencies"),
+        (lambda: tasks_with_deps([(0, 1), (1, 2), (2, 0)]), "dependencies"),
     ], ids=["shared_nothing-threads", "direct_access-workers",
             "direct_access-instances", "static_pool-workers",
             "static_pool-task-workers", "static_pool-instances",
@@ -195,7 +271,10 @@ class TestRunArguments:
             "op_count-zero", "op_count-negative", "no-phases",
             "negative-duration", "negative-rate", "shared_nothing-scheme",
             "static_pool-task-scheme", "dynamic_pool-arrival-workers",
-            "static_pool-arrival-scheme"])
+            "static_pool-arrival-scheme", "negative-jitter",
+            "negative-jitter-wall", "dependency-before-unknown",
+            "dependency-after-unknown", "dependency-on-itself",
+            "dependency-cycle"])
     def test_size_below_one_rejected(self, call, arg):
         with pytest.raises(ValueError, match=f"^{re.escape(arg)} "):
             call()

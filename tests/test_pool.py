@@ -261,8 +261,9 @@ class TestDrainAndShutdown:
 
 
 class TestCrossWorkerDependencies:
-    # static first: a hang there fails fast, while a dynamic pool's
-    # controller keeps the calendar busy and the deadlock check never fires
+    # a hang on either pool fails fast: the dynamic pool's controller ends
+    # once the calendar is idle, so the deadlock is named (see
+    # test_lost_completions_are_diagnosed)
     @pytest.mark.parametrize("runner,scheme", [
         pytest.param(fn, scheme, id=f"{fn.__name__[4:]}-{scheme}")
         for fn in (run_static_pool, run_dynamic_pool)

@@ -33,10 +33,7 @@ OPTIONS_ALLOWED = {
 }
 
 # attributes stored under src/ringbench that nothing reads, one reason each
-WRITE_ONLY_ALLOWED = {
-    "_inflight": "native backend: it cannot run without a liburing binding "
-                 "and is kept as it is",
-}
+WRITE_ONLY_ALLOWED = {}
 
 # functions under src/ringbench that open a file for writing, one reason each
 WRITERS_ALLOWED = {
