@@ -22,8 +22,10 @@ from .metrics import MetricsReport, write_csv, write_summary_csv
 
 
 def run_experiment(cfg: ExperimentConfig, *, seed: int = None,
-                   workload=None, run_id: str = None,
-                   keep_completion_times: bool = False) -> MetricsReport:
+                   workload=None, **run_options) -> MetricsReport:
+    """The one place a config becomes a runner call. ``run_options`` are
+    the ``RunOptions`` a config does not hold: ``run_id``,
+    ``keep_completion_times``, ``results_out`` and ``sched_jitter_ns``."""
     if cfg.backend == "native":
         from . import native
         raise ConfigInvalid(
@@ -34,8 +36,7 @@ def run_experiment(cfg: ExperimentConfig, *, seed: int = None,
     workload = workload if workload is not None else build_workload(cfg, seed)
     a = cfg.architecture
     kw = dict(device_cfg=cfg.device, ring=a.ring, costs=a.costs,
-              mode=cfg.mode, seed=seed, run_id=run_id,
-              keep_completion_times=keep_completion_times)
+              mode=cfg.mode, seed=seed, **run_options)
     pool = dict(exec_mode=a.exec_mode, policy=a.dispatch_policy,
                 inbox_capacity=a.inbox_capacity,
                 threading_mode=a.instance_threading)

@@ -9,13 +9,12 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from dataclasses import replace
 
-from .arch import (ArrivalWorkload, ControllerConfig, ExecCosts,
-                   RequestWorkload, RingConfig, TaskWorkload,
-                   run_direct_access, run_dynamic_pool, run_shared_nothing,
-                   run_static_pool)
-from .bench import consumer_rate_oracle, phase_counts
-from .config import ConfigInvalid, ExperimentConfig, parse, serialize
+from .arch import ExecCosts, TaskWorkload
+from .bench import consumer_rate_oracle, phase_counts, run_experiment
+from .config import (ARCHITECTURES, ConfigInvalid, ExperimentConfig,
+                     build_workload, from_dict, parse, serialize)
 from .device import DeviceConfig, PollConfig, SimDevice, VirtualClock, \
     steady_state_iops
 from .ring import (ApiInstance, CompletionStatus, IoRequest, OpKind,
@@ -111,22 +110,22 @@ def spsc_violations(n: int, capacity: int, pop_batch: int) -> list:
     return []
 
 
-def scheme_violations(specs, device_cfg: DeviceConfig, seed: int,
-                      runners) -> list:
-    """Run the specs under every scheme on each ``(runner, sizes)`` pair;
-    every run must keep the run contract with ``interpret_task``'s states,
-    so the states are bit-identical across schemes and architectures."""
-    oracle = oracle_states(specs, Geometry(device_cfg.block_size,
-                                           device_cfg.capacity_bytes))
+def scheme_violations(specs, cfgs) -> list:
+    """Run the specs under every scheme on each config; every run must
+    keep the run contract with ``interpret_task``'s states, so the states
+    are bit-identical across schemes and architectures. A failure names
+    its cell ``<kind>/<scheme>``."""
     ios = io_count(specs)
     failed = []
     for scheme in ("full", "callback", "coroutine"):
-        for runner, sizes in runners:
+        for cfg in cfgs:
             results = {}
-            report = runner(TaskWorkload(specs=list(specs)), *sizes,
-                            scheme=scheme, device_cfg=device_cfg, seed=seed,
-                            results_out=results)
-            failed += [f"{runner.__name__}/{scheme}: {v}" for v in
+            report = run_experiment(replace(cfg, scheme=scheme),
+                                    workload=TaskWorkload(specs=list(specs)),
+                                    results_out=results)
+            oracle = oracle_states(specs, Geometry(
+                cfg.device.block_size, cfg.device.capacity_bytes))
+            failed += [f"{cfg.architecture.kind}/{scheme}: {v}" for v in
                        run_violations(report, ios, results, oracle)]
     return failed
 
@@ -317,86 +316,85 @@ def _device_determinism(cfg) -> CheckResult:
                        "bit-identical traces per seed")
 
 
+def check_config(kind: str, workload: dict, seed: int, device: dict,
+                 scheme: str = "full", **architecture) -> ExperimentConfig:
+    """A check's run as a config document; its device has no jitter."""
+    return from_dict({"device": dict(device, jitter_frac=0.0),
+                      "architecture": dict(architecture, kind=kind),
+                      "scheme": scheme, "workload": workload, "seed": seed})
+
+
 def _littles_law(cfg) -> CheckResult:
-    dev = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
-                       parallelism=16)
-    iops = {qd: run_shared_nothing(RequestWorkload(op_count=20_000,
-                                                   queue_depth=qd), 1,
-                                   device_cfg=dev, seed=5).iops
-            for qd in (1, 8, 32)}
-    return _result("littles_law", littles_law_violations(dev, iops, 0.01),
-                   "qd in {1,8,32} within 1%")
+    points = {qd: check_config(
+        "shared_nothing", {"op_count": 20_000, "queue_depth": qd}, 5,
+        {"service_time_ns": 100 * US, "parallelism": 16}, n_workers=1)
+        for qd in (1, 8, 32)}
+    iops = {qd: run_experiment(point).iops for qd, point in points.items()}
+    return _result("littles_law", littles_law_violations(
+        points[1].device, iops, 0.01), "qd in {1,8,32} within 1%")
 
 
 def _callback_collapse(cfg) -> CheckResult:
-    dev = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
-                       parallelism=64)
-    costs = ExecCosts()
     runs = {}
     for mode, n_workers, ops in (("inline_callbacks", 4, 600),
                                  ("io_threads", 16, 2000)):
-        runs[mode] = {c: run_static_pool(
-            RequestWorkload(op_count=ops, queue_depth=16,
-                            callback_cost_ns=c),
-            n_workers, 1, exec_mode=mode, device_cfg=dev, costs=costs,
-            seed=3).iops for c in (0, 10 * US, 100 * US)}
+        for c in (0, 10 * US, 100 * US):
+            point = check_config(
+                "static_pool", {"op_count": ops, "queue_depth": 16,
+                                "callback_cost_ns": c}, 3,
+                {"service_time_ns": 100 * US, "parallelism": 64},
+                n_workers=n_workers, k_instances=1, exec_mode=mode)
+            runs.setdefault(mode, {})[c] = run_experiment(point).iops
     return _result("callback_collapse", callback_collapse_violations(
-        dev, costs, 16, 1, runs["inline_callbacks"], runs["io_threads"]),
+        point.device, point.architecture.costs, 16, 1,
+        runs["inline_callbacks"], runs["io_threads"]),
         "inline at the consumer rate, io_threads flat")
 
 
 def _scheme_equivalence(cfg) -> CheckResult:
-    dev = DeviceConfig(service_time_ns=5 * US, jitter_frac=0.0,
-                       parallelism=32)
-    failed = scheme_violations(generate_corpus(23, 24), dev, 7,
-                               ((run_shared_nothing, (2,)),
-                                (run_static_pool, (2, 2))))
+    failed = scheme_violations(generate_corpus(23, 24), [check_config(
+        kind, {"kind": "tasks"}, 7,
+        {"service_time_ns": 5 * US, "parallelism": 32}, n_workers=2,
+        k_instances=2) for kind in ("shared_nothing", "static_pool")])
     return _result("scheme_equivalence", failed,
                    "24 tasks x 3 schemes x 2 architectures")
 
 
 def _exactly_once(cfg) -> CheckResult:
-    dev = DeviceConfig(service_time_ns=5 * US, jitter_frac=0.0,
-                       parallelism=32)
-    wl = RequestWorkload(op_count=1500, queue_depth=16)
-    runs = (("shared_nothing", lambda: run_shared_nothing(
-                wl, 2, device_cfg=dev, seed=9)),
-            ("direct_access", lambda: run_direct_access(
-                wl, 2, 1, device_cfg=dev, seed=9)),
-            ("static_pool", lambda: run_static_pool(
-                wl, 2, 2, device_cfg=dev, seed=9)),
-            ("dynamic_pool", lambda: run_dynamic_pool(
-                wl, 2, 2, device_cfg=dev, seed=9)))
-    failed = [f"{name}: {v}" for name, fn in runs
-              for v in run_violations(fn(), wl.op_count)]
+    failed = [f"{kind}: {v}" for kind in ARCHITECTURES
+              for v in run_violations(run_experiment(check_config(
+                  kind, {"op_count": 1500, "queue_depth": 16}, 9,
+                  {"service_time_ns": 5 * US, "parallelism": 32},
+                  n_workers=2, m_instances=1, k_instances=2)), 1500)]
     return _result("exactly_once", failed, "4 architectures, 1500 ops each")
 
 
 def _shared_nothing_isolation(cfg) -> CheckResult:
-    wl = RequestWorkload(op_count=8000, queue_depth=8)
-    r = run_shared_nothing(wl, 4, device_cfg=DeviceConfig(
-        service_time_ns=20 * US, jitter_frac=0.0, parallelism=64), seed=13)
-    return _result("shared_nothing_isolation",
-                   run_violations(r, wl.op_count)
+    r = run_experiment(check_config(
+        "shared_nothing", {"op_count": 8000, "queue_depth": 8}, 13,
+        {"service_time_ns": 20 * US, "parallelism": 64}, n_workers=4))
+    return _result("shared_nothing_isolation", run_violations(r, 8000)
                    + isolation_violations([(4, r)]), "cross_thread_msgs=0")
 
 
 def _dynamic_pool_rules(cfg) -> CheckResult:
-    dev = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
-                       parallelism=64, submission_cpu_cost_ns=20 * US,
-                       poll=PollConfig(wakeup_cost_ns=5 * US))
-    ring = RingConfig(sq_capacity=16, cq_capacity=32)
-    ctrl = ControllerConfig(window_ns=5 * MS)
-    phases = [(40 * MS, 4_000), (40 * MS, 90_000)] * 2
-    wl = ArrivalWorkload(phases=phases)
-    dyn = run_dynamic_pool(wl, 1, 4, controller=ctrl, device_cfg=dev,
-                           ring=ring, seed=17, keep_completion_times=True)
-    stat = run_static_pool(wl, 1, 4, device_cfg=dev, ring=ring, seed=17,
-                           keep_completion_times=True)
-    failed = [f"{name}: {v}" for name, r in (("dynamic", dyn),
-                                              ("static", stat))
-              for v in run_violations(r, wl.total_ops())]
-    failed += dynamic_pool_violations(dyn, stat, phases, ctrl.window_ns)
+    phases = [[40 * MS, 4_000], [40 * MS, 90_000]] * 2
+    dyn = check_config(
+        "dynamic_pool", {"kind": "arrivals", "phases": phases}, 17,
+        {"service_time_ns": 100 * US, "parallelism": 64,
+         "submission_cpu_cost_ns": 20 * US,
+         "poll": {"wakeup_cost_ns": 5 * US}},
+        n_workers=1, k_instances=4,
+        ring={"sq_capacity": 16, "cq_capacity": 32},
+        controller={"window_ns": 5 * MS})
+    ops = build_workload(dyn, dyn.seed).total_ops()
+    runs = {kind: run_experiment(replace(dyn, architecture=replace(
+        dyn.architecture, kind=kind)), keep_completion_times=True)
+        for kind in ("dynamic_pool", "static_pool")}
+    failed = [f"{kind}: {v}" for kind, r in runs.items()
+              for v in run_violations(r, ops)]
+    failed += dynamic_pool_violations(*runs.values(), phases,
+                                      dyn.architecture.controller.window_ns)
     return _result("dynamic_pool_rules", failed,
                    "steps, scaling, poll busy saving and peak phases hold")
 

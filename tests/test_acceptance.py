@@ -10,16 +10,16 @@ import time
 
 import pytest
 
-from ringbench.arch import (ArrivalWorkload, ControllerConfig, ExecCosts,
-                            RequestWorkload, RingConfig, TaskWorkload,
-                            run_direct_access, run_dynamic_pool,
-                            run_shared_nothing, run_static_pool)
-from ringbench.bench import cmd_scaling_trace, cmd_sweep_qd
-from ringbench.config import defaults, from_dict, to_dict
+from dataclasses import replace
+
+from ringbench.arch import TaskWorkload
+from ringbench.bench import cmd_scaling_trace, cmd_sweep_qd, run_experiment
+from ringbench.config import (ARCHITECTURES, build_workload, defaults,
+                              from_dict, to_dict)
 from ringbench.device import DeviceConfig, PollConfig, steady_state_iops
 from ringbench.tasks import (ComputeStep, Geometry, IoStep, TaskSpec,
                              generate_corpus, oracle_states)
-from ringbench.verify import (callback_collapse_violations,
+from ringbench.verify import (callback_collapse_violations, check_config,
                               dynamic_pool_violations, isolation_violations,
                               littles_law_violations, poll_gap_violations,
                               run_violations, scheme_violations,
@@ -28,9 +28,10 @@ from ringbench.verify import (callback_collapse_violations,
 US = 1_000
 MS = 1_000_000
 
-ZERO_COSTS = ExecCosts(0, 0, 0, 0, 0, 0)
+ZERO_COSTS = dict.fromkeys(
+    ("submit_cost_ns", "reap_cost_ns", "poll_cost_ns", "resume_cost_ns",
+     "lock_hold_ns", "inbox_push_cost_ns"), 0)
 _BUDGETS = {}
-
 
 def _report(num, name, t0, budget_s):
     elapsed = time.time() - t0
@@ -64,9 +65,7 @@ class TestCriterion2LittlesLaw:
         data["device"]["jitter_frac"] = 0.0  # desk-nvme, closed-form path
         data["architecture"]["kind"] = "shared_nothing"
         data["architecture"]["n_workers"] = 1
-        data["architecture"]["costs"] = {
-            "submit_cost_ns": 0, "reap_cost_ns": 0, "poll_cost_ns": 0,
-            "resume_cost_ns": 0, "lock_hold_ns": 0, "inbox_push_cost_ns": 0}
+        data["architecture"]["costs"] = ZERO_COSTS
         data["workload"]["op_count"] = 20_000
         cfg = from_dict(data)
         qds = [1, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -85,24 +84,23 @@ class TestCriterion3CallbackCollapse:
     """Inline callbacks bounded by the single-consumer rate at large cost
     (within 10% of the sim oracle); IoThreads flat within 5%; < 120 s."""
 
-    DCFG = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
-                        parallelism=64)
     COSTS = (0, 1 * US, 10 * US, 100 * US)
 
     def test_inline_collapse_and_io_threads_flat(self):
         t0 = time.time()
-        costs = ExecCosts()
         runs = {}
         for mode, n_workers, ops in (("inline_callbacks", 4, 3000),
                                      ("io_threads", 16, 20_000)):
-            runs[mode] = {c: run_static_pool(
-                RequestWorkload(op_count=ops, queue_depth=16,
-                                callback_cost_ns=c),
-                n_workers, 1, exec_mode=mode, device_cfg=self.DCFG,
-                costs=costs, seed=3).iops for c in self.COSTS}
+            for c in self.COSTS:
+                cfg = check_config(
+                    "static_pool", {"op_count": ops, "queue_depth": 16,
+                                    "callback_cost_ns": c}, 3,
+                    {"service_time_ns": 100 * US, "parallelism": 64},
+                    n_workers=n_workers, k_instances=1, exec_mode=mode)
+                runs.setdefault(mode, {})[c] = run_experiment(cfg).iops
         assert callback_collapse_violations(
-            self.DCFG, costs, 16, 1, runs["inline_callbacks"],
-            runs["io_threads"]) == []
+            cfg.device, cfg.architecture.costs, 16, 1,
+            runs["inline_callbacks"], runs["io_threads"]) == []
         _report(3, "callback_latency_collapse", t0, 120)
 
 
@@ -123,22 +121,7 @@ def _exactly_once_corpus(seed, total_ios, ios_per_task=8):
     return specs
 
 
-_C4_DCFG = DeviceConfig(service_time_ns=20 * US, jitter_frac=0.0,
-                        parallelism=64)
-_C4_RUNNERS = {
-    "shared_nothing": lambda wl, scheme, seed, results: run_shared_nothing(
-        wl, 4, scheme, device_cfg=_C4_DCFG, costs=ZERO_COSTS, seed=seed,
-        sched_jitter_ns=300, results_out=results),
-    "direct_access": lambda wl, scheme, seed, results: run_direct_access(
-        wl, 4, 2, scheme, device_cfg=_C4_DCFG, costs=ZERO_COSTS, seed=seed,
-        sched_jitter_ns=300, results_out=results),
-    "static_pool": lambda wl, scheme, seed, results: run_static_pool(
-        wl, 4, 2, scheme, device_cfg=_C4_DCFG, costs=ZERO_COSTS, seed=seed,
-        sched_jitter_ns=300, results_out=results),
-    "dynamic_pool": lambda wl, scheme, seed, results: run_dynamic_pool(
-        wl, 4, 2, scheme=scheme, device_cfg=_C4_DCFG, costs=ZERO_COSTS,
-        seed=seed, sched_jitter_ns=300, results_out=results),
-}
+_C4_DEVICE = {"service_time_ns": 20 * US, "parallelism": 64}
 _C4_T0 = []
 _C4_CORPASES = {}  # seed -> (specs, interpret_task's final states)
 
@@ -151,20 +134,26 @@ class TestCriterion4ExactlyOnce:
     REQUESTS = 100_000
     SEEDS = (0, 1, 2, 3, 4)
 
-    @pytest.mark.parametrize("arch", list(_C4_RUNNERS))
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     @pytest.mark.parametrize("scheme", ("full", "callback", "coroutine"))
     def test_matrix(self, arch, scheme):
         if not _C4_T0:
             _C4_T0.append(time.time())
         for seed in self.SEEDS:
+            cfg = check_config(arch, {"kind": "tasks"}, seed, _C4_DEVICE,
+                               scheme, n_workers=4, m_instances=2,
+                               k_instances=2, costs=ZERO_COSTS)
             if seed not in _C4_CORPASES:
-                geo = Geometry(_C4_DCFG.block_size, _C4_DCFG.capacity_bytes)
+                geo = Geometry(cfg.device.block_size,
+                               cfg.device.capacity_bytes)
                 specs = _exactly_once_corpus(seed, self.REQUESTS)
                 _C4_CORPASES[seed] = (specs, oracle_states(specs, geo))
             specs, oracle = _C4_CORPASES[seed]
             results = {}
-            wl = TaskWorkload(specs=list(specs), max_live_per_worker=4)
-            report = _C4_RUNNERS[arch](wl, scheme, seed, results)
+            report = run_experiment(
+                cfg, workload=TaskWorkload(specs=list(specs),
+                                           max_live_per_worker=4),
+                sched_jitter_ns=300, results_out=results)
             # handle completion slots are written exactly once (asserted in
             # RequestHandle.complete); the report must reconcile
             assert run_violations(report, self.REQUESTS, results, oracle) \
@@ -186,12 +175,13 @@ class TestCriterion5SchemeEquivalence:
 
     def test_equivalence(self):
         t0 = time.time()
-        dcfg = DeviceConfig(service_time_ns=10 * US, jitter_frac=0.0,
-                            parallelism=32)
+        device = {"service_time_ns": 10 * US, "parallelism": 32}
         specs = generate_corpus(97, 200, max_steps=16)
-        assert scheme_violations(specs, dcfg, 5,
-                                 ((run_shared_nothing, (4,)),
-                                  (run_static_pool, (4, 2)))) == []
+        assert scheme_violations(specs, [
+            check_config("shared_nothing", {"kind": "tasks"}, 5, device,
+                         n_workers=4),
+            check_config("static_pool", {"kind": "tasks"}, 5, device,
+                         n_workers=4, k_instances=2)]) == []
         _report(5, "scheme_equivalence", t0, 60)
 
 
@@ -201,14 +191,11 @@ class TestCriterion6SharedNothingIsolationScaling:
 
     def test_isolation_and_scaling(self):
         t0 = time.time()
-        dcfg = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
-                            parallelism=64)  # P >= 4x single-thread demand
-        one = run_shared_nothing(
-            RequestWorkload(op_count=20_000, queue_depth=8), 1,
-            device_cfg=dcfg, seed=6)
-        four = run_shared_nothing(
-            RequestWorkload(op_count=80_000, queue_depth=8), 4,
-            device_cfg=dcfg, seed=6)
+        # P >= 4x single-thread demand
+        device = {"service_time_ns": 100 * US, "parallelism": 64}
+        one, four = (run_experiment(check_config(
+            "shared_nothing", {"op_count": 20_000 * n, "queue_depth": 8}, 6,
+            device, n_workers=n)) for n in (1, 4))
         assert isolation_violations([(1, one), (4, four)], 0.05) == []
         assert run_violations(one, 20_000) == []
         assert run_violations(four, 80_000) == []
@@ -222,24 +209,26 @@ class TestCriterion7DynamicPoolEfficiency:
 
     def test_square_wave_ab(self):
         t0 = time.time()
-        dcfg = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
-                            parallelism=64, submission_cpu_cost_ns=20 * US,
-                            poll=PollConfig(wakeup_cost_ns=5 * US))
-        ring = RingConfig(sq_capacity=16, cq_capacity=32)
-        ctrl = ControllerConfig(window_ns=5 * MS, high_water=0.75,
-                                low_water=0.25)
-        phases = [(50 * MS, 5_000), (50 * MS, 100_000)] * 4
-        wl = ArrivalWorkload(phases=phases)
-        dyn = run_dynamic_pool(wl, 1, 4, controller=ctrl, device_cfg=dcfg,
-                               ring=ring, seed=7, keep_completion_times=True)
-        stat = run_static_pool(wl, 1, 4, device_cfg=dcfg, ring=ring, seed=7,
-                               keep_completion_times=True)
-        assert dynamic_pool_violations(dyn, stat, phases,
-                                       ctrl.window_ns) == []
+        phases = [[50 * MS, 5_000], [50 * MS, 100_000]] * 4
+        cfg = check_config(
+            "dynamic_pool", {"kind": "arrivals", "phases": phases}, 7,
+            {"service_time_ns": 100 * US, "parallelism": 64,
+             "submission_cpu_cost_ns": 20 * US,
+             "poll": {"wakeup_cost_ns": 5 * US}},
+            n_workers=1, k_instances=4,
+            ring={"sq_capacity": 16, "cq_capacity": 32},
+            controller={"window_ns": 5 * MS, "high_water": 0.75,
+                        "low_water": 0.25})
+        dyn, stat = (run_experiment(replace(cfg, architecture=replace(
+            cfg.architecture, kind=kind)), keep_completion_times=True)
+            for kind in ("dynamic_pool", "static_pool"))
+        assert dynamic_pool_violations(
+            dyn, stat, phases, cfg.architecture.controller.window_ns) == []
         # the skip rule (zero deliveries to inactive instances) raises
         # inside the pool run itself; reaching here means it held
-        assert run_violations(dyn, wl.total_ops()) == []
-        assert run_violations(stat, wl.total_ops()) == []
+        ops = build_workload(cfg, cfg.seed).total_ops()
+        assert run_violations(dyn, ops) == []
+        assert run_violations(stat, ops) == []
         _report(7, "dynamic_pool_efficiency", t0, 120)
 
 

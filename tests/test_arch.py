@@ -3,6 +3,7 @@
 import re
 import sys
 import threading
+from dataclasses import asdict
 
 import pytest
 
@@ -14,6 +15,8 @@ from ringbench.arch import (ArrivalWorkload, ControllerConfig,
 from ringbench.arch import common, driver
 from ringbench.arch.common import HandleFactory
 from ringbench.arch.driver import drive
+from ringbench.bench import run_experiment
+from ringbench.config import ARCHITECTURES, from_dict
 from ringbench.device import DeviceConfig, SimDevice
 from ringbench.ring import ApiInstance, PushResult
 from ringbench.runtime import Runtime
@@ -30,14 +33,21 @@ FAST_DEV = DeviceConfig(service_time_ns=2 * US, jitter_frac=0.0,
 GEO = Geometry(FAST_DEV.block_size, FAST_DEV.capacity_bytes)
 
 
-# each runner with the sizes the cross-architecture tests give it
-RUNNERS = {
-    "shared_nothing": (run_shared_nothing, (2,)),
-    "static_pool": (run_static_pool, (2, 2)),
-    "direct_access": (run_direct_access, (2, 2)),
-    "dynamic_pool": (run_dynamic_pool, (2, 2)),
-}
 SCHEMES = ("full", "callback", "coroutine")
+TASKS = {"kind": "tasks"}
+
+
+def config(kind, seed, workers=2, instances=2, workload=TASKS, ring=None,
+           **fields):
+    """A config document on ``FAST_DEV``: ``workers`` workers over
+    ``instances`` instances (shared-nothing: one each), the ``workload``
+    section (a task run is given its specs) and top-level ``fields``."""
+    arch = {"kind": kind, "n_workers": workers, "m_instances": instances,
+            "k_instances": instances}
+    if ring is not None:
+        arch["ring"] = ring
+    return from_dict({"device": asdict(FAST_DEV), "architecture": arch,
+                      "workload": workload, "seed": seed, **fields})
 
 
 class TestSharedNothing:
@@ -130,8 +140,8 @@ class TestDirectAccess:
         assert run_violations(r, 64) == []
 
     def test_task_schemes_match_oracle(self):
-        assert scheme_violations(generate_corpus(8, 30), FAST_DEV, 4,
-                                 ((run_direct_access, (3, 2)),)) == []
+        assert scheme_violations(generate_corpus(8, 30), [
+            config("direct_access", 4, workers=3)]) == []
 
     def test_wall_mode_conserves(self):
         wl = RequestWorkload(op_count=1000, queue_depth=8)
@@ -140,7 +150,7 @@ class TestDirectAccess:
         assert run_violations(r, 1000) == []
 
 
-# task ids shard as task_id % 2 over the RUNNERS' two workers: shared-nothing
+# task ids shard as task_id % 2 over two workers: shared-nothing
 # takes only same-shard dependencies, the other architectures also cross
 SAME_SHARD_DEPS = [(0, 2), (2, 6), (4, 6), (1, 7), (3, 5)]
 CROSS_SHARD_DEPS = SAME_SHARD_DEPS + [(0, 3), (5, 2), (6, 7)]
@@ -169,9 +179,8 @@ class TestDependencies:
     every scheme."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("arch", RUNNERS)
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_states_equal_oracle(self, monkeypatch, arch, scheme):
-        fn, args = RUNNERS[arch]
         specs = generate_corpus(9, 10)
         deps = SAME_SHARD_DEPS if arch == "shared_nothing" \
             else CROSS_SHARD_DEPS
@@ -179,13 +188,13 @@ class TestDependencies:
                           max_live_per_worker=2)
         started = recorded_starts(monkeypatch, wl)
         results = {}
-        r = fn(wl, *args, scheme=scheme, device_cfg=FAST_DEV, seed=2,
-               results_out=results)
+        r = run_experiment(config(arch, 2, scheme=scheme), workload=wl,
+                           results_out=results)
         assert run_violations(r, io_count(specs), results,
                               oracle_states(specs, GEO)) == []
         assert sorted(started) == list(range(10))
 
-    @pytest.mark.parametrize("arch", RUNNERS)
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_ready_tasks_start_in_shard_order(self, monkeypatch, arch):
         # 1 finishes long before 0, so 3 starts while 2 and 4 still wait
         # on 0; once 0 finishes, 2 must start before 4
@@ -195,8 +204,7 @@ class TestDependencies:
         wl = TaskWorkload(specs=specs,
                           dependencies=[(0, 2), (1, 3), (0, 4)])
         started = recorded_starts(monkeypatch, wl)
-        fn, args = RUNNERS[arch]
-        fn(wl, *(1 for _ in args), device_cfg=FAST_DEV, seed=1)  # 1 worker
+        run_experiment(config(arch, 1, workers=1, instances=1), workload=wl)
         assert started == [0, 1, 3, 2, 4]
 
 
@@ -458,7 +466,7 @@ class TestWallDeviceThread:
     push hands the submission hook to it, so every sweep and every poll
     thread's wake is scheduled there."""
 
-    @pytest.mark.parametrize("name", list(RUNNERS))
+    @pytest.mark.parametrize("name", ARCHITECTURES)
     def test_sweeps_and_wakes_run_on_the_device_thread(self, monkeypatch,
                                                        name):
         seen = {"_sweep_soon": set(), "_wake_poll": set()}
@@ -469,15 +477,14 @@ class TestWallDeviceThread:
                 return _orig(device, *args)
 
             monkeypatch.setattr(SimDevice, method, recording)
-        fn, args = RUNNERS[name]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             # a 1 us idle timeout puts the poll threads to sleep between
             # pushes
-            r = fn(RequestWorkload(op_count=400, queue_depth=8), *args,
-                   mode="wall", device_cfg=FAST_DEV,
-                   ring=RingConfig(idle_timeout_ns=1_000), seed=2)
+            r = run_experiment(config(
+                name, 2, workload={"op_count": 400, "queue_depth": 8},
+                ring={"idle_timeout_ns": 1_000}, mode="wall"))
         finally:
             sys.setswitchinterval(interval)
         assert run_violations(r, 400) == []
@@ -491,7 +498,7 @@ class TestPlacementInstrumentation:
     by wrapping the task engine's ``execute_item``."""
 
     @staticmethod
-    def _run_traced(monkeypatch, fn, args, scheme):
+    def _run_traced(monkeypatch, cfg):
         events = []
         execute_item = common.execute_item
 
@@ -502,20 +509,19 @@ class TestPlacementInstrumentation:
             return result
 
         monkeypatch.setattr(common, "execute_item", traced)
-        specs = generate_corpus(77, 20)
-        fn(TaskWorkload(specs=specs), *args, scheme=scheme,
-           device_cfg=FAST_DEV, seed=9)
+        run_experiment(cfg, workload=TaskWorkload(
+            specs=generate_corpus(77, 20)))
         return events
 
     # the static pool cases keep the bare scheme as their id
     @pytest.mark.parametrize("arch,scheme", [
         pytest.param(arch, scheme, id=scheme if arch == "static_pool"
                      else f"{arch}-{scheme}")
-        for arch in RUNNERS for scheme in SCHEMES])
+        for arch in ARCHITECTURES for scheme in SCHEMES])
     def test_tasklet_starts_and_ends_on_one_executor(self, monkeypatch, arch,
                                                       scheme):
-        fn, args = RUNNERS[arch]
-        events = self._run_traced(monkeypatch, fn, args, scheme)
+        events = self._run_traced(monkeypatch,
+                                  config(arch, 9, scheme=scheme))
         stack = {}
         for phase, executor, item in events:
             key = id(item)
@@ -529,16 +535,16 @@ class TestPlacementInstrumentation:
     def test_callback_fused_units_run_on_reaping_executor(self, monkeypatch):
         # in a pool, completions are reaped by io-instance actors; under
         # callback partitioning the fused unit must execute right there
-        events = self._run_traced(monkeypatch, run_static_pool, (3, 2),
-                                  "callback")
+        events = self._run_traced(monkeypatch, config(
+            "static_pool", 9, workers=3, scheme="callback"))
         fused = [e for e in events if e[2][0] == "fused" and e[0] == "begin"]
         assert fused, "callback scheme must produce fused executions"
         assert all(str(executor).startswith("io-")
                    for _, executor, _ in fused)
 
     def test_full_scheme_polls_stay_on_workers(self, monkeypatch):
-        events = self._run_traced(monkeypatch, run_static_pool, (3, 2),
-                                  "full")
+        events = self._run_traced(monkeypatch,
+                                  config("static_pool", 9, workers=3))
         units = [e for e in events if e[2][0] == "unit" and e[0] == "begin"]
         assert units
         assert all(str(executor).startswith("worker-")
@@ -547,10 +553,15 @@ class TestPlacementInstrumentation:
 
 class TestSchemeEquivalence:
     @pytest.mark.parametrize("arch,extra", [
-        (arch, args) for arch, (_, args) in RUNNERS.items()])
+        ("shared_nothing", {"n_workers": 2}),
+        ("static_pool", {"n_workers": 2, "k_instances": 2}),
+        ("direct_access", {"n_workers": 2, "m_instances": 2}),
+        ("dynamic_pool", {"n_workers": 2, "k_instances": 2})])
     def test_final_states_bit_identical_across_schemes(self, arch, extra):
-        assert scheme_violations(generate_corpus(31, 40), FAST_DEV, 11,
-                                 ((RUNNERS[arch][0], extra),)) == []
+        cfg = from_dict({"device": asdict(FAST_DEV),
+                         "architecture": dict(extra, kind=arch),
+                         "workload": TASKS, "seed": 11})
+        assert scheme_violations(generate_corpus(31, 40), [cfg]) == []
 
     def test_interleave_jitter_does_not_change_states(self):
         specs = generate_corpus(32, 25)
@@ -581,20 +592,21 @@ class TestHandleRegistry:
         return factories
 
     @pytest.mark.parametrize("mode", ("virtual", "wall"))
-    @pytest.mark.parametrize("arch", list(RUNNERS))
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_finished_run_leaves_no_handle(self, monkeypatch, arch, mode):
         factories = self.record_factories(monkeypatch)
-        fn, args = RUNNERS[arch]
-        ring = RingConfig(sq_capacity=1, cq_capacity=1)
+        ring = {"sq_capacity": 1, "cq_capacity": 1}
         specs = generate_corpus(9, 24, max_steps=6)
         results = {}
-        r = fn(TaskWorkload(specs=specs), *args, scheme="callback",
-               device_cfg=FAST_DEV, ring=ring, mode=mode, seed=2,
-               results_out=results)
+        r = run_experiment(config(arch, 2, ring=ring, scheme="callback",
+                                  mode=mode),
+                           workload=TaskWorkload(specs=specs),
+                           results_out=results)
         assert run_violations(r, io_count(specs), results,
                               oracle_states(specs, GEO)) == []
-        r = fn(RequestWorkload(op_count=300, queue_depth=8),
-               *args, device_cfg=FAST_DEV, ring=ring, mode=mode, seed=3)
+        r = run_experiment(config(
+            arch, 3, workload={"op_count": 300, "queue_depth": 8}, ring=ring,
+            mode=mode))
         assert run_violations(r, 300) == []
         assert len(factories) == 2
         assert [f._live for f in factories] == [{}, {}]

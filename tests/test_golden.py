@@ -3,9 +3,10 @@ on tasks under each scheme, arrivals on the dynamic pool, and the pool's
 forks: submit/reap actor pairs on both pools, small inboxes that park
 requests in the overflow queue, and the least-loaded dispatch policy.
 
-Device jitter and scheduling jitter are both on, so a change in the order
-in which a run spawns actors or draws random numbers shows up as a
-different digest, not only a change in the model. Each case also pins the
+Each case is a config document that ``bench.run_experiment`` runs, the
+entry the CLI uses. Device jitter and scheduling jitter are both on, so a
+change in the order in which a run spawns actors or draws random numbers
+shows up as a different digest, not only a change in the model. Each case also pins the
 number of calendar events it fires, which moves when the event loop does
 more or less work for the same output.
 """
@@ -14,143 +15,119 @@ import hashlib
 
 import pytest
 
-from ringbench.arch import (ArrivalWorkload, ControllerConfig,
-                            EXEC_INLINE_CALLBACKS, ExecCosts, POLICY_LEAST_LOADED,
-                            RequestWorkload, RingConfig, TaskWorkload,
-                            THREADING_PAIR, run_direct_access,
-                            run_dynamic_pool, run_shared_nothing,
-                            run_static_pool)
-from ringbench.device import DeviceConfig, VirtualClock
+from ringbench.arch import TaskWorkload
+from ringbench.bench import run_experiment
+from ringbench.config import from_dict
+from ringbench.device import VirtualClock
 from ringbench.metrics import write_summary_csv
 from ringbench.tasks import generate_corpus
 
 US = 1_000
 MS = 1_000_000
 
-DEV = DeviceConfig(service_time_ns=20 * US, jitter_frac=0.1, parallelism=16)
-ARRIVALS_DEV = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.1,
-                           submission_cpu_cost_ns=20 * US)
-JITTER = dict(device_cfg=DEV, seed=3, sched_jitter_ns=500)
-
-
-def shared_nothing(wl, **kw):
-    return run_shared_nothing(wl, 2, **kw)
-
-
-def direct_access(wl, **kw):
-    return run_direct_access(wl, 3, 2, **kw)
-
-
-def static_pool(wl, **kw):
-    return run_static_pool(wl, 3, 2, **kw)
-
-
-def dynamic_pool(wl, **kw):
-    return run_dynamic_pool(wl, 3, 2, **kw)
-
-
-def arrivals_pool(wl, **kw):
-    return run_dynamic_pool(wl, 1, 4, controller=ControllerConfig(
-        window_ns=MS), **kw)
-
-
-def requests():
-    return RequestWorkload(op_count=3001, queue_depth=12,
-                           callback_cost_ns=2 * US)
-
-
-def zero_cost_requests():
-    return RequestWorkload(op_count=3001, queue_depth=12)
-
-
-def tasks():
-    return TaskWorkload(specs=generate_corpus(19, 40))
-
-
-def arrivals():
-    return ArrivalWorkload(phases=[(5 * MS, 5_000), (5 * MS, 100_000)] * 2)
-
-
-PAIR = dict(threading_mode=THREADING_PAIR)
-# a 2/2 ring makes pushes wait for CQ headroom that only a reap frees
-RING_2_2 = dict(ring=RingConfig(2, 2))
+# the run sizes of each architecture's cases
+SIZES = {
+    "shared_nothing": {"n_workers": 2},
+    "direct_access": {"n_workers": 3, "m_instances": 2},
+    "static_pool": {"n_workers": 3, "k_instances": 2},
+    "dynamic_pool": {"n_workers": 3, "k_instances": 2},
+}
+REQUESTS = {"op_count": 3001, "queue_depth": 12, "callback_cost_ns": 2 * US}
+ZERO_COST_REQUESTS = {"op_count": 3001, "queue_depth": 12}
+TASKS = {"kind": "tasks"}
 # a per-entry submission cost makes the high phase need more than one
 # instance, so the controller scales both ways
-ARRIVALS = dict(ring=RingConfig(sq_capacity=16, cq_capacity=32),
-                device_cfg=ARRIVALS_DEV)
-ZERO_COSTS = dict(costs=ExecCosts(0, 0, 0, 0, 0, 0))
+ARRIVALS = {
+    "device": {"service_time_ns": 100 * US, "jitter_frac": 0.1,
+               "submission_cpu_cost_ns": 20 * US},
+    "workload": {"kind": "arrivals",
+                 "phases": [[5 * MS, 5_000], [5 * MS, 100_000]] * 2},
+}
+ARRIVALS_POOL = {"n_workers": 1, "k_instances": 4,
+                 "controller": {"window_ns": MS},
+                 "ring": {"sq_capacity": 16, "cq_capacity": 32}}
+PAIR = {"instance_threading": "submit_reap_pair"}
+INLINE = {"exec_mode": "inline_callbacks"}
+# a 2/2 ring makes pushes wait for CQ headroom that only a reap frees
+RING_2_2 = {"ring": {"sq_capacity": 2, "cq_capacity": 2}}
+ZERO_COSTS = {"costs": dict.fromkeys(
+    ("submit_cost_ns", "reap_cost_ns", "poll_cost_ns", "resume_cost_ns",
+     "lock_hold_ns", "inbox_push_cost_ns"), 0)}
 
-# case -> (runner, workload, keywords on top of JITTER)
+
+def doc(kind, workload=REQUESTS, scheme="full", **architecture) -> dict:
+    """A case's config document: seed 3 on a jittered device."""
+    return {"device": {"service_time_ns": 20 * US, "jitter_frac": 0.1,
+                       "parallelism": 16},
+            "architecture": {"kind": kind, **SIZES[kind], **architecture},
+            "scheme": scheme, "workload": workload, "seed": 3}
+
+
+def arrivals_case(**architecture) -> dict:
+    """An arrivals case: one worker on four instances of a dynamic pool."""
+    return dict(doc("dynamic_pool", **ARRIVALS_POOL, **architecture),
+                **ARRIVALS)
+
+
 CASES = {
-    "shared_nothing-requests": (shared_nothing, requests, {}),
-    "shared_nothing-tasks-full": (shared_nothing, tasks, {"scheme": "full"}),
-    "shared_nothing-tasks-callback": (shared_nothing, tasks,
-                                      {"scheme": "callback"}),
-    "shared_nothing-tasks-coroutine": (shared_nothing, tasks,
-                                       {"scheme": "coroutine"}),
-    "direct_access-requests": (direct_access, requests, {}),
-    "direct_access-tasks-full": (direct_access, tasks, {"scheme": "full"}),
-    "direct_access-tasks-callback": (direct_access, tasks,
-                                     {"scheme": "callback"}),
-    "direct_access-tasks-coroutine": (direct_access, tasks,
-                                      {"scheme": "coroutine"}),
-    "static_pool-requests": (static_pool, requests, {}),
-    "static_pool-tasks-full": (static_pool, tasks, {"scheme": "full"}),
-    "static_pool-tasks-callback": (static_pool, tasks,
-                                   {"scheme": "callback"}),
-    "static_pool-tasks-coroutine": (static_pool, tasks,
-                                    {"scheme": "coroutine"}),
-    "dynamic_pool-requests": (dynamic_pool, requests, {}),
-    "dynamic_pool-tasks-full": (dynamic_pool, tasks, {"scheme": "full"}),
-    "dynamic_pool-tasks-callback": (dynamic_pool, tasks,
-                                    {"scheme": "callback"}),
-    "dynamic_pool-tasks-coroutine": (dynamic_pool, tasks,
-                                     {"scheme": "coroutine"}),
-    "dynamic_pool-arrivals": (arrivals_pool, arrivals, ARRIVALS),
-    "static_pool_pair-requests": (static_pool, requests,
-                                  dict(PAIR, **RING_2_2)),
-    "static_pool_pair-inline_requests": (
-        static_pool, requests, dict(PAIR, exec_mode=EXEC_INLINE_CALLBACKS)),
-    "static_pool_pair-tasks-callback": (static_pool, tasks,
-                                        dict(PAIR, scheme="callback")),
-    "dynamic_pool_pair-requests": (dynamic_pool, requests,
-                                   dict(PAIR, **RING_2_2)),
-    "dynamic_pool_pair-tasks-full": (dynamic_pool, tasks,
-                                     dict(PAIR, scheme="full")),
-    "dynamic_pool_pair-tasks-callback": (dynamic_pool, tasks,
-                                         dict(PAIR, scheme="callback")),
+    "shared_nothing-requests": doc("shared_nothing"),
+    "shared_nothing-tasks-full": doc("shared_nothing", TASKS),
+    "shared_nothing-tasks-callback": doc("shared_nothing", TASKS,
+                                         "callback"),
+    "shared_nothing-tasks-coroutine": doc("shared_nothing", TASKS,
+                                          "coroutine"),
+    "direct_access-requests": doc("direct_access"),
+    "direct_access-tasks-full": doc("direct_access", TASKS),
+    "direct_access-tasks-callback": doc("direct_access", TASKS, "callback"),
+    "direct_access-tasks-coroutine": doc("direct_access", TASKS,
+                                         "coroutine"),
+    "static_pool-requests": doc("static_pool"),
+    "static_pool-tasks-full": doc("static_pool", TASKS),
+    "static_pool-tasks-callback": doc("static_pool", TASKS, "callback"),
+    "static_pool-tasks-coroutine": doc("static_pool", TASKS, "coroutine"),
+    "dynamic_pool-requests": doc("dynamic_pool"),
+    "dynamic_pool-tasks-full": doc("dynamic_pool", TASKS),
+    "dynamic_pool-tasks-callback": doc("dynamic_pool", TASKS, "callback"),
+    "dynamic_pool-tasks-coroutine": doc("dynamic_pool", TASKS,
+                                        "coroutine"),
+    "dynamic_pool-arrivals": arrivals_case(),
+    "static_pool_pair-requests": doc("static_pool", **PAIR, **RING_2_2),
+    "static_pool_pair-inline_requests": doc("static_pool", **PAIR,
+                                            **INLINE),
+    "static_pool_pair-tasks-callback": doc("static_pool", TASKS, "callback",
+                                           **PAIR),
+    "dynamic_pool_pair-requests": doc("dynamic_pool", **PAIR, **RING_2_2),
+    "dynamic_pool_pair-tasks-full": doc("dynamic_pool", TASKS, **PAIR),
+    "dynamic_pool_pair-tasks-callback": doc("dynamic_pool", TASKS,
+                                            "callback", **PAIR),
     # small inboxes park requests in the overflow queue
-    "static_pool_inbox2-requests": (static_pool, requests,
-                                    {"inbox_capacity": 2}),
-    "static_pool_pair_inbox2-requests": (
-        static_pool, requests, dict(PAIR, inbox_capacity=2, **RING_2_2)),
-    "static_pool_least_loaded_inbox2-requests": (
-        static_pool, requests,
-        {"policy": POLICY_LEAST_LOADED, "inbox_capacity": 2}),
-    "dynamic_pool_inbox1-tasks-coroutine": (
-        dynamic_pool, tasks, {"inbox_capacity": 1, "scheme": "coroutine"}),
+    "static_pool_inbox2-requests": doc("static_pool", inbox_capacity=2),
+    "static_pool_pair_inbox2-requests": doc(
+        "static_pool", inbox_capacity=2, **PAIR, **RING_2_2),
+    "static_pool_least_loaded_inbox2-requests": doc(
+        "static_pool", dispatch_policy="least_loaded", inbox_capacity=2),
+    "dynamic_pool_inbox1-tasks-coroutine": doc(
+        "dynamic_pool", TASKS, "coroutine", inbox_capacity=1),
     # after a drain that filled no inbox of its own, a single actor parks
     # and a pair's submit actor drains again: each case moves if its actor
     # takes the other's rule
-    "dynamic_pool_inbox1-arrivals": (
-        arrivals_pool, arrivals, dict(inbox_capacity=1, **ARRIVALS)),
-    "dynamic_pool_pair_inbox1-arrivals": (
-        arrivals_pool, arrivals, dict(PAIR, inbox_capacity=1, **ARRIVALS)),
+    "dynamic_pool_inbox1-arrivals": arrivals_case(inbox_capacity=1),
+    "dynamic_pool_pair_inbox1-arrivals": arrivals_case(inbox_capacity=1,
+                                                       **PAIR),
     # zero lock holds and poll misses, settled without a spin lane
-    "direct_access-tasks-full-zero_costs": (
-        direct_access, tasks, dict(ZERO_COSTS, scheme="full")),
+    "direct_access-tasks-full-zero_costs": doc("direct_access", TASKS,
+                                               **ZERO_COSTS),
     # zero inbox push, submit and reap
-    "static_pool_pair-requests-zero_costs": (
-        static_pool, requests, dict(PAIR, **ZERO_COSTS)),
+    "static_pool_pair-requests-zero_costs": doc("static_pool", **PAIR,
+                                                **ZERO_COSTS),
     # zero inline callbacks: no refill between them
-    "static_pool-inline_requests-zero_costs": (
-        static_pool, zero_cost_requests,
-        dict(ZERO_COSTS, exec_mode=EXEC_INLINE_CALLBACKS)),
+    "static_pool-inline_requests-zero_costs": doc(
+        "static_pool", ZERO_COST_REQUESTS, **INLINE, **ZERO_COSTS),
     # zero frame resumes, and zero worker callbacks on requests
-    "shared_nothing-tasks-coroutine-zero_costs": (
-        shared_nothing, tasks, dict(ZERO_COSTS, scheme="coroutine")),
-    "shared_nothing-requests-zero_costs": (
-        shared_nothing, zero_cost_requests, ZERO_COSTS),
+    "shared_nothing-tasks-coroutine-zero_costs": doc(
+        "shared_nothing", TASKS, "coroutine", **ZERO_COSTS),
+    "shared_nothing-requests-zero_costs": doc(
+        "shared_nothing", ZERO_COST_REQUESTS, **ZERO_COSTS),
 }
 
 
@@ -271,9 +248,14 @@ EVENTS = {
     "shared_nothing-requests-zero_costs": 8713,
 }
 
-def run_case(case: str):
-    run, workload, kw = CASES[case]
-    return run(workload(), **dict(JITTER, **kw))
+def run_case(name: str):
+    """The case's run, with scheduling jitter on; a task case runs the
+    corpus of seed 19."""
+    document = CASES[name]
+    workload = TaskWorkload(specs=generate_corpus(19, 40)) \
+        if document["workload"] == TASKS else None
+    return run_experiment(from_dict(document), workload=workload,
+                          sched_jitter_ns=500)
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))

@@ -4,6 +4,7 @@ import itertools
 import sys
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -16,6 +17,7 @@ from ringbench.arch import (ArrivalWorkload, ControllerConfig,
                             run_dynamic_pool, run_static_pool)
 from ringbench.arch import driver
 from ringbench.arch.common import Worker
+from ringbench.config import from_dict
 from ringbench.device import DeviceConfig, PollConfig, SimDevice, VirtualClock
 from ringbench.ring import CompletionStatus, IoRequest, OpKind
 from ringbench.tasks import Geometry, generate_corpus, io_count, oracle_states
@@ -451,9 +453,11 @@ class TestDynamicPool:
             getattr(self, run)()
 
     def test_scheme_matrix_on_dynamic_pool(self):
-        specs = generate_corpus(51, 24)
-        assert scheme_violations(specs, FAST, 16,
-                                 ((run_dynamic_pool, (2, 2)),)) == []
+        cfg = from_dict({"device": asdict(FAST), "workload": {"kind": "tasks"},
+                         "architecture": {"kind": "dynamic_pool",
+                                          "n_workers": 2, "k_instances": 2},
+                         "seed": 16})
+        assert scheme_violations(generate_corpus(51, 24), [cfg]) == []
 
     @pytest.mark.parametrize("workload", [
         pytest.param(lambda: RequestWorkload(op_count=40, queue_depth=4),
