@@ -6,8 +6,10 @@ tests, and should be given a caller or deleted; an attribute that code under
 src/ringbench stores and nothing under src/, tests/ or perfbench/ reads is
 write-only state, and should be read or deleted. Only the functions named in
 ``WRITERS_ALLOWED`` open a file for writing, so every CSV goes through the
-one writer. An allowlist entry that the guard would pass without it, or that
-names nothing, is stale and fails too."""
+one writer, and only those named in ``RUNNER_CALLERS_ALLOWED`` refer to an
+architecture runner, so every described run goes through the one entry. An
+allowlist entry that the guard would pass without it, or that names nothing,
+is stale and fails too."""
 
 import ast
 from dataclasses import fields
@@ -42,6 +44,14 @@ WRITERS_ALLOWED = {
     "native._UringBackend.__init__": "opens the native backend's target "
                                      "read-write for ring I/O, not an output",
 }
+
+# functions under src/ringbench that refer to an architecture runner, one
+# reason each
+RUNNER_CALLERS_ALLOWED = {
+    "bench.run_experiment": "the one place a config becomes a runner call",
+}
+RUNNERS = ("run_shared_nothing", "run_direct_access", "run_static_pool",
+           "run_dynamic_pool")
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -199,23 +209,40 @@ def scopes(tree):
             yield "<module>", node
 
 
-def writers(package):
-    """Module-qualified names of the scopes that open a file for writing."""
+def scopes_where(package, test):
+    """Module-qualified names of the scopes holding a node that passes
+    ``test``."""
     found = set()
     for path in sorted(package.rglob("*.py")):
         module = ".".join(path.relative_to(package).with_suffix("").parts)
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for name, node in scopes(tree):
-            if any(isinstance(c, ast.Call) and opens_for_writing(c)
-                   for c in ast.walk(node)):
+            if any(test(n) for n in ast.walk(node)):
                 found.add(f"{module}.{name}")
     return found
 
 
 def test_only_the_allowed_functions_open_files_for_writing():
-    found = writers(PACKAGE)
+    found = scopes_where(PACKAGE, lambda n: isinstance(n, ast.Call)
+                         and opens_for_writing(n))
     extra = sorted(found - WRITERS_ALLOWED.keys())
     assert not extra, f"opens a file for writing: {', '.join(extra)}"
     stale = sorted(WRITERS_ALLOWED.keys() - found)
     assert not stale, f"allowed but opens no file for writing: " \
                       f"{', '.join(stale)}"
+
+
+def refers_to_a_runner(node):
+    """Whether a node reads a runner's name, bare or as an attribute;
+    imports and ``__all__`` strings are not reads."""
+    name = node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+    return name in RUNNERS
+
+
+def test_only_the_one_entry_calls_a_runner():
+    found = scopes_where(PACKAGE, refers_to_a_runner)
+    extra = sorted(found - RUNNER_CALLERS_ALLOWED.keys())
+    assert not extra, f"calls a runner: {', '.join(extra)}"
+    stale = sorted(RUNNER_CALLERS_ALLOWED.keys() - found)
+    assert not stale, f"allowed but calls no runner: {', '.join(stale)}"

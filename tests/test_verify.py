@@ -2,16 +2,17 @@
 run's report or final task states fails with the rule it breaks, the way
 perfbench's self-test feeds its checks."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
-from ringbench.arch import TaskWorkload, run_shared_nothing
+from ringbench.arch import TaskWorkload, common, run_shared_nothing
+from ringbench.config import from_dict
 from ringbench.device import DeviceConfig
 from ringbench.tasks import (ComputeStep, Geometry, IoStep, NestedStep,
                              TaskSpec, generate_corpus, io_count,
                              oracle_states)
-from ringbench.verify import run_violations
+from ringbench.verify import run_violations, scheme_violations
 
 DEV = DeviceConfig(service_time_ns=2_000, jitter_frac=0.0, parallelism=64)
 GEO = Geometry(DEV.block_size, DEV.capacity_bytes)
@@ -65,3 +66,20 @@ def test_nested_ios_are_counted():
                                 device_cfg=DEV, seed=1, results_out=results)
     assert run_violations(report, 5, results,
                           oracle_states(specs, GEO)) == []
+
+
+def test_broken_cells_are_named_by_kind_and_scheme(monkeypatch):
+    # full and callback partitioning apply an I/O's result to a task's
+    # state in the engine; a coroutine frame applies it itself
+    apply_io_result = common.apply_io_result
+    monkeypatch.setattr(common, "apply_io_result",
+                        lambda state, *args: apply_io_result(state, *args) ^ 1)
+    cfgs = [from_dict({"device": asdict(DEV), "workload": {"kind": "tasks"},
+                       "architecture": {"kind": kind, "n_workers": 2},
+                       "seed": 1})
+            for kind in ("shared_nothing", "static_pool")]
+    failed = scheme_violations(SPECS, cfgs)
+    assert [v.partition(":")[0] for v in failed] == [
+        "shared_nothing/full", "static_pool/full",
+        "shared_nothing/callback", "static_pool/callback"]
+    assert all("task states differ from interpret_task" in v for v in failed)
