@@ -109,9 +109,9 @@ class RequestWorkload:
 
 @dataclass
 class TaskWorkload:
-    """A corpus of TaskSpecs; a task starts once the tasks it depends on
-    have finished. ``prerequisites`` maps a task id to the ids it waits
-    for, built once from ``dependencies``."""
+    """A corpus of TaskSpecs with distinct task ids; a task starts once the
+    tasks it depends on have finished. ``prerequisites`` maps a task id to
+    the ids it waits for, built once from ``dependencies``."""
 
     specs: list
     dependencies: list = field(default_factory=list)  # (before_id, after_id)
@@ -120,7 +120,12 @@ class TaskWorkload:
     def __post_init__(self):
         if self.max_live_per_worker < 1:
             raise ValueError("max_live_per_worker must be >= 1")
-        ids = {spec.task_id for spec in self.specs}
+        ids = set()
+        for spec in self.specs:
+            if spec.task_id in ids:
+                raise ValueError(f"specs must have distinct task ids: "
+                                 f"{spec.task_id} repeats")
+            ids.add(spec.task_id)
         prerequisites = {}
         for before, after in self.dependencies:
             if before not in ids or after not in ids:

@@ -225,10 +225,10 @@ class TestRunArguments:
     """Each runner takes its own sizes and knobs: a size below 1, a
     negative callback cost or scheduling jitter, an unknown op kind or
     scheme, an arrival phase that cannot run, an arrival workload off the
-    pools, or a dependency on a task outside the corpus or in a cycle
-    raises a ``ValueError`` that starts with the argument's or field's
-    name, and a pool knob given to shared-nothing or direct access is a
-    ``TypeError``."""
+    pools, two specs with one task id, or a dependency on a task outside
+    the corpus or in a cycle raises a ``ValueError`` that starts with the
+    argument's or field's name, and a pool knob given to shared-nothing or
+    direct access is a ``TypeError``."""
 
     @pytest.mark.parametrize("call,arg", [
         (lambda: run_shared_nothing(requests_50(), 0), "n_threads"),
@@ -270,6 +270,8 @@ class TestRunArguments:
         (lambda: tasks_with_deps([(0, 99)]), "dependencies"),
         (lambda: tasks_with_deps([(0, 0)]), "dependencies"),
         (lambda: tasks_with_deps([(0, 1), (1, 2), (2, 0)]), "dependencies"),
+        (lambda: TaskWorkload(specs=generate_corpus(1, 4)
+                              + generate_corpus(2, 1)), "specs"),
     ], ids=["shared_nothing-threads", "direct_access-workers",
             "direct_access-instances", "static_pool-workers",
             "static_pool-task-workers", "static_pool-instances",
@@ -282,7 +284,7 @@ class TestRunArguments:
             "static_pool-arrival-scheme", "negative-jitter",
             "negative-jitter-wall", "dependency-before-unknown",
             "dependency-after-unknown", "dependency-on-itself",
-            "dependency-cycle"])
+            "dependency-cycle", "duplicate-task-id"])
     def test_size_below_one_rejected(self, call, arg):
         with pytest.raises(ValueError, match=f"^{re.escape(arg)} "):
             call()
