@@ -207,22 +207,22 @@ class WallClock:
             self._cond.notify()
 
     def drain_loop(self) -> None:
+        """Run each callback once its deadline passes. Every ``at`` and
+        ``request_stop`` notifies, so the loop sleeps untimed on an empty
+        calendar and otherwise until the first deadline."""
         while True:
-            fn = None
             with self._cond:
                 if self._stop:
                     return
-                if self._heap:
-                    t0 = self._heap[0][0]
-                    now = self.now
-                    if t0 <= now:
-                        _, _, fn = heapq.heappop(self._heap)
-                    else:
-                        self._cond.wait(min((t0 - now) / 1e9, 0.001))
-                else:
-                    self._cond.wait(0.001)
-            if fn is not None:
-                fn()
+                if not self._heap:
+                    self._cond.wait()
+                    continue
+                wait_ns = self._heap[0][0] - self.now
+                if wait_ns > 0:
+                    self._cond.wait(wait_ns / 1e9)
+                    continue
+                _, _, fn = heapq.heappop(self._heap)
+            fn()
 
 
 @dataclass

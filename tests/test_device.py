@@ -1,6 +1,7 @@
 """Simulated device: event calendar, throughput model, poll-thread upkeep."""
 
 import heapq
+import threading
 import time
 
 import pytest
@@ -710,3 +711,52 @@ class TestSpaceWakeups:
             == PushResult.ACCEPTED
         clock.run_until_idle()
         assert (space.notifies, inst.space_wanted) == (1, False)
+
+
+class TestWallClock:
+    """The device thread sleeps until it has work: untimed on an empty
+    calendar and until the first deadline otherwise, since every ``at``
+    and ``request_stop`` wakes it."""
+
+    @staticmethod
+    def waits_of(clock):
+        """Record the timeout of each wait on the clock's condition."""
+        waits = []
+
+        class Counting(threading.Condition):
+            def wait(self, timeout=None):
+                waits.append(timeout)
+                return super().wait(timeout)
+
+        clock._cond = Counting()
+        return waits
+
+    @staticmethod
+    def drain(clock):
+        thread = threading.Thread(target=clock.drain_loop, daemon=True)
+        thread.start()
+        return thread
+
+    def test_idle_clock_waits_once(self):
+        clock = WallClock()
+        waits = self.waits_of(clock)
+        thread = self.drain(clock)
+        time.sleep(0.1)
+        clock.request_stop()
+        thread.join(5)
+        assert not thread.is_alive()
+        assert waits == [None]
+
+    def test_waits_for_the_first_deadline_and_wakes_for_an_earlier_one(self):
+        clock = WallClock()
+        waits = self.waits_of(clock)
+        clock.at(clock.now + 10_000 * MS, lambda: None)
+        thread = self.drain(clock)
+        time.sleep(0.1)
+        ran = threading.Event()
+        clock.at(clock.now, ran.set)
+        assert ran.wait(5)
+        clock.request_stop()
+        thread.join(5)
+        assert not thread.is_alive()
+        assert len(waits) == 2 and all(9 < w <= 10 for w in waits)
