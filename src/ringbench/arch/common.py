@@ -21,6 +21,7 @@ Placement rules the engine enforces:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -251,7 +252,7 @@ class Worker(ExecContext):
     """A worker actor's executor and its queues."""
 
     __slots__ = ("index", "name", "signal", "cqs", "ready", "blocked",
-                 "handoff", "done_handles", "live", "finished")
+                 "handoff", "done_handles", "live", "finished", "spinning")
 
     def __init__(self, index: int, run):
         super().__init__(run)
@@ -265,6 +266,7 @@ class Worker(ExecContext):
         self.done_handles = None     # the request driver's done deque (MPSC)
         self.live = 0                # tasks started and not finished
         self.finished = deque()      # tasks finished off-owner (MPSC)
+        self.spinning = None         # its armed MissStreak, if any
 
 
 # -- task engine --------------------------------------------------------------------
@@ -424,6 +426,8 @@ def deliver_completion(handle: RequestHandle, comp: Completion,
             ectx.collector.cross_thread_msgs += 1
         if owner.done_handles is not None:
             owner.done_handles.append(handle)
+        if owner.spinning is not None:
+            owner.spinning.delivered()
         owner.signal.notify()
 
 
@@ -432,57 +436,89 @@ class MissStreak:
     worker's ready queue.
 
     The queue holds coroutine frames under the coroutine scheme and
-    tasklets otherwise. A poll tasklet whose handle is not done misses, and
-    so does a frame awaiting such a handle. A miss costs ``poll_cost_ns``
+    tasklets otherwise. An item misses while its task awaits a handle that
+    is not done: a poll tasklet or a frame. A miss costs ``poll_cost_ns``
     (a frame also pays ``resume_cost_ns``), counts a respawn, for a frame
     also a resume, and sends the item to the back of the queue.
 
-    In virtual mode the worker yields the streak and the clock's spin lane
-    charges its misses (``VirtualClock.spin``): ``spin`` takes the miss due
-    now and tells whether the next item misses too, and ``end`` settles
-    the queue and the counters once, then resumes the worker. Nothing else
-    reads them before that. In wall mode, and for zero-cost misses, the
-    worker charges each miss itself and calls ``settle(1)``.
+    In virtual mode a streak with a positive miss cost is settled by one
+    calendar event, its end. A streak starts at ``t0`` with ``left`` items
+    in its rotation and checks item ``k`` at ``t0 + k * cost``; a check
+    sees a completion only if it was delivered strictly before the check's
+    time. The streak ends at its first check that hits, or at
+    ``k = left``, with one ``VirtualClock.at_last`` entry, which fires
+    after every other event due then. ``arm`` finds the first item that
+    hits now; ``deliver_completion`` tells the streak of each completion
+    for its worker (``Worker.spinning``), and a hit on an item yet to be
+    checked moves the end earlier with a new entry. Each entry carries its
+    arming token, so an entry the streak moved past does nothing. The end
+    settles the queue and the counters once, then resumes the worker;
+    nothing else reads them before that. In wall mode, and for zero-cost
+    misses, the worker charges each miss itself and calls ``settle(1)``.
     """
 
-    __slots__ = ("ready", "collector", "frames", "cost", "left", "count",
-                 "resume")
+    __slots__ = ("worker", "ready", "collector", "frames", "cost", "left",
+                 "count", "t0", "token", "clock", "resume")
 
     def __init__(self, worker: Worker, scheme: str):
         costs = worker.costs
+        self.worker = worker
         self.ready = worker.ready
         self.collector = worker.collector
         self.frames = scheme == "coroutine"
         self.cost = costs.poll_cost_ns + (
             costs.resume_cost_ns if self.frames else 0)
         self.left = 0       # items left in the worker's ready-queue rotation
-        self.count = 0      # misses taken, not yet settled
-        self.resume = None  # resumes the worker; set by its actor
+        self.count = 0      # the check the streak ends at: its misses
+        self.t0 = 0         # when the armed streak began
+        self.token = 0      # the arming of the end entry that counts
+        self.clock = worker.rt.clock
+        self.resume = None  # resumes the worker; set by arm
 
     def start(self, left: int) -> bool:
         """Begin a streak at the front of a rotation with ``left`` items
         to go; True when the front item misses."""
         self.left = left
-        self.count = -1
-        return self.spin()
+        handle = self.ready[0][1].pending_handle
+        return handle is not None and handle.completion is None
 
-    def spin(self) -> bool:
-        """Count the miss due now (none yet when called by ``start``);
-        True when the next item of the rotation misses too."""
-        count = self.count = self.count + 1
-        if count == self.left:
-            return False
-        item = self.ready[count]
-        task = item[1]
-        if self.frames:
-            handle = task.pending_handle
-            return handle is not None and handle.completion is None
-        return task.units[item[2]].kind == KIND_POLL \
-            and task.pending_handle.completion is None
+    def _first_hit(self, k: int, end: int) -> int:
+        """The index of the first of items ``k`` .. ``end - 1`` that hits
+        now, else ``end``."""
+        for item in itertools.islice(self.ready, k, end):
+            handle = item[1].pending_handle
+            if handle is None or handle.completion is not None:
+                return k
+            k += 1
+        return end
 
-    def end(self) -> None:
-        self.settle(self.count)
-        self.resume()
+    def arm(self, resume) -> None:
+        """Schedule the end of a streak that starts now (virtual mode)."""
+        self.resume = resume
+        self.t0 = self.clock.now
+        self.worker.spinning = self
+        self._end_at(self._first_hit(1, self.left))
+
+    def delivered(self) -> None:
+        """A completion for the worker was just delivered: the first item
+        yet to be checked that now hits, if before the end, ends the
+        streak."""
+        end = self._first_hit((self.clock.now - self.t0) // self.cost + 1,
+                              self.count)
+        if end < self.count:
+            self._end_at(end)
+
+    def _end_at(self, k: int) -> None:
+        self.count = k
+        self.token += 1
+        self.clock.at_last(self.t0 + k * self.cost,
+                           functools.partial(self._end, self.token))
+
+    def _end(self, token: int) -> None:
+        if token == self.token:
+            self.worker.spinning = None
+            self.settle(self.count)
+            self.resume()
 
     def settle(self, count: int) -> None:
         """Charge the first ``count`` items of the ready queue a miss each
@@ -584,7 +620,7 @@ def task_worker_loop(worker: Worker, reap, shard_specs, scheme: str,
     streak = MissStreak(worker, scheme)
     miss_cost = streak.cost
     # zero-cost misses make no event: they stay inline
-    spin_lane = miss_cost > 0 and worker.rt.mode == "virtual"
+    armed = miss_cost > 0 and worker.rt.mode == "virtual"
     while True:
         sig_version = worker.signal.version  # park guard: see Signal docs
         progressed = False
@@ -634,7 +670,7 @@ def task_worker_loop(worker: Worker, reap, shard_specs, scheme: str,
                 progressed = True
                 miss_streak = 0
                 continue
-            if spin_lane:
+            if armed:
                 yield streak
                 missed = streak.count
             else:

@@ -23,7 +23,6 @@ push calls, so the device's own state has one writer.
 from __future__ import annotations
 
 import heapq
-import math
 import random
 import threading
 import time
@@ -36,6 +35,10 @@ POLL_ACTIVE = 0
 POLL_ASLEEP = 1
 
 
+# an ``at_last`` entry's seq offset: it sorts after every ``at`` entry
+_LAST = 1 << 62
+
+
 class VirtualClock:
     """Time-ordered event calendar; ties fire in insertion order.
 
@@ -44,26 +47,17 @@ class VirtualClock:
     FIFO lane instead, which ``step`` drains before it pops the heap: every
     heap entry due at ``now`` was scheduled earlier, so it fires first, and
     the lane keeps the exact ``(t, seq)`` order without a push and a pop.
-
-    A streak of poll misses runs in a spin lane (``spin``): one FIFO per
-    miss cost, of which only the head sits in the heap. Once the head
-    fires, the lane goes on firing its own entries for as long as the next
-    one still comes before every other pending event, within the bound of
-    ``run_until``; each entry holds the seq a plain ``at`` would have
-    taken, so the order is the one separate events would keep. A fired
-    entry touches only its streak's own worker, so no other event, and no
-    run predicate, can tell the difference.
+    An ``at_last`` entry is keyed ``(t, _LAST + seq)``: it fires after
+    every ``at`` entry due at ``t``.
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_lane", "_spins", "_until")
+    __slots__ = ("now", "_heap", "_seq", "_lane")
 
     def __init__(self):
         self.now = 0
         self._heap = []
         self._seq = 0
         self._lane = deque()
-        self._spins = {}          # miss cost -> (FIFO, heap callback)
-        self._until = math.inf    # run_until's bound, kept by the spin lane
 
     def at(self, t: int, fn) -> None:
         now = self.now
@@ -76,67 +70,24 @@ class VirtualClock:
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, fn))
 
-    def spin(self, cost: int, streak) -> None:
-        """Schedule ``streak``'s next miss at ``now + cost`` (``cost > 0``).
-
-        When the entry fires, ``streak.spin()`` counts that miss, schedules
-        nothing, and says whether the streak misses again. If it does not,
-        the streak's entry leaves the lane, the lane's next head goes back
-        into the heap, and ``streak.end()`` runs in the same event.
-        """
+    def at_last(self, t: int, fn) -> None:
+        """Schedule ``fn`` at ``t`` (``t > now``) after every other event
+        due then, also one scheduled during that instant; two of these due
+        at the same time fire in the order they were scheduled."""
+        assert t > self.now, "a last entry goes after now"
         self._seq += 1
-        t = self.now + cost
-        lane = self._spins.get(cost)
-        if lane is None:
-            lane = self._spins[cost] = self._spin_lane(cost)
-        fifo = lane[0]
-        fifo.append((t, self._seq, streak))
-        if len(fifo) == 1:
-            heapq.heappush(self._heap, (t, self._seq, lane[1]))
-
-    def _spin_lane(self, cost: int):
-        """The FIFO of misses costing ``cost`` and its heap callback."""
-        fifo = deque()
-        heap = self._heap
-        same_instant = self._lane
-        heappush = heapq.heappush
-
-        def fire() -> None:
-            # a miss schedules nothing: keep seq local until the lane stops
-            now = self.now
-            seq = self._seq
-            until = self._until
-            while True:
-                streak = fifo.popleft()[2]
-                if not streak.spin():
-                    self._seq = seq
-                    if fifo:
-                        t, head_seq, _ = fifo[0]
-                        heappush(heap, (t, head_seq, fire))
-                    streak.end()
-                    return
-                seq += 1
-                fifo.append((now + cost, seq, streak))
-                head = fifo[0]
-                t = head[0]
-                if same_instant or t > until or (heap and heap[0] < head):
-                    self._seq = seq
-                    heappush(heap, (t, head[1], fire))
-                    return
-                now = self.now = t
-
-        return fifo, fire
+        heapq.heappush(self._heap, (t, _LAST + self._seq, fn))
 
     def idle(self) -> bool:
         """True when no event is pending."""
         return not (self._heap or self._lane)
 
     def due_now(self) -> bool:
-        """True when a heap entry is due at ``now``: then an event
-        scheduled now waits behind it, not only behind the same-instant
-        lane."""
+        """True when an ``at`` entry of the heap is due at ``now``: then an
+        event scheduled now waits behind it, not only behind the
+        same-instant lane."""
         heap = self._heap
-        return bool(heap) and heap[0][0] == self.now
+        return bool(heap) and heap[0][0] == self.now and heap[0][1] < _LAST
 
     def step(self) -> bool:
         lane = self._lane
@@ -161,12 +112,8 @@ class VirtualClock:
     def run_until(self, t: int) -> None:
         heap = self._heap
         lane = self._lane
-        self._until = t
-        try:
-            while (lane and self.now <= t) or (heap and heap[0][0] <= t):
-                self.step()
-        finally:
-            self._until = math.inf
+        while (lane and self.now <= t) or (heap and heap[0][0] <= t):
+            self.step()
         if self.now < t:
             self.now = t
 
@@ -351,7 +298,9 @@ class SimDevice:
         self.fault_plan: dict[tuple[int, int], int] = {}
         self.completion_listener = None  # fn(comp, submit_time)
         self.trace = None                # fn(time, kind, instance_id, req_id)
-        self._jitter = cfg.jitter_frac != 0.0
+        # random.uniform(-j, j)'s arithmetic, without its Python frame
+        self._jitter_lo = -cfg.jitter_frac
+        self._jitter_span = cfg.jitter_frac - self._jitter_lo
 
     # -- wiring ---------------------------------------------------------------
 
@@ -482,10 +431,11 @@ class SimDevice:
 
     def _service_ns(self) -> int:
         base = self.cfg.service_time_ns
-        if not self._jitter:
+        span = self._jitter_span
+        if not span:
             return base
-        j = self.cfg.jitter_frac
-        return max(1, int(base * (1.0 + self.rng.uniform(-j, j))))
+        return max(1, int(base * (1.0 + (self._jitter_lo
+                                         + span * self.rng.random()))))
 
     def _sweep(self, st: _InstState) -> None:
         clock = self.clock

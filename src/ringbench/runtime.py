@@ -6,9 +6,9 @@ An actor is a plain generator that yields what it wants from the scheduler:
   calibrated spin on a real thread); ``0`` takes no time and makes no
   event, so a charge site yields its cost whatever it is;
 * a ``Signal``: park until someone notifies it;
-* in virtual mode, a poll-miss streak (``arch.common.MissStreak``): its
-  misses are charged in the clock's spin lane (``VirtualClock.spin``),
-  and the actor resumes when the streak ends.
+* in virtual mode, a poll-miss streak (``arch.common.MissStreak``): it
+  arms one calendar entry, its end, and the actor resumes when that
+  fires.
 
 In virtual mode all actors plus the device share one ``VirtualClock`` and
 run interleaved on the calling thread; actor steps are atomic between
@@ -23,11 +23,17 @@ runs.
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 import time
 
 from .device import VirtualClock, WallClock
+
+
+def _thread_name() -> str:
+    """A wall actor's name: its thread's."""
+    return threading.current_thread().name
 
 
 class Signal:
@@ -100,10 +106,8 @@ class _VirtualActor:
         elif type(item) is Signal:
             item._waiters.append(self)
         else:
-            # a poll-miss streak: the clock's spin lane charges its misses
-            # and its end resumes this actor
-            item.resume = self._resume
-            rt.clock.spin(item.cost, item)
+            # a poll-miss streak: its end resumes this actor
+            item.arm(self._resume)
 
 
 class _WallActor:
@@ -213,6 +217,10 @@ class Runtime:
         self.workload_done_ns = None  # set by drive once done_pred holds
         self._error_lock = threading.Lock()
         self.current_executor = "main"
+        # the running actor's name; owned rings check it per push and reap
+        self.executor_id = (
+            functools.partial(getattr, self, "current_executor")
+            if mode == "virtual" else _thread_name)
         if sched_jitter_ns and mode == "virtual":
             rng = random.Random(seed ^ 0x9E3779B9)
             self._jitter = lambda: rng.randrange(sched_jitter_ns)
@@ -251,9 +259,3 @@ class Runtime:
         with self._error_lock:  # actor threads can fail at once
             if self.error is None:
                 self.error = exc
-
-    def executor_id(self):
-        """The running actor's name; owned rings check it per push and reap."""
-        if self.mode == "wall":
-            return threading.current_thread().name
-        return self.current_executor

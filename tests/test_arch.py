@@ -1,9 +1,12 @@
 """Shared-nothing and direct-access architecture behavior."""
 
+import itertools
 import re
 import sys
 import threading
+from collections import deque
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,12 +16,14 @@ from ringbench.arch import (ArrivalWorkload, ControllerConfig,
                             run_direct_access, run_dynamic_pool,
                             run_shared_nothing, run_static_pool)
 from ringbench.arch import common, driver
-from ringbench.arch.common import HandleFactory
+from ringbench.arch.common import (ExecContext, ExecCosts, HandleFactory,
+                                   MissStreak, RequestHandle, Worker)
 from ringbench.arch.driver import drive
 from ringbench.bench import run_experiment
 from ringbench.config import ARCHITECTURES, from_dict
-from ringbench.device import DeviceConfig, SimDevice
-from ringbench.ring import ApiInstance, PushResult
+from ringbench.device import DeviceConfig, SimDevice, VirtualClock
+from ringbench.ring import (ApiInstance, Completion, CompletionStatus,
+                            PushResult)
 from ringbench.runtime import Runtime
 from ringbench.tasks import (Geometry, IoStep, TaskSpec, generate_corpus,
                              io_count, oracle_states)
@@ -329,8 +334,9 @@ class TestRunPredicate:
         (run_shared_nothing, (2,)), (run_direct_access, (2, 2))])
     def test_spinning_workers_park_and_are_diagnosed(self, monkeypatch,
                                                      runner, extra, scheme):
-        # poll misses run in the clock's spin lane; with every completion
-        # lost, each streak must still end, and the workers park
+        # a streak of poll misses is one calendar event, its end; with
+        # every completion lost, each streak must still end, and the
+        # workers park
         monkeypatch.setattr(SimDevice, "_deliver", lambda *args: None)
         wl = TaskWorkload(specs=generate_corpus(53, 12))
         with pytest.raises(RuntimeError, match="virtual run deadlocked"):
@@ -390,6 +396,116 @@ class TestYieldProtocol:
         assert rt.clock.run_until_idle() == 2
         assert steps == [("a", "a"), ("a", "a"), ("b", "b")]
         assert rt.live == 0
+
+
+class TestMissStreak:
+    """``MissStreak`` against a per-miss model of its rule, in which each
+    check is a plain event. A streak that starts at ``T0`` with ``n``
+    items checks item k at ``T0 + k * cost`` and sees a completion only if
+    it was delivered strictly before then; it ends at its first check
+    that hits, or at k = n. Each item's completion comes never, or at a
+    check's instant, one ns before it or one ns after it."""
+
+    T0 = 50
+    COSTS = ExecCosts(poll_cost_ns=6, resume_cost_ns=4)
+
+    def deliveries(self, n, cost):
+        # item 0 is the front item: it misses, so its completion is not
+        # delivered before the streak starts
+        times = [self.T0 + j * cost + d for j in range(n + 1)
+                 for d in (-1, 0, 1)]
+        return itertools.product(
+            *([None] + [t for t in times if t >= self.T0 or i]
+              for i in range(n)))
+
+    def make(self, scheme):
+        """A run's stand-in: its runtime, a worker, its streak and a
+        reaper."""
+        rt = Runtime("virtual")
+        run = SimpleNamespace(rt=rt, costs=self.COSTS, geometry=GEO,
+                              results={}, new_handle=None, ectxs=[],
+                              run_id="streak")
+        worker = Worker(0, run)
+        return rt, worker, MissStreak(worker, scheme), ExecContext(run)
+
+    def streak(self, scheme, done_at):
+        """The end of an armed ``MissStreak`` of ``len(done_at)`` items,
+        whose completions are delivered at ``done_at``: [(time, misses,
+        rotation, respawns, which items are done)] per resume. A
+        completion from ``T0`` on is scheduled after the streak is armed,
+        so that it can tie with the streak's end."""
+        rt, worker, streak, reaper = self.make(scheme)
+        handles = [RequestHandle(i, worker) for i in range(len(done_at))]
+        worker.ready.extend(("unit", SimpleNamespace(pending_handle=h), i)
+                            for i, h in enumerate(handles))
+        ends = []
+
+        def start():
+            assert streak.start(len(handles))
+            streak.arm(lambda: ends.append((
+                rt.now(), streak.count, [item[2] for item in worker.ready],
+                worker.collector.tasklet_respawns,
+                [item[1].pending_handle.completion is not None
+                 for item in worker.ready])))
+
+        def deliver(handle):
+            comp = Completion(handle.handle_id, handle.handle_id,
+                              CompletionStatus.OK, 0, rt.now())
+            assert list(common.deliver_completion(handle, comp,
+                                                  reaper)) == []
+
+        def schedule(late):
+            for handle, t in zip(handles, done_at):
+                if t is not None and (t >= self.T0) == late:
+                    rt.clock.at(t, lambda h=handle: deliver(h))
+
+        schedule(late=False)
+        rt.clock.at(self.T0, start)
+        rt.clock.at(self.T0, lambda: schedule(late=True))
+        rt.clock.run_until_idle()
+        assert worker.spinning is None
+        return ends
+
+    def reference(self, cost, done_at):
+        """The rule, one plain event per check."""
+        clock = VirtualClock()
+        ready = deque(range(len(done_at)))
+        ends = []
+        missed = [0]
+
+        def end(t):
+            # the worker resumes after every completion due at t
+            ends.append((t, missed[0], list(ready), missed[0],
+                         [done_at[i] is not None and done_at[i] <= t
+                          for i in ready]))
+
+        def check():
+            t = done_at[ready[0]]
+            if missed[0] and t is not None and t < clock.now:
+                end(clock.now)
+                return
+            missed[0] += 1
+            ready.rotate(-1)
+            if missed[0] == len(done_at):
+                end(clock.now + cost)
+            else:
+                clock.at(clock.now + cost, check)
+
+        clock.at(self.T0, check)
+        clock.run_until_idle()
+        return ends
+
+    @pytest.mark.parametrize("scheme", ("full", "coroutine"))
+    def test_streak_ends_where_the_per_miss_model_does(self, scheme):
+        cost = self.make(scheme)[2].cost
+        wrong = []
+        for n in (1, 2, 3):
+            for done_at in self.deliveries(n, cost):
+                got, want = self.streak(scheme, done_at), \
+                    self.reference(cost, done_at)
+                if got != want:
+                    wrong.append((done_at, got, want))
+        assert wrong == []
 
 
 class TestBouncedTaskSubmissions:

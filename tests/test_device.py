@@ -1,6 +1,7 @@
 """Simulated device: event calendar, throughput model, poll-thread upkeep."""
 
 import heapq
+import random
 import threading
 import time
 
@@ -160,6 +161,19 @@ class TestDeterminism:
     def test_different_seed_different_trace(self):
         assert self.trace_of(42) != self.trace_of(43)
 
+    @pytest.mark.parametrize("jitter", (0.05, 0.1, 0.3, 0.999))
+    def test_service_times_are_random_uniform_draws(self, jitter):
+        # each jittered service time is one draw of random.uniform(-j, j)
+        # from the device's generator
+        cfg = DeviceConfig(service_time_ns=10 * US, jitter_frac=jitter)
+        for seed in range(5):
+            dev = SimDevice(cfg, VirtualClock(), seed=seed)
+            ref = random.Random(seed ^ 0x5DEECE66D)
+            want = [max(1, int(cfg.service_time_ns
+                               * (1.0 + ref.uniform(-jitter, jitter))))
+                    for _ in range(2000)]
+            assert [dev._service_ns() for _ in range(2000)] == want
+
 
 class TestPollThreadModel:
     def test_steady_submissions_never_sleep(self):
@@ -251,171 +265,76 @@ class TestTrace:
 
 
 class ReferenceClock:
-    """Every event through one ``(t, seq)`` heap: the order the calendar
-    must keep."""
+    """Every ``at`` event through one ``(t, seq)`` heap and every
+    ``at_last`` event through another: the order the calendar must keep.
+    A last event fires once no ``at`` event is due at or before its time."""
 
     def __init__(self):
         self.now = 0
         self._heap = []
+        self._last = []
         self._seq = 0
 
     def at(self, t, fn):
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, fn))
 
+    def at_last(self, t, fn):
+        self._seq += 1
+        heapq.heappush(self._last, (t, self._seq, fn))
+
+    def _next(self):
+        heap, last = self._heap, self._last
+        if heap and (not last or heap[0][0] <= last[0][0]):
+            return heap
+        return last
+
     def step(self):
-        if not self._heap:
+        queue = self._next()
+        if not queue:
             return False
-        t, _, fn = heapq.heappop(self._heap)
+        t, _, fn = heapq.heappop(queue)
         self.now = t
         fn()
         return True
 
     def run_until(self, t):
-        while self._heap and self._heap[0][0] <= t:
+        while self._next() and self._next()[0][0] <= t:
             self.step()
         self.now = max(self.now, t)
 
 
 def firing_order(clock, program, children):
     """Run ``program`` on ``clock``: ("at", delay) schedules an event,
-    ("run_until", dt) advances time, ("step",) fires one event. Event k,
-    when it fires, schedules one event per delay in ``children[k]``.
-    Returns (event, time) per firing and the time after each run_until."""
+    ("last", delay) an ``at_last`` event (``delay > 0``), ("run_until",
+    dt) advances time, ("step",) fires one event. Event k, when it fires,
+    schedules one event per entry of ``children[k]``: a delay for ``at``
+    or a ("last", delay) pair. Returns (event, time) per firing and the
+    time after each run_until."""
     fired = []
     count = [0]
 
-    def schedule(delay):
+    def schedule(delay, last=False):
         k = count[0]
         count[0] += 1
 
         def event():
             fired.append((k, clock.now))
             for d in (children[k] if k < len(children) else ()):
-                schedule(d)
-        clock.at(clock.now + delay, event)
+                if type(d) is int:
+                    schedule(d)
+                else:
+                    schedule(d[1], last=True)
+        (clock.at_last if last else clock.at)(clock.now + delay, event)
 
     for op in program:
-        if op[0] == "at":
-            schedule(op[1])
+        if op[0] in ("at", "last"):
+            schedule(op[1], op[0] == "last")
         elif op[0] == "run_until":
             clock.run_until(clock.now + op[1])
             fired.append(("now", clock.now))
         else:
             clock.step()
-    while clock.step():
-        pass
-    return fired
-
-
-class ReferenceSpinClock(ReferenceClock):
-    """``ReferenceClock`` with each poll miss a plain ``at(now + cost)``,
-    and the spin lane's notion of one step: after a miss that does not end
-    its streak, the step goes on while the next event is a miss of the
-    same cost within the ``run_until`` bound."""
-
-    def __init__(self):
-        super().__init__()
-        self.until = None
-
-    def miss_at(self, t, cost, fn):
-        # fn() returns True when it scheduled its streak's next miss
-        self.at(t, (cost, fn))
-
-    def step(self):
-        if not self._heap:
-            return False
-        t, _, fn = heapq.heappop(self._heap)
-        self.now = t
-        if type(fn) is not tuple:
-            fn()
-            return True
-        cost = fn[0]
-        while fn[1]() and self._heap:
-            t, _, fn = self._heap[0]
-            if type(fn) is not tuple or fn[0] != cost or (
-                    self.until is not None and t > self.until):
-                break
-            heapq.heappop(self._heap)
-            self.now = t
-        return True
-
-    def run_until(self, t):
-        self.until = t
-        super().run_until(t)
-        self.until = None
-
-
-class Streak:
-    """A streak of ``n`` misses for ``VirtualClock.spin``."""
-
-    def __init__(self, n, on_miss, on_end):
-        self.n = n
-        self.on_miss = on_miss
-        self.end = on_end
-
-    def spin(self):
-        self.on_miss()
-        self.n -= 1
-        return self.n > 0
-
-
-def spin_firing_order(clock, program, children):
-    """Like ``firing_order``, with one more op: ("spin", cost, n) starts a
-    streak of n misses of ``cost`` each. ``VirtualClock`` runs it in its
-    spin lane, ``ReferenceSpinClock`` as one event per miss. Event k (a
-    plain event or a streak's end) runs the ops in ``children[k]``."""
-    fired = []
-    count = [0]
-
-    def run_ops(ops):
-        for op in ops:
-            if op[0] == "at":
-                schedule(op[1])
-            else:
-                streak(op[1], op[2])
-
-    def event(k):
-        fired.append((k, clock.now))
-        run_ops(children[k] if k < len(children) else ())
-
-    def schedule(delay):
-        k = count[0]
-        count[0] += 1
-        clock.at(clock.now + delay, lambda: event(k))
-
-    def streak(cost, n):
-        k = count[0]
-        count[0] += 1
-
-        def on_miss():
-            fired.append((k, "miss", clock.now))
-
-        if isinstance(clock, VirtualClock):
-            clock.spin(cost, Streak(n, on_miss, lambda: event(k)))
-            return
-        left = [n]
-
-        def miss():
-            on_miss()
-            left[0] -= 1
-            if left[0]:
-                clock.miss_at(clock.now + cost, cost, miss)
-                return True
-            event(k)
-            return False
-
-        clock.miss_at(clock.now + cost, cost, miss)
-
-    for op in program:
-        if op[0] == "run_until":
-            clock.run_until(clock.now + op[1])
-            fired.append(("now", clock.now))
-        elif op[0] == "step":
-            clock.step()
-            fired.append(("now", clock.now))
-        else:
-            run_ops((op,))
     while clock.step():
         pass
     return fired
@@ -473,45 +392,47 @@ class TestClockOrder:
 
         check()
 
-    def test_spin_lane_keeps_reference_order(self):
-        # misses of two costs tie with plain events and with each other;
-        # run_until bounds cut streaks; a streak's end may start another
+    def test_last_entries_fire_after_every_event_due_with_them(self):
+        # last entries tie with plain events scheduled before and after
+        # them, also during their instant, and with each other
         hyp = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
-        delays = st.sampled_from((0, 0, 1, 2, 3, 7))
-        spins = st.tuples(st.just("spin"), st.sampled_from((1, 1, 2, 3)),
-                          st.integers(1, 4))
-        child = st.one_of(st.tuples(st.just("at"), delays), spins)
-        ops = st.one_of(child, spins,
+        delays = st.sampled_from((0, 0, 0, 1, 2, 7))
+        lasts = st.tuples(st.just("last"), st.sampled_from((1, 1, 2, 7)))
+        ops = st.one_of(st.tuples(st.just("at"), delays), lasts,
                         st.tuples(st.just("run_until"), delays),
                         st.tuples(st.just("step")))
 
         @hyp.settings(max_examples=400, deadline=None)
         @hyp.given(program=st.lists(ops, max_size=25),
-                   children=st.lists(st.lists(child, max_size=3),
-                                     max_size=40))
+                   children=st.lists(st.lists(st.one_of(delays, lasts),
+                                              max_size=3), max_size=40))
         def check(program, children):
-            expect = spin_firing_order(ReferenceSpinClock(), program,
-                                       children)
-            assert spin_firing_order(VirtualClock(), program,
-                                     children) == expect
+            expect = firing_order(ReferenceClock(), program, children)
+            assert firing_order(VirtualClock(), program, children) == expect
 
         check()
 
-    def test_spin_lane_runs_a_streak_in_one_step(self):
+    def test_last_entry_waits_for_events_scheduled_in_its_instant(self):
         clock = VirtualClock()
         order = []
-        clock.spin(5, Streak(3, lambda: order.append(clock.now),
-                             lambda: order.append("end")))
-        clock.at(10, lambda: order.append("y"))
-        clock.at(20, lambda: order.append("x"))
-        # the second miss, due at 10, was scheduled after y: y goes first
-        assert clock.step() and order == [5]
-        assert clock.step() and order == [5, "y"]
-        # the rest of the streak comes before x: one step
-        assert clock.step() and order == [5, "y", 10, 15, "end"]
-        assert clock.step() and order[-1] == "x"
-        assert not clock.step() and clock.idle()
+
+        def a():
+            order.append("a")
+            clock.at(clock.now, lambda: order.append("b"))
+
+        clock.at_last(5, lambda: order.append("last"))
+        clock.at_last(5, lambda: order.append("last2"))
+        clock.at(5, a)
+        clock.run_until_idle()
+        assert order == ["a", "b", "last", "last2"]
+        # a last entry still due in its instant holds back no event
+        # scheduled then
+        seen = []
+        clock.at_last(10, lambda: seen.append(clock.due_now()))
+        clock.at_last(10, lambda: None)
+        clock.run_until_idle()
+        assert seen == [False]
 
 
 class TestSlotHandoff:

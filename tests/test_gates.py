@@ -71,14 +71,14 @@ TRACED = {
         "pred_calls": 99305},
         "cafb3dec8fb0c1870cb052449e144fe45ac9130fef35a5bf73ed9c6bbf76b7f8"),
     "tasks_da_full": ({
-        "events": 147815, "at_calls": 61041, "at_zero_delay": 23264,
+        "events": 123389, "at_calls": 60639, "at_zero_delay": 22896,
         "sweeps": 8282, "empty_sweeps": 0, "poll_wakes": 0,
-        "push_calls": 8282, "push_refused": 0, "reap_calls": 8203,
-        "reap_misses": 30, "resumes": 106361, "notifies": 33049,
-        "lock_acquisitions": 16485, "lock_contention": 525, "items": 17558,
+        "push_calls": 8282, "push_refused": 0, "reap_calls": 8169,
+        "reap_misses": 8, "resumes": 105519, "notifies": 33015,
+        "lock_acquisitions": 16451, "lock_contention": 485, "items": 17558,
         "poll_hits": 8282, "pool_dispatches": 0, "controller_steps": 0,
-        "pred_calls": 147812},
-        "ab633cbfabe30e7cfc634d3d2da24d68d2297c85b41b885702b0765667b538dd"),
+        "pred_calls": 123386},
+        "a2995f6aeec8e037b6598a7f7c5cfbe605b929ed40804da6b0c5b4ba50d8bd4c"),
     "tasks_pool_cb": ({
         "events": 56713, "at_calls": 56713, "at_zero_delay": 19492,
         "sweeps": 8282, "empty_sweeps": 0, "poll_wakes": 0,

@@ -114,7 +114,7 @@ CASES = {
     "dynamic_pool_inbox1-arrivals": arrivals_case(inbox_capacity=1),
     "dynamic_pool_pair_inbox1-arrivals": arrivals_case(inbox_capacity=1,
                                                        **PAIR),
-    # zero lock holds and poll misses, settled without a spin lane
+    # zero lock holds and poll misses, settled inline without an end event
     "direct_access-tasks-full-zero_costs": doc("direct_access", TASKS,
                                                **ZERO_COSTS),
     # zero inbox push, submit and reap
@@ -165,7 +165,7 @@ GOLDEN = {
     "dynamic_pool-requests":
         "40ffe79f98192ba8e7d2e13345b143e1d945fe0836e07bdf93de6154ede76d51",
     "dynamic_pool-tasks-full":
-        "593b4539490d580964ddd607e8670acada8c7bf94edbdf8e82212b8fdc171fb7",
+        "3b7b1461fe6af7097ea101d16c24102f6dafde4e8b175ec697e787d9d9be5bc3",
     "dynamic_pool-tasks-callback":
         "fd82ffaf5b5f32cd4c07cfbbd0b14f2d8804b6e9550e5b13cf6c0a00637c878d",
     "dynamic_pool-tasks-coroutine":
@@ -213,32 +213,32 @@ GOLDEN = {
 # an exact count of the simulator's work, pinned next to its output
 EVENTS = {
     "shared_nothing-requests": 13625,
-    "shared_nothing-tasks-full": 1487,
+    "shared_nothing-tasks-full": 1370,
     "shared_nothing-tasks-callback": 828,
-    "shared_nothing-tasks-coroutine": 1193,
+    "shared_nothing-tasks-coroutine": 1090,
     "direct_access-requests": 21564,
-    "direct_access-tasks-full": 1876,
+    "direct_access-tasks-full": 1623,
     "direct_access-tasks-callback": 1028,
-    "direct_access-tasks-coroutine": 1405,
+    "direct_access-tasks-coroutine": 1206,
     "static_pool-requests": 25383,
-    "static_pool-tasks-full": 2364,
+    "static_pool-tasks-full": 2005,
     "static_pool-tasks-callback": 1079,
-    "static_pool-tasks-coroutine": 1882,
+    "static_pool-tasks-coroutine": 1669,
     "dynamic_pool-requests": 25337,
-    "dynamic_pool-tasks-full": 2353,
+    "dynamic_pool-tasks-full": 1999,
     "dynamic_pool-tasks-callback": 1076,
-    "dynamic_pool-tasks-coroutine": 1894,
+    "dynamic_pool-tasks-coroutine": 1669,
     "dynamic_pool-arrivals": 10372,
     "static_pool_pair-requests": 35510,
     "static_pool_pair-inline_requests": 25860,
     "static_pool_pair-tasks-callback": 1209,
     "dynamic_pool_pair-requests": 35447,
-    "dynamic_pool_pair-tasks-full": 2377,
+    "dynamic_pool_pair-tasks-full": 2010,
     "dynamic_pool_pair-tasks-callback": 1216,
     "static_pool_inbox2-requests": 25346,
     "static_pool_pair_inbox2-requests": 35426,
     "static_pool_least_loaded_inbox2-requests": 24630,
-    "dynamic_pool_inbox1-tasks-coroutine": 1883,
+    "dynamic_pool_inbox1-tasks-coroutine": 1663,
     "dynamic_pool_inbox1-arrivals": 9754,
     "dynamic_pool_pair_inbox1-arrivals": 9804,
     "direct_access-tasks-full-zero_costs": 705,
