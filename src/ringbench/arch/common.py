@@ -15,8 +15,8 @@ Placement rules the engine enforces:
   executor reaped the completion (worker in shared-nothing/direct access,
   I/O-instance thread in pools); only a blocked follow-up submission is
   handed back to the owner.
-* coroutines: the owner resumes the frame; a resume that polls
-  unsuccessfully costs resume+poll and leaves the frame suspended.
+* coroutines: the owner resumes the frame with its completion; a miss
+  costs resume+poll and leaves the frame suspended, not resumed.
 """
 
 from __future__ import annotations
@@ -438,8 +438,9 @@ class MissStreak:
     The queue holds coroutine frames under the coroutine scheme and
     tasklets otherwise. An item misses while its task awaits a handle that
     is not done: a poll tasklet or a frame. A miss costs ``poll_cost_ns``
-    (a frame also pays ``resume_cost_ns``), counts a respawn, for a frame
-    also a resume, and sends the item to the back of the queue.
+    (a frame also pays ``resume_cost_ns``, but is not resumed), counts a
+    respawn, for a frame also a resume, and sends the item to the back of
+    the queue.
 
     In virtual mode a streak with a positive miss cost is settled by one
     calendar event, its end. A streak starts at ``t0`` with ``left`` items
@@ -526,7 +527,7 @@ class MissStreak:
         collector = self.collector
         collector.tasklet_respawns += count
         if self.frames:
-            # an unsuccessful poll-resume leaves the frame unchanged
+            # a missed frame counts a resume but is not resumed
             collector.coroutine_resumes += count
         self.ready.rotate(-count)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..device import DeviceConfig, SimDevice, WallDeviceThread
+from ..device import DeviceConfig, SimDevice
 from ..metrics import InstanceStats, MetricsCollector
 from ..runtime import Runtime
 from ..tasks import Geometry
@@ -74,7 +74,6 @@ class RunContext:
         self.results = opts.results_out if opts.results_out is not None \
             else {}
         self.ectxs = []
-        self._dev_thread = None
 
     def spawn_workers(self, n: int, scheme: str, wire,
                       qd_per_worker: bool = False,
@@ -133,22 +132,15 @@ class RunContext:
                 ectx.dep_broadcast = tuple(signals)
         return actors
 
-    def start_device(self) -> None:
-        if self.rt.mode == "wall":
-            self._dev_thread = WallDeviceThread(self.device,
-                                                self.rt.fail).start()
-
-    def stop_device(self) -> None:
-        if self._dev_thread is not None:
-            self._dev_thread.stop()
-            self._dev_thread = None
-
     def run(self, done_pred, on_done=None) -> None:
-        self.start_device()
+        wall = self.rt.mode == "wall"
+        if wall:
+            self.rt.clock.start(self.rt.fail)
         try:
             drive(self.rt, done_pred, on_done)
         finally:
-            self.stop_device()
+            if wall:
+                self.rt.clock.stop()
 
     def report(self, inbox_peaks=None, timeline=()):
         ectxs, self.ectxs = self.ectxs, []
@@ -158,8 +150,12 @@ class RunContext:
                                inbox_peaks, timeline)
 
 
-def drive(rt, done_pred, on_done=None, max_events: int = 500_000_000,
-          wall_timeout: float = 300.0) -> None:
+# the run loop's limits: a virtual run's events, a wall run's seconds
+MAX_EVENTS = 500_000_000
+WALL_TIMEOUT_S = 300.0
+
+
+def drive(rt, done_pred, on_done=None) -> None:
     """Drive a run to quiescence.
 
     Runs until ``done_pred`` holds, then fires ``on_done`` once (typically
@@ -179,10 +175,10 @@ def drive(rt, done_pred, on_done=None, max_events: int = 500_000_000,
             if not step():
                 raise RuntimeError(_deadlock(rt))
             n += 1
-            if n >= max_events:
+            if n >= MAX_EVENTS:
                 raise RuntimeError(f"event budget exhausted after {n} events")
     else:
-        deadline = time.monotonic() + wall_timeout
+        deadline = time.monotonic() + WALL_TIMEOUT_S
         try:
             while not done_pred():
                 if rt.error is not None:
@@ -197,7 +193,7 @@ def drive(rt, done_pred, on_done=None, max_events: int = 500_000_000,
     if on_done is not None:
         on_done()
     if virtual:
-        rt.clock.run_until_idle(max_events - n)
+        rt.clock.run_until_idle(MAX_EVENTS - n)
         return
     for actor in rt.actors:
         actor.thread.join(max(0.0, deadline - time.monotonic()))

@@ -25,7 +25,7 @@ from ..metrics import MetricsCollector
 from ..ring import PushResult
 from .common import (ArrivalWorkload, ExecContext, PoolShutdown,
                      TimeoutExceeded, deliver_completion)
-from .driver import RunContext, RunOptions, check_sizes, drive
+from .driver import RunContext, RunOptions, check_sizes
 
 EXEC_IO_THREADS = "io_threads"
 EXEC_INLINE_CALLBACKS = "inline_callbacks"
@@ -117,7 +117,8 @@ class IoInstanceUnit:
 
 
 class IoPool:
-    """Dispatch layer plus k I/O-instance actors over one run's device."""
+    """Dispatch layer plus k I/O-instance actors over one run's device,
+    and the actor of its ``controller``, if it has one."""
 
     def __init__(self, ctx: RunContext, k_instances: int,
                  controller: ControllerConfig = None,
@@ -139,8 +140,10 @@ class IoPool:
         self.threading_mode = threading_mode
         self.stopping = False
         self.inline_cost_ns = 0  # inline callback, charged at reap
-        self.active_count = k_instances
-        self.timeline = [(rt.now(), k_instances)]
+        # open-loop load starts on the fewest instances
+        self.active_count = controller.min_active if controller is not None \
+            and isinstance(ctx.workload, ArrivalWorkload) else k_instances
+        self.timeline = [(rt.now(), self.active_count)]
         self.overflow = deque()
         self.pending = LoadMeter(locked=(rt.mode == "wall"))
         self._rr = itertools.count()
@@ -155,6 +158,8 @@ class IoPool:
                               space_signal=unit.signal)
             self.instances.append(unit)
         self._spawn_instance_actors()
+        if controller is not None:
+            rt.spawn(self.controller_actor(), "controller")
 
     # -- dispatch layer --------------------------------------------------------
 
@@ -370,9 +375,6 @@ class IoPool:
         # a dispatch raises the meter and the request's reap lowers it
         return self.pending.level == 0
 
-    def abandoned_count(self) -> int:
-        return self.pending.level
-
     def request_stop(self) -> None:
         self.stopping = True
         for unit in self.instances:
@@ -396,13 +398,10 @@ class IoPool:
             if self.drained():
                 return True
             if deadline_ns is not None and rt.now() - start >= deadline_ns:
-                raise TimeoutExceeded(self.abandoned_count())
+                raise TimeoutExceeded(self.pending.level)
             return False
 
-        try:
-            drive(rt, drained)
-        finally:
-            self.ctx.stop_device()
+        self.ctx.run(drained)
         return self.report()
 
     def report(self):
@@ -431,9 +430,8 @@ def open_pool(k_instances: int, *, controller: ControllerConfig = None,
     knobs, opts = _pool_args(kw)
     pool = IoPool(RunContext("pool", None, opts), k_instances, controller,
                   **knobs)
-    if controller is not None:
-        pool.rt.spawn(pool.controller_actor(), "controller")
-    pool.ctx.start_device()
+    if pool.rt.mode == "wall":
+        pool.rt.clock.start(pool.rt.fail)
     return pool
 
 
@@ -444,14 +442,7 @@ def _run_pool(arch, workload, n_workers, k_instances, scheme, controller,
         raise ValueError(f"unknown exec mode {exec_mode!r}")
     knobs, opts = _pool_args(kw)
     ctx = RunContext(arch, workload, opts)
-    rt = ctx.rt
     pool = IoPool(ctx, k_instances, controller, **knobs)
-    if controller is not None:
-        if isinstance(workload, ArrivalWorkload):
-            # open-loop load starts on the fewest instances
-            pool.active_count = controller.min_active
-            pool.timeline[0] = (rt.now(), pool.active_count)
-        rt.spawn(pool.controller_actor(), "controller")
 
     inline = exec_mode == EXEC_INLINE_CALLBACKS
     if inline:

@@ -38,6 +38,9 @@ POLL_ASLEEP = 1
 # an ``at_last`` entry's seq offset: it sorts after every ``at`` entry
 _LAST = 1 << 62
 
+# how long ``WallClock.stop`` waits for the device thread to end
+STOP_TIMEOUT_S = 10.0
+
 
 class VirtualClock:
     """Time-ordered event calendar; ties fire in insertion order.
@@ -121,9 +124,9 @@ class VirtualClock:
 class WallClock:
     """Same calendar interface against the OS monotonic clock.
 
-    Scheduling is thread-safe; ``drain_loop`` is run by exactly one thread
-    (the device engine thread), which executes callbacks as their deadlines
-    pass.
+    Scheduling is thread-safe; ``start`` runs ``drain_loop`` on the one
+    device thread, which executes callbacks as their deadlines pass, and
+    ``stop`` ends it.
     """
 
     def __init__(self):
@@ -132,6 +135,7 @@ class WallClock:
         self._seq = 0
         self._cond = threading.Condition()
         self._stop = False
+        self._thread = None
 
     @property
     def now(self) -> int:
@@ -148,15 +152,30 @@ class WallClock:
             heapq.heappush(self._heap, (t, self._seq, fn))
             self._cond.notify()
 
-    def request_stop(self) -> None:
+    def start(self, on_error) -> None:
+        """Start the device thread, once (see ``drain_loop``)."""
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self.drain_loop, args=(on_error,),
+                name="ringbench-device", daemon=True)
+            self._thread.start()
+
+    def stop(self) -> None:
+        """End the device thread, if it started, and wait for it."""
+        if self._thread is None:
+            return
         with self._cond:
             self._stop = True
             self._cond.notify()
+        self._thread.join(STOP_TIMEOUT_S)
+        if self._thread.is_alive():
+            raise RuntimeError("device thread failed to stop")
 
-    def drain_loop(self) -> None:
-        """Run each callback once its deadline passes. Every ``at`` and
-        ``request_stop`` notifies, so the loop sleeps untimed on an empty
-        calendar and otherwise until the first deadline."""
+    def drain_loop(self, on_error) -> None:
+        """Run each callback once its deadline passes; an error one raises
+        ends the loop and goes to ``on_error``. Every ``at`` and ``stop``
+        notifies, so the loop sleeps untimed on an empty calendar and
+        otherwise until the first deadline."""
         while True:
             with self._cond:
                 if self._stop:
@@ -169,7 +188,11 @@ class WallClock:
                     self._cond.wait(wait_ns / 1e9)
                     continue
                 _, _, fn = heapq.heappop(self._heap)
-            fn()
+            try:
+                fn()
+            except Exception as exc:
+                on_error(exc)
+                return
 
 
 @dataclass
@@ -535,31 +558,3 @@ class SimDevice:
         if elapsed <= 0:
             return [0.0 for _ in self.instances]
         return [min(1.0, st.busy_ns / elapsed) for st in self.instances]
-
-
-class WallDeviceThread:
-    """Drives a SimDevice built on a WallClock from a dedicated thread; an
-    error a device callback raises ends it and goes to ``on_error``."""
-
-    def __init__(self, device: SimDevice, on_error):
-        assert isinstance(device.clock, WallClock)
-        self.device = device
-        self._on_error = on_error
-        self._thread = threading.Thread(target=self._drain,
-                                        name="ringbench-device", daemon=True)
-
-    def _drain(self) -> None:
-        try:
-            self.device.clock.drain_loop()
-        except Exception as exc:
-            self._on_error(exc)
-
-    def start(self):
-        self._thread.start()
-        return self
-
-    def stop(self, timeout: float = 10.0) -> None:
-        self.device.clock.request_stop()
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("device thread failed to stop")

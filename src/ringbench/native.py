@@ -44,19 +44,19 @@ def _load_binding():
         return None
 
 
-def _kernel_supports_rings() -> bool:
+def _kernel_version() -> tuple:
+    """The Linux kernel's ``(major, minor)``, or ``(0, 0)`` if unknown."""
     if not sys.platform.startswith("linux"):
-        return False
+        return (0, 0)
     try:
-        release = os.uname().release
-        major, minor = (int(x) for x in release.split(".")[:2])
+        major, minor = (int(x) for x in os.uname().release.split(".")[:2])
     except (ValueError, AttributeError):
-        return False
-    return (major, minor) >= (5, 1)
+        return (0, 0)
+    return major, minor
 
 
 def native_available() -> bool:
-    return _kernel_supports_rings() and _load_binding() is not None
+    return _kernel_version() >= (5, 1) and _load_binding() is not None
 
 
 def validate_alignment(offset: int, length: int,
@@ -88,9 +88,11 @@ def native_open(cfg: NativeConfig):
     """Open the native backend or raise with the precise blocker.
 
     Check order: platform, binding, privileges, target; no partial
-    initialization on any failure path.
+    initialization on any failure path. Linux 5.11 and later allow
+    submission-queue polling without privileges.
     """
-    if not _kernel_supports_rings():
+    kernel = _kernel_version()
+    if kernel < (5, 1):
         raise UnsupportedPlatform(
             "ring-based async I/O needs Linux >= 5.1; this host runs "
             f"{sys.platform} {getattr(os.uname(), 'release', '?') if hasattr(os, 'uname') else '?'}")
@@ -99,9 +101,10 @@ def native_open(cfg: NativeConfig):
         raise UnsupportedPlatform(
             "no liburing binding importable; pip install liburing to enable "
             "the native backend")
-    if cfg.sq_poll and os.geteuid() != 0:
+    if cfg.sq_poll and kernel < (5, 11) and os.geteuid() != 0:
         raise PrivilegeRequired(
-            "submission-queue polling needs CAP_SYS_NICE/root")
+            "submission-queue polling below Linux 5.11 needs "
+            "CAP_SYS_NICE/root")
     if not cfg.path:
         raise NativeBackendError("native.path is required")
     return _UringBackend(binding, cfg)

@@ -13,7 +13,8 @@ The three schemes produce the same logical execution:
 * callback partitioning: the poll tasklet is fused with the successor
   subtask, binding that subtask to whichever thread polled.
 * coroutines: the whole task lives in one heap frame with a resume-point
-  marker; suspension happens at submission and at unsuccessful polls.
+  marker; it suspends at each submission and resumes only with that
+  I/O's completion.
 """
 
 from __future__ import annotations
@@ -323,10 +324,10 @@ def resume(frame: CoroutineFrame,
            completion: Optional[Completion] = None):
     """Advance a frame; returns SuspendedOnIo or Done.
 
-    Resuming with no completion while an I/O is pending is the
-    unsuccessful-poll path: the frame re-suspends unchanged. Feeding a
-    completion for the wrong request raises CompletionMismatch; resuming a
-    finished frame raises ResumeAfterDone.
+    A frame awaiting an I/O resumes only with its completion: resuming
+    it with none, or with the wrong request's, raises CompletionMismatch
+    and changes nothing in the frame. Resuming a finished frame raises
+    ResumeAfterDone.
     """
     if frame.state_enum == STATE_DONE:
         raise ResumeAfterDone(f"frame {frame.frame_id} already finished")
@@ -342,7 +343,8 @@ def resume(frame: CoroutineFrame,
 
     elif frame.awaiting is not None:
         if completion is None:
-            return frame.awaiting  # poll miss: suspend again, unchanged
+            raise CompletionMismatch(
+                f"frame {frame.frame_id} awaits a completion")
         expect = frame.awaiting.request.request_id
         if expect is not None and completion.request_id != expect:
             raise CompletionMismatch(

@@ -368,7 +368,7 @@ class TestRunPredicate:
 
         for i in range(3):
             rt.spawn(short(), f"a{i}")
-        drive(rt, rt.all_exited(), wall_timeout=10.0)
+        drive(rt, rt.all_exited())
         assert rt.live == 0  # wall actors are not counted
         assert all(a.done for a in rt.actors)
 

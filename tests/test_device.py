@@ -9,7 +9,7 @@ import pytest
 
 from ringbench.device import (DeviceConfig, POLL_ASLEEP, PollConfig,
                               SimDevice, VirtualClock, WallClock,
-                              WallDeviceThread, steady_state_iops)
+                              steady_state_iops)
 from ringbench.ring import ApiInstance, IoRequest, OpKind, PushResult
 from ringbench.verify import littles_law_violations, poll_gap_violations
 
@@ -216,13 +216,13 @@ class TestPollThreadModel:
         inst.sq_push(IoRequest(OpKind.NOP), clock.now)
         time.sleep(0.002)
         errors = []
-        thread = WallDeviceThread(dev, errors.append).start()
+        clock.start(errors.append)
         try:
             deadline = time.monotonic() + 1.0
             while not len(inst.cq) and time.monotonic() < deadline:
                 time.sleep(0.001)
         finally:
-            thread.stop()
+            clock.stop()
         assert len(inst.cq) == 1 and errors == []
 
     def test_disabled_poll_has_no_model(self):
@@ -637,7 +637,8 @@ class TestSpaceWakeups:
 class TestWallClock:
     """The device thread sleeps until it has work: untimed on an empty
     calendar and until the first deadline otherwise, since every ``at``
-    and ``request_stop`` wakes it."""
+    and ``stop`` wakes it. ``start`` runs one thread however often it is
+    called, and ``stop`` ends it."""
 
     @staticmethod
     def waits_of(clock):
@@ -653,31 +654,56 @@ class TestWallClock:
         return waits
 
     @staticmethod
-    def drain(clock):
-        thread = threading.Thread(target=clock.drain_loop, daemon=True)
-        thread.start()
-        return thread
+    def device_threads():
+        return [t for t in threading.enumerate()
+                if t.name == "ringbench-device"]
 
     def test_idle_clock_waits_once(self):
         clock = WallClock()
         waits = self.waits_of(clock)
-        thread = self.drain(clock)
+        clock.start(None)
         time.sleep(0.1)
-        clock.request_stop()
-        thread.join(5)
-        assert not thread.is_alive()
+        clock.stop()
+        assert not clock._thread.is_alive()
         assert waits == [None]
 
     def test_waits_for_the_first_deadline_and_wakes_for_an_earlier_one(self):
         clock = WallClock()
         waits = self.waits_of(clock)
         clock.at(clock.now + 10_000 * MS, lambda: None)
-        thread = self.drain(clock)
+        clock.start(None)
         time.sleep(0.1)
         ran = threading.Event()
         clock.at(clock.now, ran.set)
         assert ran.wait(5)
-        clock.request_stop()
-        thread.join(5)
-        assert not thread.is_alive()
+        clock.stop()
+        assert not clock._thread.is_alive()
         assert len(waits) == 2 and all(9 < w <= 10 for w in waits)
+
+    def test_a_second_start_runs_no_second_thread(self):
+        before = len(self.device_threads())
+        clock = WallClock()
+        clock.start(None)
+        first = clock._thread
+        clock.start(None)
+        assert clock._thread is first
+        assert len(self.device_threads()) == before + 1
+        ran = []
+        done = threading.Event()
+
+        def record():
+            ran.append(threading.current_thread())
+            done.set()
+
+        clock.at(clock.now, record)
+        assert done.wait(5)
+        clock.stop()
+        assert ran == [first] and not first.is_alive()
+        assert len(self.device_threads()) == before
+
+    def test_stop_without_start_returns_at_once(self):
+        clock = WallClock()
+        began = time.monotonic()
+        clock.stop()
+        assert time.monotonic() - began < 0.1
+        assert clock._thread is None and not clock._stop

@@ -15,7 +15,8 @@ import hashlib
 
 import pytest
 
-from ringbench.arch import TaskWorkload
+from ringbench import tasks
+from ringbench.arch import TaskWorkload, common
 from ringbench.bench import run_experiment
 from ringbench.config import from_dict
 from ringbench.device import VirtualClock
@@ -248,14 +249,14 @@ EVENTS = {
     "shared_nothing-requests-zero_costs": 8713,
 }
 
-def run_case(name: str):
+def run_case(name: str, **run_options):
     """The case's run, with scheduling jitter on; a task case runs the
     corpus of seed 19."""
     document = CASES[name]
     workload = TaskWorkload(specs=generate_corpus(19, 40)) \
         if document["workload"] == TASKS else None
     return run_experiment(from_dict(document), workload=workload,
-                          sched_jitter_ns=500)
+                          sched_jitter_ns=500, **run_options)
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))
@@ -271,3 +272,29 @@ def test_summary_csv_digest(case, tmp_path, monkeypatch):
     monkeypatch.setattr(VirtualClock, "step", counted_step)
     assert csv_digest(run_case(case), tmp_path) == GOLDEN[case]
     assert events[0] == EVENTS[case]
+
+
+def test_task_io_offsets_reach_no_output(monkeypatch):
+    # a task's state folds in each completion's status and length, and
+    # the simulated device serves every offset alike
+    task_cases = [c for c in CASES if CASES[c]["workload"] == TASKS]
+    assert len(task_cases) == 18
+
+    def outputs():
+        out = {}
+        for case in task_cases:
+            results = {}
+            out[case] = run_case(case, results_out=results).to_row(), results
+        return out
+
+    expected = outputs()
+    io_request_for = tasks.io_request_for
+
+    def at_offset_0(*args):
+        req = io_request_for(*args)
+        req.offset = 0
+        return req
+
+    monkeypatch.setattr(tasks, "io_request_for", at_offset_0)
+    monkeypatch.setattr(common, "io_request_for", at_offset_0)
+    assert outputs() == expected

@@ -2,14 +2,16 @@
 hosts that actually have a ring-capable kernel plus a liburing binding."""
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
+import ringbench.native as native
 from ringbench.config import NativeConfig
 from ringbench.native import (AlignmentError, BufferRegistry,
-                              PrivilegeRequired, UnsupportedPlatform,
-                              native_available, native_open,
-                              validate_alignment)
+                              NativeBackendError, PrivilegeRequired,
+                              UnsupportedPlatform, native_available,
+                              native_open, validate_alignment)
 
 HAVE_NATIVE = native_available()
 
@@ -20,6 +22,22 @@ class TestGate:
             pytest.skip("host supports the native backend")
         with pytest.raises(UnsupportedPlatform):
             native_open(NativeConfig(path="/tmp/whatever"))
+
+    @pytest.mark.parametrize("release,error,match", [
+        ("5.10.0", PrivilegeRequired, "CAP_SYS_NICE"),
+        ("5.11.0", NativeBackendError, "native.path is required")])
+    def test_sq_poll_needs_privilege_only_below_5_11(self, monkeypatch,
+                                                     release, error, match):
+        # an unprivileged SQPOLL request on a faked kernel; the empty path
+        # is the next check, so passing the privilege gate raises there
+        monkeypatch.setattr(native, "_load_binding", object)
+        monkeypatch.setattr(native.sys, "platform", "linux")
+        monkeypatch.setattr(native.os, "uname",
+                            lambda: SimpleNamespace(release=release))
+        monkeypatch.setattr(native.os, "geteuid", lambda: 1000)
+        with pytest.raises(NativeBackendError, match=match) as exc:
+            native_open(NativeConfig(path="", sq_poll=True))
+        assert type(exc.value) is error
 
     def test_alignment_validation(self):
         validate_alignment(0, 4096)
@@ -93,5 +111,9 @@ class TestNativeParity:
         if os.geteuid() == 0:
             pytest.skip("running as root; privilege check not observable")
         path, _ = self._target(tmp_path)
-        with pytest.raises(PrivilegeRequired):
-            native_open(NativeConfig(path=str(path), sq_poll=True))
+        cfg = NativeConfig(path=str(path), sq_poll=True)
+        if native._kernel_version() < (5, 11):
+            with pytest.raises(PrivilegeRequired):
+                native_open(cfg)
+        else:
+            native_open(cfg).close()  # unprivileged SQPOLL since 5.11

@@ -304,7 +304,7 @@ class TestWallMode:
 
     @staticmethod
     def assert_run_fails_fast(match):
-        # the run ends with the error at once, not at wall_timeout, and no
+        # the run ends with the error at once, not at WALL_TIMEOUT_S, and no
         # thread of the run outlives it
         before = set(threading.enumerate())
         start = time.monotonic()
@@ -381,6 +381,25 @@ class TestWallMode:
         assert h.completion.status == CompletionStatus.OK
         assert run_violations(report, 1) == []
 
+    def test_drain_and_shutdown_stops_the_device_thread(self):
+        # also when the drain raises
+        slow = DeviceConfig(service_time_ns=10 * MS, jitter_frac=0.0,
+                            parallelism=1)
+        for device_cfg, deadline_ns in ((FAST, None), (slow, 0)):
+            before = set(threading.enumerate())
+            pool = open_pool(1, device_cfg=device_cfg, mode="wall")
+            for _ in range(10):
+                pool.pool_submit(IoRequest(OpKind.NOP))
+            started = [t for t in threading.enumerate()
+                       if t not in before and t.name == "ringbench-device"]
+            assert len(started) == 1
+            if deadline_ns is None:
+                assert run_violations(pool.drain_and_shutdown(), 10) == []
+            else:
+                with pytest.raises(TimeoutExceeded):
+                    pool.drain_and_shutdown(deadline_ns=deadline_ns)
+            assert not started[0].is_alive()
+
 
 class TestDynamicPool:
     DCFG = DeviceConfig(service_time_ns=100 * US, jitter_frac=0.0,
@@ -429,6 +448,18 @@ class TestDynamicPool:
         # a delivery to an inactive instance raises at once;
         # run_square_wave checks the run contract
         self.run_square_wave(dynamic=True, seed=15)
+
+    @pytest.mark.parametrize("workload,first", [
+        (ArrivalWorkload(phases=[(MS, 5_000)]), 2), (None, 4)])
+    def test_pool_builds_its_controller_and_open_loop_start(self, workload,
+                                                            first):
+        # an open-loop load starts on the fewest instances, other loads on
+        # every instance
+        ctx = driver.RunContext("pool", workload,
+                                driver.RunOptions(device_cfg=FAST))
+        pool = pool_module.IoPool(ctx, 4, ControllerConfig(min_active=2))
+        assert pool.timeline == [(0, first)] and pool.active_count == first
+        assert ctx.rt.actors[-1].name == "controller"
 
     def arrivals_from_one_active(self):
         run_dynamic_pool(ArrivalWorkload(phases=self.PHASES[:2]), 1, 4,

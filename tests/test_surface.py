@@ -6,10 +6,11 @@ tests, and should be given a caller or deleted; an attribute that code under
 src/ringbench stores and nothing under src/, tests/ or perfbench/ reads is
 write-only state, and should be read or deleted. Only the functions named in
 ``WRITERS_ALLOWED`` open a file for writing, so every CSV goes through the
-one writer, and only those named in ``RUNNER_CALLERS_ALLOWED`` refer to an
-architecture runner, so every described run goes through the one entry. An
-allowlist entry that the guard would pass without it, or that names nothing,
-is stale and fails too."""
+one writer, only those named in ``RUNNER_CALLERS_ALLOWED`` refer to an
+architecture runner, so every described run goes through the one entry, and
+only those named in ``THREADS_ALLOWED`` create a thread. An allowlist entry
+that the guard would pass without it, or that names nothing, is stale and
+fails too."""
 
 import ast
 from dataclasses import fields
@@ -43,6 +44,15 @@ WRITERS_ALLOWED = {
     "tasks.write_corpus": "writes the corpus_path format",
     "native._UringBackend.__init__": "opens the native backend's target "
                                      "read-write for ring I/O, not an output",
+}
+
+# functions under src/ringbench that create a threading.Thread, one reason
+# each
+THREADS_ALLOWED = {
+    "device.WallClock.start": "the wall-mode device thread",
+    "runtime._WallActor.__init__": "one thread per wall-mode actor",
+    "verify.spsc_violations": "the SPSC stress check's producer and "
+                              "consumer",
 }
 
 # functions under src/ringbench that refer to an architecture runner, one
@@ -232,12 +242,16 @@ def test_only_the_allowed_functions_open_files_for_writing():
                       f"{', '.join(stale)}"
 
 
-def refers_to_a_runner(node):
-    """Whether a node reads a runner's name, bare or as an attribute;
-    imports and ``__all__`` strings are not reads."""
-    name = node.id if isinstance(node, ast.Name) else \
+def read_name(node):
+    """The name a node reads, bare or as an attribute, or None; imports
+    and ``__all__`` strings are not reads."""
+    return node.id if isinstance(node, ast.Name) else \
         node.attr if isinstance(node, ast.Attribute) else None
-    return name in RUNNERS
+
+
+def refers_to_a_runner(node):
+    """Whether a node reads a runner's name."""
+    return read_name(node) in RUNNERS
 
 
 def test_only_the_one_entry_calls_a_runner():
@@ -246,3 +260,12 @@ def test_only_the_one_entry_calls_a_runner():
     assert not extra, f"calls a runner: {', '.join(extra)}"
     stale = sorted(RUNNER_CALLERS_ALLOWED.keys() - found)
     assert not stale, f"allowed but calls no runner: {', '.join(stale)}"
+
+
+def test_only_the_allowed_functions_create_threads():
+    found = scopes_where(PACKAGE, lambda n: isinstance(n, ast.Call)
+                         and read_name(n.func) == "Thread")
+    extra = sorted(found - THREADS_ALLOWED.keys())
+    assert not extra, f"creates a thread: {', '.join(extra)}"
+    stale = sorted(THREADS_ALLOWED.keys() - found)
+    assert not stale, f"allowed but creates no thread: {', '.join(stale)}"

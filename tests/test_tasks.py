@@ -124,13 +124,25 @@ class TestCoroutine:
         with pytest.raises(CompletionMismatch):
             resume(frame, wrong)
 
-    def test_poll_miss_resuspends_unchanged(self):
-        frame = make_coroutine(spec(R()), GEO)
+    @pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
+    def test_resume_without_completion_raises_and_changes_nothing(
+            self, nested):
+        # a poll miss never resumes a frame: MissStreak charges it
+        task = spec(C(), R(), C())
+        if nested:
+            task = spec(C(), NestedStep(spec(R(), C(), task_id=2)), task_id=3)
+        frame = make_coroutine(task, GEO)
         first = resume(frame)
-        state_before = frame.locals_state
-        again = resume(frame)  # unsuccessful poll
-        assert again == first
-        assert frame.locals_state == state_before
+        frames = [frame] + ([frame.inner] if nested else [])
+        before = [{k: getattr(f, k) for k in f.__slots__} for f in frames]
+        with pytest.raises(CompletionMismatch):
+            resume(frame)
+        assert [{k: getattr(f, k) for k in f.__slots__}
+                for f in frames] == before
+        first.request.request_id = 1
+        done = resume(frame, Completion(1, 0, CompletionStatus.OK,
+                                        first.request.length, 0))
+        assert done.final_state == interpret_task(task, GEO)
 
     def test_matches_oracle_when_driven_to_completion(self):
         for s in generate_corpus(9, 20):
